@@ -53,6 +53,7 @@ from .dynamics import (
     Itinerary,
     OrbitResult,
     OrbitStatus,
+    Trajectory,
     basin_classify,
     cycle_multiplier,
     cylinder_point,

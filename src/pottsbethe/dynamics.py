@@ -25,8 +25,8 @@ from .mapping import (
     VerificationError,
     build_partition,
     classify_regime,
+    derivative_at,
     eval_f,
-    eval_g,
     inverse_branch,
 )
 from .padic import INF, Ball, Padic, PrecisionError
@@ -106,42 +106,81 @@ def _partition_for(params: MapParams, partition: Partition | None,
     return None
 
 
+class Trajectory:
+    """The forward orbit of x0: ``traj[t]`` is f^t(x0), computed once, on
+    first use.  The PoleHit or PrecisionError that ended the orbit is kept
+    and raised again for its index and every later one."""
+
+    def __init__(self, params: MapParams, x0):
+        self.params = params
+        self.points = [params.embed(x0)]
+        self.error: PoleHit | PrecisionError | None = None
+
+    def __getitem__(self, t: int) -> Padic:
+        while len(self.points) <= t:
+            if self.error is not None:
+                raise self.error
+            try:
+                self.points.append(eval_f(self.params, self.points[-1]))
+            except (PoleHit, PrecisionError) as exc:
+                self.error = exc
+                raise
+        return self.points[t]
+
+
+def _trajectory(params: MapParams, x0) -> Trajectory:
+    if not isinstance(x0, Trajectory):
+        return Trajectory(params, x0)
+    if x0.params is not params:
+        raise ValueError("the trajectory was built for other parameters")
+    return x0
+
+
 def orbit(params: MapParams, x0, max_iter: int = DEFAULT_MAX_ITER,
           tol: int = DEFAULT_TOL,
           partition: Partition | None = None) -> OrbitResult:
-    """Iterate the map from x0, certifying the outcome.
+    """Iterate the map from x0 (a point or a Trajectory), certifying the
+    outcome.
 
     Convergence means entering the open ball of radius p**-tol around 1
     and, unless the distance vanished outright, one further verified
     strictly-contracting step.  An orbit that stays inside the invariant
     cover for the whole budget reports its symbol itinerary instead.
-    Precision exhaustion is reported, never guessed over.
+    Precision exhaustion, including a contraction step that cancels at
+    the working precision, is reported, never guessed over.
     """
     regime = classify_regime(params)
     part = _partition_for(params, partition, regime)
-    x = params.embed(x0)
-    traj = [x]
+    traj = _trajectory(params, x0)
     symbols: list[int] = []
     always_in_x = part is not None
+    last = 0  # index of the last iterate read
+
+    def result(status: OrbitStatus, **fields) -> OrbitResult:
+        return OrbitResult(status, last,
+                           trajectory=tuple(traj.points[:last + 1]),
+                           **fields)
+
     try:
         for t in range(max_iter + 1):
+            x = traj[t]
+            last = t
             d = x - 1
             if d.is_exact_zero:
-                return OrbitResult(OrbitStatus.CONVERGED_TO_1, t,
-                                   trajectory=tuple(traj))
+                return result(OrbitStatus.CONVERGED_TO_1)
             if d.is_inexact_zero:
                 if d.val >= tol + 1:
-                    return OrbitResult(OrbitStatus.CONVERGED_TO_1, t,
-                                       trajectory=tuple(traj))
-                return OrbitResult(OrbitStatus.UNDECIDED, t,
-                                   reason="precision",
-                                   trajectory=tuple(traj))
+                    return result(OrbitStatus.CONVERGED_TO_1)
+                return result(OrbitStatus.UNDECIDED, reason="precision")
             if d.val >= tol + 1:
-                nxt = eval_f(params, x)
-                d2 = nxt - 1
+                d2 = traj[t + 1] - 1
                 if d2.val_lower_bound > d.val:
-                    return OrbitResult(OrbitStatus.CONVERGED_TO_1, t,
-                                       trajectory=tuple(traj))
+                    return result(OrbitStatus.CONVERGED_TO_1)
+                if d2.is_inexact_zero:
+                    raise PrecisionError(
+                        "contraction undecidable inside the convergence "
+                        f"ball: v(x-1)={d.val}, f(x)-1 = O(p^{d2.val})"
+                    )
                 raise VerificationError(
                     "no contraction inside the convergence ball: "
                     f"v(x-1)={d.val}, v(f(x)-1)>={d2.val_lower_bound}"
@@ -152,22 +191,14 @@ def orbit(params: MapParams, x0, max_iter: int = DEFAULT_MAX_ITER,
                     always_in_x = False
                 else:
                     symbols.append(sym)
-            if t == max_iter:
-                break
-            x = eval_f(params, x)
-            traj.append(x)
     except PoleHit:
-        return OrbitResult(OrbitStatus.POLE_HIT, len(traj) - 1,
-                           trajectory=tuple(traj))
+        return result(OrbitStatus.POLE_HIT)
     except PrecisionError:
-        return OrbitResult(OrbitStatus.UNDECIDED, len(traj) - 1,
-                           reason="precision", trajectory=tuple(traj))
+        return result(OrbitStatus.UNDECIDED, reason="precision")
     if always_in_x:
-        return OrbitResult(OrbitStatus.STAYED_IN_X, max_iter,
-                           itinerary=Itinerary(tuple(symbols)),
-                           trajectory=tuple(traj))
-    return OrbitResult(OrbitStatus.UNDECIDED, max_iter, reason="budget",
-                       trajectory=tuple(traj))
+        return result(OrbitStatus.STAYED_IN_X,
+                      itinerary=Itinerary(tuple(symbols)))
+    return result(OrbitStatus.UNDECIDED, reason="budget")
 
 
 class ClassifyKind(Enum):
@@ -188,7 +219,7 @@ class ClassifyResult:
 
 def basin_classify(params: MapParams, x0, depth: int,
                    partition: Partition | None = None) -> ClassifyResult:
-    """Exact trichotomy up to ``depth`` iterations.
+    """Exact trichotomy up to ``depth`` iterations of x0 (or a Trajectory).
 
     Leaving the invariant cover certifies membership in the basin of 1;
     landing on the pole certifies membership in its backward orbit (with
@@ -197,8 +228,8 @@ def basin_classify(params: MapParams, x0, depth: int,
     only.  In the contracting regime every point is basin outright.
     """
     regime = classify_regime(params)
-    x = params.embed(x0)
-    if (x - params.pole).is_zero_like:
+    traj = _trajectory(params, x0)
+    if (traj[0] - params.pole).is_zero_like:
         raise ValueError("x0 is the pole; it lies outside the domain")
     if regime.tag == RegimeTag.A:
         return ClassifyResult(ClassifyKind.BASIN, step=0, depth=depth)
@@ -208,12 +239,11 @@ def basin_classify(params: MapParams, x0, depth: int,
     symbols: list[int] = []
     try:
         for t in range(depth):
-            sym = part.locate(x)
+            sym = part.locate(traj[t])
             if sym is None:
                 return ClassifyResult(ClassifyKind.BASIN, step=t, depth=depth)
             symbols.append(sym)
-            x = eval_f(params, x)
-            if (x - params.pole).is_zero_like:
+            if (traj[t + 1] - params.pole).is_zero_like:
                 return ClassifyResult(ClassifyKind.POLE_PREIMAGE, step=t + 1,
                                       depth=depth)
     except PrecisionError:
@@ -227,15 +257,13 @@ def itinerary_of(params: MapParams, x0, n: int,
                  partition: Partition | None = None) -> Itinerary:
     """Symbol word of the first n iterates; errors if the orbit escapes."""
     part = partition if partition is not None else build_partition(params)
-    x = params.embed(x0)
+    traj = _trajectory(params, x0)
     word = []
     for t in range(n):
-        sym = part.locate(x)
+        sym = part.locate(traj[t])
         if sym is None:
             raise ValueError(f"orbit leaves the cover at step {t}")
         word.append(sym)
-        if t < n - 1:
-            x = eval_f(params, x)
     return Itinerary(tuple(word))
 
 
@@ -297,21 +325,12 @@ def periodic_point(params: MapParams, word,
     raise PrecisionError("branch cycle did not settle within its budget")
 
 
-def derivative_at(params: MapParams, x: Padic) -> Padic:
-    """f'(x) = k * g(x)**(k-1) * (theta-1)(q+theta-1) / (x+q+theta-2)**2."""
-    den = x + params.theta + (params.q - 2)
-    t1 = params.theta - 1
-    return (params.k * eval_g(params, x).pow_int(params.k - 1) * t1
-            * (t1 + params.q) / (den * den))
-
-
 def cycle_multiplier(params: MapParams, x: Padic, period: int) -> Padic:
     """Product of the map's derivative along a periodic cycle."""
+    traj = Trajectory(params, x)
     out = params.embed(1)
-    z = x
-    for _ in range(period):
-        out = out * derivative_at(params, z)
-        z = eval_f(params, z)
+    for t in range(period):
+        out = out * derivative_at(params, traj[t])
     return out
 
 
@@ -417,10 +436,8 @@ def pole_preimage_tree(params: MapParams, depth: int,
                 x = inverse_branch(params, i, y, part)
                 nxt.append(x)
         for x in nxt:
-            z = x
             try:
-                for _ in range(n):
-                    z = eval_f(params, z)
+                z = Trajectory(params, x)[n]
             except PoleHit as exc:
                 raise VerificationError(
                     f"level-{n} preimage hit the pole early"

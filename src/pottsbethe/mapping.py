@@ -162,11 +162,16 @@ class MapParams:
             return x
         return from_rational(Fraction(x), 1, prime=self.p, digits=self.digits)
 
+    @property
+    def theta_key(self) -> str:
+        """theta as reports and sample seeds name it."""
+        return (str(self.theta_frac) if self.theta_frac is not None
+                else self.theta.to_compact())
+
     def config_dict(self) -> dict:
         return {
             "p": self.p, "k": self.k, "q": self.q,
-            "theta": str(self.theta_frac) if self.theta_frac is not None
-            else self.theta.to_compact(),
+            "theta": self.theta_key,
             "digits": self.digits,
         }
 
@@ -191,9 +196,17 @@ def eval_f(params: MapParams, x) -> Padic:
     return eval_g(params, x).pow_int(params.k)
 
 
+def derivative_at(params: MapParams, x: Padic) -> Padic:
+    """f'(x) = k * g(x)**(k-1) * (theta-1)(q+theta-1) / (x+q+theta-2)**2."""
+    den = x + params.theta + (params.q - 2)
+    t1 = params.theta - 1
+    return (params.k * eval_g(params, x).pow_int(params.k - 1) * t1
+            * (t1 + params.q) / (den * den))
+
+
 def multiplier(params: MapParams, x_fix) -> Padic:
-    """Derivative of the map at a fixed point:
-    k * g(x)**(k-1) * (theta-1)(q+theta-1) / (x+q+theta-2)**2."""
+    """Derivative of the map at a fixed point; ValueError when x_fix is not
+    fixed at the working precision."""
     x = params.embed(x_fix)
     drift = eval_f(params, x) - x
     if not drift.is_zero_like:
@@ -201,11 +214,7 @@ def multiplier(params: MapParams, x_fix) -> Padic:
             f"x is not fixed at the working precision: |f(x)-x| = "
             f"p^-{drift.val_lower_bound}"
         )
-    den = x + params.theta + (params.q - 2)
-    g = eval_g(params, x)
-    t1 = params.theta - 1
-    return (params.k * g.pow_int(params.k - 1) * t1 * (t1 + params.q)
-            / (den * den))
+    return derivative_at(params, x)
 
 
 def classify_fixed(lmbda: Padic) -> str:
@@ -303,8 +312,7 @@ class Partition:
             "p": params.p,
             "k": params.k,
             "q": params.q,
-            "theta": str(params.theta_frac) if params.theta_frac is not None
-            else params.theta.to_compact(),
+            "theta": params.theta_key,
             "regime": regime.tag.value,
             "kappa": self.kappa,
             "radius_exp": self.radius_exp,

@@ -29,8 +29,6 @@ INF = math.inf
 
 DEFAULT_DIGITS = 64
 
-_MAX_NEWTON = 64
-
 
 class PrecisionError(ArithmeticError):
     """A predicate or operation is undecidable at the available precision."""

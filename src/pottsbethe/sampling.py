@@ -38,9 +38,8 @@ class Sample:
 
 
 def rng_for(params: MapParams, tag: str, seed: int) -> random.Random:
-    theta_key = (str(params.theta_frac) if params.theta_frac is not None
-                 else params.theta.to_compact())
-    material = f"{params.p}|{params.q}|{params.k}|{theta_key}|{tag}|{seed}"
+    material = (f"{params.p}|{params.q}|{params.k}|{params.theta_key}|"
+                f"{tag}|{seed}")
     digest = hashlib.sha256(material.encode()).digest()
     return random.Random(int.from_bytes(digest[:8], "big"))
 
@@ -91,9 +90,3 @@ def ball_samples(params: MapParams, symbol: int, count: int, seed: int,
         for _ in range(count)
     ]
 
-
-def ep_samples(params: MapParams, count: int, seed: int,
-               tag: str = "ep") -> list[Sample]:
-    rng = rng_for(params, tag, seed)
-    return [Sample("ep", _ep(rng, params.p, params.digits))
-            for _ in range(count)]

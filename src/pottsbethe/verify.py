@@ -46,10 +46,47 @@ def _norm_exp_field(x: Padic):
     return x.val, True
 
 
-def _params_ladder(params: MapParams):
-    for factor in RETRY_LADDER:
-        yield factor, (params if factor == 1
-                       else params.at_digits(params.digits * factor))
+class _Ladder:
+    """The retry policy of one report call: a record that runs out of
+    precision is retried on its exact input at each RETRY_LADDER multiple
+    of the digits.  Each rung (params, partition, pole tree) is built once,
+    on first use, and shared by every record of the call."""
+
+    def __init__(self, params: MapParams, tree_depth: int = 0):
+        self.params, self.tree_depth = params, tree_depth
+        self.regime = classify_regime(params)
+        self.rungs: list[tuple] = []
+
+    def rung(self, i: int) -> tuple:
+        while len(self.rungs) <= i:
+            factor = RETRY_LADDER[len(self.rungs)]
+            pd = (self.params if factor == 1
+                  else self.params.at_digits(self.params.digits * factor))
+            part = (build_partition(pd) if self.regime.tag in
+                    (RegimeTag.B1, RegimeTag.B2) else None)
+            tree = (dynamics.pole_preimage_tree(pd, self.tree_depth, part)
+                    if self.tree_depth > 0 and part is not None else [])
+            self.rungs.append((pd, part, tree))
+        return self.rungs[i]
+
+    def run(self, attempt, classify_depth: int | None = None) -> dict:
+        """The record of ``attempt(params, partition, tree)`` on the first
+        rung where it raises no PrecisionError, else the undecided record;
+        either way with its ``retries`` count."""
+        for i in range(len(RETRY_LADDER)):
+            rung = self.rung(i)
+            try:
+                return {**attempt(*rung), "retries": i}
+            except PrecisionError:
+                pass
+        record = {"status": "undecided", "reason": "precision",
+                  "steps": None, "final_norm_exp_to_1": None,
+                  "final_norm_exp_exact": False, "itinerary": None,
+                  "retries": len(RETRY_LADDER)}
+        if classify_depth is not None:
+            record.update(classification="undecided",
+                          classification_step=None)
+        return record
 
 
 def classify_report(params: MapParams) -> dict:
@@ -77,10 +114,11 @@ def classify_report(params: MapParams) -> dict:
     return report
 
 
-def _orbit_record(params, part, x0: Padic, max_iter: int, tol: int,
+def _orbit_record(params, part, x0, max_iter: int, tol: int,
                   classify_depth: int | None) -> dict:
     rec: dict = {}
-    res = dynamics.orbit(params, x0, max_iter=max_iter, tol=tol,
+    traj = dynamics.Trajectory(params, x0)
+    res = dynamics.orbit(params, traj, max_iter=max_iter, tol=tol,
                          partition=part)
     if res.status is OrbitStatus.UNDECIDED and res.reason == "precision":
         raise PrecisionError("orbit undecided")
@@ -93,18 +131,20 @@ def _orbit_record(params, part, x0: Padic, max_iter: int, tol: int,
     rec["final_norm_exp_exact"] = exact
     rec["itinerary"] = list(res.itinerary.word) if res.itinerary else None
     if classify_depth is not None:
-        cls = dynamics.basin_classify(params, x0, classify_depth,
+        cls = dynamics.basin_classify(params, traj, classify_depth,
                                       partition=part)
         rec["classification"] = cls.kind.value
         rec["classification_step"] = cls.step
         if cls.itinerary is not None:
             rec["classification_itinerary"] = list(cls.itinerary.word)
-        _check_consistency(params, part, x0, cls, max_iter)
+        _check_consistency(params, part, traj, cls, max_iter)
     return rec
 
 
-def _check_consistency(params, part, x0: Padic, cls, max_iter: int) -> None:
-    """Desk-scale coherence of a classification.
+def _check_consistency(params, part, traj: dynamics.Trajectory, cls,
+                       max_iter: int) -> None:
+    """Desk-scale coherence of a classification, on the iterates the
+    classification read.
 
     A basin point must never re-enter the cover after leaving it, and a
     pole preimage must run forward into the pole at exactly the predicted
@@ -114,10 +154,9 @@ def _check_consistency(params, part, x0: Padic, cls, max_iter: int) -> None:
     if part is None:
         return
     if cls.kind is ClassifyKind.BASIN:
-        x = x0
         left = False
         for t in range(min(max_iter, cls.step + 40)):
-            inside = part.locate(x) is not None
+            inside = part.locate(traj[t]) is not None
             if not inside:
                 left = True
             elif left:
@@ -125,16 +164,13 @@ def _check_consistency(params, part, x0: Padic, cls, max_iter: int) -> None:
                     f"basin point re-entered the cover at step {t}"
                 )
             try:
-                x = eval_f(params, x)
+                x = traj[t + 1]
             except PrecisionError:
                 return
             if (x - 1).is_zero_like:
                 return
     elif cls.kind is ClassifyKind.POLE_PREIMAGE:
-        z = x0
-        for _ in range(cls.step):
-            z = eval_f(params, z)
-        if not (z - params.pole).is_zero_like:
+        if not (traj[cls.step] - params.pole).is_zero_like:
             raise VerificationError(
                 "pole preimage did not run forward into the pole at the "
                 f"predicted step {cls.step}"
@@ -153,44 +189,28 @@ def sweep_report(params: MapParams, samples: int, seed: int,
     seed list (expanding regime only); those records come out as pole hits
     at their predicted level.
     """
-    regime = classify_regime(params)
+    ladder = _Ladder(params, pole_tree_depth)
     descriptors = sampling.spanning_samples(params, samples, seed)
     plan: list = [(desc.category, str(desc.payload), desc) for desc
                   in descriptors]
-    if pole_tree_depth > 0 and regime.tag in (RegimeTag.B1, RegimeTag.B2):
-        levels = dynamics.pole_preimage_tree(params, pole_tree_depth)
-        for n, level in enumerate(levels, start=1):
+    if pole_tree_depth > 0:
+        _, _, tree = ladder.rung(0)
+        for n, level in enumerate(tree, start=1):
             for i in range(len(level)):
                 plan.append((f"pole_tree:{n}", f"level{n}#{i}", (n, i)))
     records = []
     histogram: dict[str, int] = {}
     for idx, (category, label, desc) in enumerate(plan):
-        rec = {"index": idx, "category": category, "input": label,
-               "retries": 0}
-        outcome = None
-        for factor, pd in _params_ladder(params):
-            part = (build_partition(pd)
-                    if regime.tag in (RegimeTag.B1, RegimeTag.B2) else None)
+        def attempt(pd: MapParams, part, tree: list) -> dict:
             if isinstance(desc, sampling.Sample):
                 x0 = desc.realize(pd, part)
             else:
                 n, i = desc
-                x0 = dynamics.pole_preimage_tree(pd, n, part)[n - 1][i]
-            try:
-                outcome = _orbit_record(pd, part, x0, max_iter, tol,
-                                        classify_depth)
-                break
-            except PrecisionError:
-                rec["retries"] += 1
-                continue
-        if outcome is None:
-            outcome = {"status": "undecided", "reason": "precision",
-                       "steps": None, "final_norm_exp_to_1": None,
-                       "final_norm_exp_exact": False, "itinerary": None}
-            if classify_depth is not None:
-                outcome["classification"] = "undecided"
-                outcome["classification_step"] = None
-        rec.update(outcome)
+                x0 = tree[n - 1][i]
+            return _orbit_record(pd, part, x0, max_iter, tol, classify_depth)
+
+        rec = {"index": idx, "category": category, "input": label,
+               **ladder.run(attempt, classify_depth)}
         records.append(rec)
         key = rec["status"]
         histogram[key] = histogram.get(key, 0) + 1
@@ -201,7 +221,7 @@ def sweep_report(params: MapParams, samples: int, seed: int,
                    "max_iter": max_iter, "tol": tol,
                    "classify_depth": classify_depth,
                    "pole_tree_depth": pole_tree_depth},
-        "regime": regime.tag.value,
+        "regime": ladder.regime.tag.value,
         "records": records,
         "histogram": dict(sorted(histogram.items())),
     }
@@ -216,30 +236,15 @@ def sweep_report(params: MapParams, samples: int, seed: int,
 
 def orbit_report(params: MapParams, x0: Fraction, max_iter: int,
                  tol: int) -> dict:
-    regime = classify_regime(params)
-    part = (build_partition(params)
-            if regime.tag in (RegimeTag.B1, RegimeTag.B2) else None)
-    record = None
-    retries = 0
-    for factor, pd in _params_ladder(params):
-        pp = (build_partition(pd)
-              if regime.tag in (RegimeTag.B1, RegimeTag.B2) else None)
-        try:
-            record = _orbit_record(pd, pp, pd.embed(x0), max_iter, tol, None)
-            break
-        except PrecisionError:
-            retries += 1
-    if record is None:
-        record = {"status": "undecided", "reason": "precision",
-                  "steps": None, "final_norm_exp_to_1": None,
-                  "final_norm_exp_exact": False, "itinerary": None}
-    record["retries"] = retries
+    ladder = _Ladder(params)
+    record = ladder.run(lambda pd, part, _: _orbit_record(
+        pd, part, x0, max_iter, tol, None))
     return {
         "version": __version__,
         "command": "orbit",
         "config": {**params.config_dict(), "x0": str(x0),
                    "max_iter": max_iter, "tol": tol},
-        "regime": regime.tag.value,
+        "regime": ladder.regime.tag.value,
         "record": record,
     }
 
@@ -332,10 +337,7 @@ def julia_report(params: MapParams, depth: int, seed: int = 0,
     for m in range(1, min(max_period, max(depth, 1)) + 1):
         for word in itertools.product(range(1, part.kappa + 1), repeat=m):
             x = dynamics.periodic_point(params, word, part)
-            z = x
-            for _ in range(m):
-                z = eval_f(params, z)
-            drift = z - x
+            drift = dynamics.Trajectory(params, x)[m] - x
             good = drift.is_zero_like and drift.val_lower_bound >= \
                 periodic_digits
             lam = dynamics.cycle_multiplier(params, x, m)

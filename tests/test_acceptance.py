@@ -6,6 +6,7 @@ criterion rebuilds every report with the same seeds and compares canonical
 bytes.
 """
 
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -228,6 +229,21 @@ NAMES = {
 }
 
 
+# SHA-256 of each criterion's canonical report.  The reports are the
+# oracle for refactors: a change that alters these bytes must say in
+# CHANGES.md which field changed and why.
+REPORT_SHA256 = {
+    1: "be10d3221f19db0e66ae73adc9c73ed8fef9c2dff85963fc7d747f13adf142d6",
+    2: "19db0d404a38d8ce14e8d5547021d55bc5e803c6796a4934fad4b30f6adecbff",
+    3: "8e90d8ed241d0de7300caa1185b9d3a320371a43e8b225a71f9301647bbb110c",
+    4: "112d5fcf0c81e3768fd2f9b077947f8dd8b93ee909c106d4f472547cefad7e33",
+    5: "ca002e278bb3a4fb8b64d7ad73446b9f1c834fde27d1799e02e2eb7c265f7ba9",
+    6: "2b1ffcf3c9cf991f12ce2dcaac241859c38dc76997ae2f768b91991443992387",
+    7: "8a81e8779302b0f3a8bcec231aebe68f19b766e0c310bb15254e9ccbc6add4da",
+    8: "0f66866136812bfd7199de9ec73dd559f0d30341cf295f1b9dc9854d76c0a735",
+}
+
+
 @pytest.fixture(scope="module")
 def reports():
     return {}
@@ -281,3 +297,13 @@ def test_criterion_9_determinism(reports):
             f"criterion {n} report is not byte-identical on rerun"
         )
     print("ACCEPTANCE 9 (determinism): PASS")
+
+
+def test_reports_match_recorded_bytes(reports):
+    for n in BUILDERS:
+        assert n in reports, "the byte check needs the earlier criteria"
+        digest = hashlib.sha256(
+            canonical_json(reports[n]).encode()).hexdigest()
+        assert digest == REPORT_SHA256[n], (
+            f"criterion {n} report bytes differ from the recorded ones"
+        )

@@ -77,6 +77,18 @@ class TestOrbitAndSweep:
         assert code == 3
         assert json.loads(out)["record"]["reason"] == "precision"
 
+    def test_cancelled_contraction_is_retried(self, capsys):
+        # at 32 digits f(x)-1 cancels inside the convergence ball, which
+        # is a precision shortage, not a falsified contraction; the
+        # 64-digit rung decides it
+        code, out, _ = run_cli(
+            ["orbit", "--p", "5", "--k", "3", "--q", "5", "--theta",
+             "1+p^3", "--x0", "51408223326", "--precision", "32"], capsys)
+        assert code == 0
+        rec = json.loads(out)["record"]
+        assert rec["retries"] == 1
+        assert rec["status"] == "converged_to_1" and rec["steps"] == 10
+
     def test_empty_sweep(self, capsys):
         code, out, _ = run_cli(
             ["sweep", "--p", "3", "--k", "3", "--q", "3", "--theta",

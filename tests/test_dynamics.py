@@ -8,6 +8,7 @@ from pottsbethe.dynamics import (
     ClassifyKind,
     Itinerary,
     OrbitStatus,
+    Trajectory,
     basin_classify,
     cycle_multiplier,
     cylinder_point,
@@ -21,6 +22,7 @@ from pottsbethe.dynamics import (
 )
 from pottsbethe.mapping import (
     MapParams,
+    PoleHit,
     build_partition,
     eval_f,
     inverse_branch,
@@ -87,6 +89,49 @@ class TestOrbit:
         # a basin point needs more steps than a budget of 1
         res = orbit(regime_b2, 7, max_iter=1)
         assert res.status is OrbitStatus.UNDECIDED and res.reason == "budget"
+
+    def test_cancelled_contraction_is_a_precision_shortage(self):
+        # f(x)-1 cancels to O(p^22) while v(x-1) = 22: whether the step
+        # contracts is undecidable at 32 digits, so nothing is falsified
+        params = MapParams.make(5, 3, 5, "1+p^3", digits=32)
+        res = orbit(params, 51408223326)
+        assert res.status is OrbitStatus.UNDECIDED
+        assert res.reason == "precision" and res.steps == 10
+
+
+class TestTrajectory:
+    def test_iterates_are_computed_once(self, regime_b2):
+        traj = Trajectory(regime_b2, 7)
+        x3 = traj[3]
+        assert len(traj.points) == 4 and traj[3] is x3
+        assert (x3 - eval_f(regime_b2, traj[2])).is_zero_like
+
+    def test_pole_hit_is_kept_and_raised_again(self, regime_b2):
+        traj = Trajectory(regime_b2, inverse_branch(regime_b2, 1,
+                                                    regime_b2.pole))
+        with pytest.raises(PoleHit) as first:
+            traj[2]
+        with pytest.raises(PoleHit) as again:
+            traj[5]
+        assert again.value is first.value and len(traj.points) == 2
+
+    def test_shared_trajectory_gives_the_same_verdicts(self, regime_b2):
+        part = build_partition(regime_b2)
+        for x0 in (7, inverse_branch(regime_b2, 2, regime_b2.pole),
+                   periodic_point(regime_b2, (1, 2))):
+            traj = Trajectory(regime_b2, x0)
+            shared = orbit(regime_b2, traj, max_iter=12, partition=part)
+            cls = basin_classify(regime_b2, traj, 12, partition=part)
+            fresh = orbit(regime_b2, x0, max_iter=12, partition=part)
+            cls0 = basin_classify(regime_b2, x0, 12, partition=part)
+            assert (shared.status, shared.steps) == (fresh.status,
+                                                     fresh.steps)
+            assert len(shared.trajectory) == len(fresh.trajectory)
+            assert (cls.kind, cls.step) == (cls0.kind, cls0.step)
+
+    def test_other_params_rejected(self, regime_b1, regime_b2):
+        with pytest.raises(ValueError):
+            orbit(regime_b1, Trajectory(regime_b2, 7))
 
 
 class TestBasinClassify:
