@@ -25,7 +25,6 @@ from .padic import (
 from .hensel import (
     PolyZp,
     fixed_point_B1,
-    fixed_point_polynomial,
     hensel_lift,
     principal_kth_root,
     roots_of_unity,

@@ -325,9 +325,10 @@ def periodic_point(params: MapParams, word,
     raise PrecisionError("branch cycle did not settle within its budget")
 
 
-def cycle_multiplier(params: MapParams, x: Padic, period: int) -> Padic:
-    """Product of the map's derivative along a periodic cycle."""
-    traj = Trajectory(params, x)
+def cycle_multiplier(params: MapParams, x, period: int) -> Padic:
+    """Product of the map's derivative along the periodic cycle of x (a
+    point or a Trajectory)."""
+    traj = _trajectory(params, x)
     out = params.embed(1)
     for t in range(period):
         out = out * derivative_at(params, traj[t])

@@ -1,10 +1,10 @@
 """Root-finding over the p-adic integers.
 
-Quadratic Newton refinement under the classical lifting condition
-|F(x0)|_p < |F'(x0)|_p^2, the principal k-th root of elements close to 1,
-k-th roots of unity via Teichmueller lifting, and the polynomial whose
-root in the exponential domain produces the second fixed point of the map
-in the single-symbol repelling regime.
+Quadratic Newton refinement of polynomial roots under the classical
+lifting condition |F(x0)|_p < |F'(x0)|_p^2, the principal k-th root of
+elements close to 1 on integers, k-th roots of unity via Teichmueller
+lifting, and the second fixed point of the map in the single-symbol
+repelling regime.
 """
 
 from __future__ import annotations
@@ -20,11 +20,9 @@ from .padic import (
     PrecisionError,
     _vp,
     from_rational,
-    in_ep,
 )
 
 _MAX_NEWTON = 64
-_MAX_SEED = 512
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,48 +112,28 @@ def hensel_lift(F: PolyZp, x0: Padic, target_prec: int | None = None) -> Padic:
     raise PrecisionError("Newton iteration did not reach the target")
 
 
-def lift_root_near_one(F: PolyZp, k: int,
-                       target_prec: int | None = None) -> Padic:
-    """The unique root of F in the exponential domain, for polynomials with
-    |F(1)|_p < |k|_p and |F'| = |k|_p near 1 (k = deg F).
-
-    Seeds with the linear iteration x <- x - F(x)/k, which gains at least
-    one digit per step, until the Hensel condition |F(x)| < |k|^2 holds,
-    then switches to quadratic Newton.  By default the root is refined as
-    deep as the coefficient precision can certify.
-    """
-    p = F.prime
-    vk = _vp(k, p)
-    x = Padic.one(p, min(c.cap for c in F.coeffs))
-    kk = from_rational(k, 1, prime=p, digits=x.cap)
-    fx = F(x)
-    if not fx.val_at_least(vk + 1):
-        raise ValueError(
-            f"|F(1)| >= |{k}|_p: no root in the exponential domain is "
-            "guaranteed"
-        )
-    last = -1
-    for _ in range(_MAX_SEED):
-        if fx.is_zero_like or fx.val > 2 * vk:
-            break
-        if fx.val <= last:
-            raise ArithmeticError("seeding iteration stalled")
-        last = fx.val
-        x = x - fx / kk
-        fx = F(x)
-    else:
-        raise PrecisionError("seeding iteration exceeded its budget")
-    if fx.is_exact_zero or (fx.is_inexact_zero and (
-            target_prec is None or fx.val >= target_prec)):
-        return x
-    return hensel_lift(F, x, target_prec)
+def _pth_root(r: int, n: int, p: int) -> int:
+    """The y = 1 mod p with y**p = r mod p**n, known modulo p**(n-1), for
+    r = 1 mod p**2: Newton on g(y) = (y**p - r)/p, whose derivative
+    y**(p-1) is a unit, so each step doubles the correct digits."""
+    mod, out = p**n, p**(n - 1)
+    y = 1
+    while True:
+        g = (pow(y, p, mod) - r) % mod // p
+        if g == 0:
+            return y
+        y = (y - g * pow(y, 1 - p, out)) % out
 
 
 def principal_kth_root(a: Padic, k: int) -> Padic:
     """The unique k-th root of a lying in the exponential domain.
 
-    Requires |a - 1|_p < |k|_p (so in particular a is in E_p).  The root
-    is determined modulo p**(A - v(k)) when a is known modulo p**A.
+    Requires |a - 1|_p < |k|_p (so in particular a is in E_p).  With
+    k = p**v * m and p not dividing m, the m-th root is one modular power
+    on the unit group 1 + pZ_p and each factor p is one integer Newton
+    loop, so the cost does not grow with k.  The root is determined modulo
+    p**(A - v) when a is known modulo p**A; an exact a is taken modulo
+    p**(cap + v), so its root claims the working precision a.cap.
     """
     if not isinstance(k, int) or k < 1:
         raise ValueError("k must be a positive integer")
@@ -166,23 +144,23 @@ def principal_kth_root(a: Padic, k: int) -> Padic:
     d = a - 1
     if d.is_exact_zero:
         return Padic.one(p, a.cap)
-    if d.is_inexact_zero:
-        if d.val > vk:
-            return Padic.from_residue(1, d.val - vk, p, a.cap)
-        raise PrecisionError(
-            f"cannot certify |a-1| < |{k}|_p at this precision"
-        )
     if d.val <= vk:
+        if d.is_inexact_zero:
+            raise PrecisionError(
+                f"cannot certify |a-1| < |{k}|_p at this precision"
+            )
         raise ValueError(
             f"|a-1|_p = p^-{d.val} is not smaller than |{k}|_p = p^-{vk}: "
             "no principal root is guaranteed"
         )
-    zero = Padic.zero(p, a.cap)
-    coeffs = [-a] + [zero] * (k - 1) + [Padic.one(p, a.cap)]
-    root = lift_root_near_one(PolyZp(tuple(coeffs)), k)
-    if not in_ep(root):
-        raise ArithmeticError("computed root left the exponential domain")
-    return root
+    n = a.cap + vk if a.is_exact else int(a.abs_prec)
+    mod = p**n
+    # 1 + pZ/p^n has order p^(n-1), so inverting m modulo it takes m-th roots
+    root = pow(a.unit % mod, pow(k // p**vk, -1, mod // p), mod)
+    for _ in range(vk):
+        root = _pth_root(root, n, p)
+        n -= 1
+    return Padic.from_residue(root, n, p, a.cap)
 
 
 def roots_of_unity(k: int, p: int, digits: int = DEFAULT_DIGITS) -> list[Padic]:
@@ -224,37 +202,35 @@ def roots_of_unity(k: int, p: int, digits: int = DEFAULT_DIGITS) -> list[Padic]:
     return out
 
 
-def fixed_point_polynomial(k: int, q: int, theta: Padic,
-                           digits: int | None = None) -> PolyZp:
-    """x**k - 1 + q - (theta - 1) * (x**(k-1) + ... + x).
-
-    A root x** of this polynomial in the exponential domain satisfies
-    g(x**^k) = x**, so x* = x**^k is a fixed point of the full map.
-    """
-    p = theta.prime
-    digits = digits or theta.cap
-    t1 = theta - 1
-    const = from_rational(q - 1, 1, prime=p, digits=digits)
-    middle = [-t1] * (k - 1)
-    return PolyZp(tuple([const] + middle + [Padic.one(p, digits)]))
-
-
 def fixed_point_B1(params) -> Padic:
     """The repelling fixed point x* != 1 in the single-symbol regime.
 
-    Finds the unique exponential-domain root x** of the fixed-point
-    polynomial by the same seeding plus Hensel scheme as the principal
-    k-th root, and returns x* = x**^k, verified to satisfy f(x*) = x* at
-    the working precision and |x* - 1|_p = |q|_p.
+    With r the principal k-th root of x, f(x) = x reads g(x) = r, that is
+    x = 1 - q + (theta-1)(x - r)/(r - 1).  In regime B the right-hand side
+    F contracts around x*, so it is iterated from 1 - q, each iterate cut
+    to the working precision.  Once the gap F(x) - x cancels to the digits
+    x carries, x* lies in the ball x claims, so F(x) claims x* to all of
+    its own digits.  The result is verified to satisfy f(x*) = x* at the
+    working precision and |x* - 1|_p = |q|_p.
     """
     from . import mapping  # runtime import: mapping depends on this module
 
     regime = mapping.classify_regime(params)
     if regime.tag != mapping.RegimeTag.B1:
         raise ValueError(f"parameters are in regime {regime.tag.value}, not B1")
-    F = fixed_point_polynomial(params.k, params.q, params.theta, params.digits)
-    x_star_star = lift_root_near_one(F, params.k)
-    x_star = x_star_star**params.k
+    p, digits, t1 = params.p, params.digits, params.theta - 1
+    x = params.embed(1 - params.q)
+    for _ in range(digits):
+        r = principal_kth_root(x, params.k)
+        x_star = 1 - params.q + t1 * (x - r) / (r - 1)
+        gap = x_star - x
+        if gap.is_exact_zero or (gap.is_inexact_zero
+                                 and gap.val >= x.abs_prec):
+            break
+        x = Padic.from_residue(x_star.unit, min(digits, x_star.abs_prec), p,
+                               digits)
+    else:
+        raise PrecisionError("fixed-point iteration did not settle")
     residual = mapping.eval_f(params, x_star) - x_star
     if not residual.is_zero_like:
         raise ArithmeticError(

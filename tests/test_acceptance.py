@@ -234,7 +234,7 @@ NAMES = {
 # CHANGES.md which field changed and why.
 REPORT_SHA256 = {
     1: "be10d3221f19db0e66ae73adc9c73ed8fef9c2dff85963fc7d747f13adf142d6",
-    2: "19db0d404a38d8ce14e8d5547021d55bc5e803c6796a4934fad4b30f6adecbff",
+    2: "cac0260a59a649d33ce60d9ac66dd1c9ec06c15f3616638d865fdc90ed80a036",
     3: "8e90d8ed241d0de7300caa1185b9d3a320371a43e8b225a71f9301647bbb110c",
     4: "112d5fcf0c81e3768fd2f9b077947f8dd8b93ee909c106d4f472547cefad7e33",
     5: "ca002e278bb3a4fb8b64d7ad73446b9f1c834fde27d1799e02e2eb7c265f7ba9",

@@ -165,6 +165,21 @@ class TestJuliaVerify:
         assert checks["b1_fixed_point_residual"]["pass"]
         assert checks["b1_fixed_point_repelling"]["pass"]
 
+    @pytest.mark.parametrize("precision,code", [("64", 3), ("128", 0)])
+    def test_cancelled_periodic_residual_is_precision(self, capsys,
+                                                      precision, code):
+        # at 64 digits the period-3 and -4 residuals cancel short of the
+        # 30 digits checked: a precision shortage (exit 3), not a
+        # falsified cycle; 128 digits decide every check
+        got, out, err = run_cli(
+            ["julia-verify", "--p", "3", "--k", "3", "--q", "9", "--theta",
+             "1+p^5", "--depth", "5", "--precision", precision], capsys)
+        assert got == code
+        if code == 0:
+            assert json.loads(out)["falsified"] is False
+        else:
+            assert "precision exhausted" in err
+
     def test_depth_zero_vacuous_pass(self, capsys):
         code, out, _ = run_cli(
             ["julia-verify", "--p", "5", "--k", "2", "--q", "5", "--theta",

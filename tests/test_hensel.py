@@ -8,14 +8,12 @@ import pytest
 from pottsbethe.hensel import (
     PolyZp,
     fixed_point_B1,
-    fixed_point_polynomial,
     hensel_lift,
-    lift_root_near_one,
     principal_kth_root,
     roots_of_unity,
 )
 from pottsbethe.mapping import MapParams, eval_f
-from pottsbethe.padic import INF, Padic, from_rational, in_ep, norm_exp
+from pottsbethe.padic import INF, Padic, _vp, from_rational, in_ep, norm_exp
 
 
 def brute_force_roots(coeffs, p, m, residue_class=None):
@@ -37,6 +35,12 @@ def brute_force_roots(coeffs, p, m, residue_class=None):
 def residue(x: Padic, m: int) -> int:
     assert x.val >= 0
     return (x.unit * x.prime**x.val) % x.prime**m
+
+
+def agrees(x: Padic, ref: Padic) -> bool:
+    """x matches the deeper reference on every digit x claims."""
+    d = x - ref
+    return d.is_exact_zero or (d.is_inexact_zero and d.val >= x.abs_prec)
 
 
 class TestHenselLift:
@@ -136,6 +140,25 @@ class TestPrincipalRoot:
         with pytest.raises(ValueError):
             principal_kth_root(a, 3)
 
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_claims_only_certified_digits(self, p, exact):
+        # a root at N digits agrees with the root at N + 60 digits on every
+        # digit it claims, and it claims N - v(k) digits of an inexact a
+        # and the working precision N of an exact one
+        rng = random.Random(p)
+        n = 64
+        for k in (1, 2, 3, p, 2 * p, p * p, 20002):
+            for _ in range(3):
+                num = 1 + p**3 * rng.randrange(1, p**40)
+                den = 1 if exact else 1 + p**3 * rng.randrange(1, p**10)
+                a = from_rational(num, den, prime=p, digits=n)
+                deep = from_rational(num, den, prime=p, digits=n + 60)
+                assert a.is_exact == exact
+                x = principal_kth_root(a, k)
+                assert x.abs_prec == (n if exact else n - _vp(k, p))
+                assert agrees(x, principal_kth_root(deep, k))
+
     def test_pk_case(self):
         a = from_rational(1 + 27 * 5, 1, prime=3, digits=50)
         x = principal_kth_root(a, 6)
@@ -179,17 +202,17 @@ class TestFixedPointB1:
         assert norm_exp(x_star - 1) == params.v_q == 1
         assert (x_star - 1).is_zero_like is False
 
-    def test_theta_one_limit(self):
-        # with theta = 1 the polynomial degenerates to x^k - 1 + q, whose
-        # exponential-domain root is the principal k-th root of 1 - q
-        k, q, p = 3, 5, 5
-        theta = from_rational(1, 1, prime=p, digits=60)
-        F = fixed_point_polynomial(k, q, theta, 60)
-        x = lift_root_near_one(F, k)
-        assert (x**k - (1 - q)).is_zero_like
-        direct = principal_kth_root(from_rational(1 - q, 1, prime=p,
-                                                  digits=60), k)
-        assert (x - direct).is_zero_like
+    @pytest.mark.parametrize("p,k,q,theta", [
+        (5, 3, 5, "1+p^3"), (3, 3, 9, "1+p^5"), (5, 15, 25, "1+p^7"),
+        (5, 1, 5, "1+p^3"),
+    ])
+    def test_claimed_digits_match_deep_reference(self, p, k, q, theta):
+        params = MapParams.make(p, k, q, theta)
+        x_star = fixed_point_B1(params)
+        ref = fixed_point_B1(MapParams.make(p, k, q, theta, digits=300))
+        assert agrees(x_star, ref)
+        resid = eval_f(params, x_star) - x_star
+        assert resid.is_zero_like and resid.val_lower_bound >= 40
 
     def test_regime_precondition(self):
         params = MapParams.make(5, 2, 5, "1+p^3")  # kappa = 2, regime B2
