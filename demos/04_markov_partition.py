@@ -46,7 +46,7 @@ print()
 print("== inverse branches land in their balls ==")
 y = part.balls[2].center
 for b in part.balls:
-    h = inverse_branch(params, b.symbol, y, part)
+    h = inverse_branch(params, b.symbol, y)
     back = eval_f(params, h)
     print(f"  h_{b.symbol}(y) in ball {b.symbol}: "
           f"{b.ball.contains(h)}, f(h(y)) = y to "
@@ -54,7 +54,7 @@ for b in part.balls:
 
 print()
 print("== verified incidence matrix ==")
-m = incidence_matrix(params, part)
+m = incidence_matrix(params)
 for row in m.entries:
     print("  ", row)
 print("all ones:", m.all_ones, "| irreducible:", m.is_irreducible())

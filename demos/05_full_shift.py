@@ -26,17 +26,17 @@ part = build_partition(params)
 
 print("== realizing words ==")
 for word in [(1,), (2, 1), (1, 2, 2, 1), (2, 2, 1, 1, 2)]:
-    x, cert = cylinder_point(params, word, part)
-    back = itinerary_of(params, x, len(word), part)
+    x, cert = cylinder_point(params, word)
+    back = itinerary_of(params, x, len(word))
     print(f"  word {word} -> point pinned inside a ball of radius "
           f"5^-{cert.radius_exp}; itinerary reads back {back.word}")
 
 print()
 print("== the word metric is the p-adic metric ==")
 words = list(itertools.product((1, 2), repeat=4))
-pts = {w: cylinder_point(params, w, part)[0] for w in words}
+pts = {w: cylinder_point(params, w)[0] for w in words}
 agree = sum(
-    norm_fraction(pts[a] - pts[b]) == df_metric(params, a, b, part)
+    norm_fraction(pts[a] - pts[b]) == df_metric(params, a, b)
     for a, b in itertools.combinations(words, 2)
 )
 total = len(words) * (len(words) - 1) // 2
@@ -45,7 +45,7 @@ print(f"  exact agreement on {agree}/{total} pairs of length-4 words")
 print()
 print("== periodic words give repelling cycles ==")
 for word in [(1,), (2,), (1, 2), (1, 2, 2)]:
-    x = periodic_point(params, word, part)
+    x = periodic_point(params, word)
     z = x
     for _ in range(len(word)):
         z = eval_f(params, z)
@@ -57,14 +57,14 @@ for word in [(1,), (2,), (1, 2), (1, 2, 2)]:
 
 print()
 print("== a depth-certified Julia candidate ==")
-x, _ = cylinder_point(params, (1, 2, 2, 1, 2, 1, 1, 2), part)
+x, _ = cylinder_point(params, (1, 2, 2, 1, 2, 1, 1, 2))
 res = basin_classify(params, x, 8)
 print("  classification:", res.kind.value, "with itinerary",
       res.itinerary.word)
 
 print()
 print("== the backward tree of the pole ==")
-levels = pole_preimage_tree(params, 4, part)
+levels = pole_preimage_tree(params, 4)
 print("  level sizes:", [len(l) for l in levels], "(kappa^n each)")
 lvl2 = levels[1][0]
 res = basin_classify(params, lvl2, 20)

@@ -32,6 +32,14 @@ THETA_HELP = (
 )
 
 
+def non_negative_int(text: str) -> int:
+    """A non-negative integer option value."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--p", type=int, required=True, help="prime, p >= 3")
     sub.add_argument("--k", type=int, required=True, help="tree order, k >= 1")
@@ -62,28 +70,28 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(o)
     o.add_argument("--x0", type=str, required=True,
                    help="starting point, a rational a or a/b")
-    o.add_argument("--max-iter", type=int, default=200)
-    o.add_argument("--tol", type=int, default=20,
+    o.add_argument("--max-iter", type=non_negative_int, default=200)
+    o.add_argument("--tol", type=non_negative_int, default=20,
                    help="convergence ball exponent (default %(default)s)")
 
     s = subs.add_parser("sweep", help="seeded batch of orbits")
     _add_common(s)
-    s.add_argument("--samples", type=int, default=100)
+    s.add_argument("--samples", type=non_negative_int, default=100)
     s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--depth", type=int, default=None,
+    s.add_argument("--depth", type=non_negative_int, default=None,
                    help="also classify each seed to this depth")
-    s.add_argument("--max-iter", type=int, default=200)
-    s.add_argument("--tol", type=int, default=20)
-    s.add_argument("--pole-tree-depth", type=int, default=0,
+    s.add_argument("--max-iter", type=non_negative_int, default=200)
+    s.add_argument("--tol", type=non_negative_int, default=20)
+    s.add_argument("--pole-tree-depth", type=non_negative_int, default=0,
                    help="append the backward tree of the pole as seeds")
 
     j = subs.add_parser("julia-verify",
                         help="verify the expanding-regime structure")
     _add_common(j)
-    j.add_argument("--depth", type=int, default=6,
+    j.add_argument("--depth", type=non_negative_int, default=6,
                    help="word length to realize (default %(default)s)")
     j.add_argument("--seed", type=int, default=0)
-    j.add_argument("--samples", type=int, default=50,
+    j.add_argument("--samples", type=non_negative_int, default=50,
                    help="pairs per ball for the expansion laws")
     return parser
 

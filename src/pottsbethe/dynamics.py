@@ -19,7 +19,6 @@ from fractions import Fraction
 
 from .mapping import (
     MapParams,
-    Partition,
     PoleHit,
     RegimeTag,
     VerificationError,
@@ -97,15 +96,6 @@ class IncidenceMatrix:
         return True
 
 
-def _partition_for(params: MapParams, partition: Partition | None,
-                   regime) -> Partition | None:
-    if partition is not None:
-        return partition
-    if regime.tag in (RegimeTag.B1, RegimeTag.B2):
-        return build_partition(params)
-    return None
-
-
 class Trajectory:
     """The forward orbit of x0: ``traj[t]`` is f^t(x0), computed once, on
     first use.  The PoleHit or PrecisionError that ended the orbit is kept
@@ -131,14 +121,13 @@ class Trajectory:
 def _trajectory(params: MapParams, x0) -> Trajectory:
     if not isinstance(x0, Trajectory):
         return Trajectory(params, x0)
-    if x0.params is not params:
+    if x0.params != params:
         raise ValueError("the trajectory was built for other parameters")
     return x0
 
 
 def orbit(params: MapParams, x0, max_iter: int = DEFAULT_MAX_ITER,
-          tol: int = DEFAULT_TOL,
-          partition: Partition | None = None) -> OrbitResult:
+          tol: int = DEFAULT_TOL) -> OrbitResult:
     """Iterate the map from x0 (a point or a Trajectory), certifying the
     outcome.
 
@@ -149,8 +138,8 @@ def orbit(params: MapParams, x0, max_iter: int = DEFAULT_MAX_ITER,
     Precision exhaustion, including a contraction step that cancels at
     the working precision, is reported, never guessed over.
     """
-    regime = classify_regime(params)
-    part = _partition_for(params, partition, regime)
+    part = (build_partition(params) if classify_regime(params).tag in
+            (RegimeTag.B1, RegimeTag.B2) else None)
     traj = _trajectory(params, x0)
     symbols: list[int] = []
     always_in_x = part is not None
@@ -217,8 +206,7 @@ class ClassifyResult:
     reason: str | None = None
 
 
-def basin_classify(params: MapParams, x0, depth: int,
-                   partition: Partition | None = None) -> ClassifyResult:
+def basin_classify(params: MapParams, x0, depth: int) -> ClassifyResult:
     """Exact trichotomy up to ``depth`` iterations of x0 (or a Trajectory).
 
     Leaving the invariant cover certifies membership in the basin of 1;
@@ -235,7 +223,7 @@ def basin_classify(params: MapParams, x0, depth: int,
         return ClassifyResult(ClassifyKind.BASIN, step=0, depth=depth)
     if regime.tag == RegimeTag.UNCLASSIFIED:
         raise ValueError(f"parameters are unclassified: {regime.detail}")
-    part = _partition_for(params, partition, regime)
+    part = build_partition(params)
     symbols: list[int] = []
     try:
         for t in range(depth):
@@ -253,10 +241,9 @@ def basin_classify(params: MapParams, x0, depth: int,
                           depth=depth, itinerary=Itinerary(tuple(symbols)))
 
 
-def itinerary_of(params: MapParams, x0, n: int,
-                 partition: Partition | None = None) -> Itinerary:
+def itinerary_of(params: MapParams, x0, n: int) -> Itinerary:
     """Symbol word of the first n iterates; errors if the orbit escapes."""
-    part = partition if partition is not None else build_partition(params)
+    part = build_partition(params)
     traj = _trajectory(params, x0)
     word = []
     for t in range(n):
@@ -267,8 +254,7 @@ def itinerary_of(params: MapParams, x0, n: int,
     return Itinerary(tuple(word))
 
 
-def cylinder_point(params: MapParams, word,
-                   partition: Partition | None = None) -> tuple[Padic, Ball]:
+def cylinder_point(params: MapParams, word) -> tuple[Padic, Ball]:
     """A point realizing the given word, with its shrinking-ball
     certificate.
 
@@ -278,7 +264,7 @@ def cylinder_point(params: MapParams, word,
     exponents, so its diameter is at most p**-(tau_w0 + ... ) times the
     cover radius.
     """
-    part = partition if partition is not None else build_partition(params)
+    part = build_partition(params)
     word = tuple(word.word if isinstance(word, Itinerary) else word)
     if not word:
         raise ValueError("word must be nonempty")
@@ -287,7 +273,7 @@ def cylinder_point(params: MapParams, word,
             raise ValueError(f"symbol {s} out of range 1..{part.kappa}")
     z = part.balls[0].center
     for s in reversed(word):
-        z = inverse_branch(params, s, z, part)
+        z = inverse_branch(params, s, z)
     cert_exp = part.radius_exp + sum(part.balls[s - 1].tau for s in word)
     if z.abs_prec <= cert_exp:
         raise PrecisionError(
@@ -297,23 +283,21 @@ def cylinder_point(params: MapParams, word,
     return z, Ball(z, cert_exp)
 
 
-def periodic_point(params: MapParams, word,
-                   partition: Partition | None = None) -> Padic:
+def periodic_point(params: MapParams, word) -> Padic:
     """The periodic point whose itinerary repeats the given word.
 
     Iterates the contraction h_{w_0} o ... o h_{w_m-1} from the anchor to
     its fixed point, then the forward map returns to it after m steps.
     """
-    part = partition if partition is not None else build_partition(params)
     word = tuple(word.word if isinstance(word, Itinerary) else word)
     if not word:
         raise ValueError("word must be nonempty")
-    z = part.balls[0].center
+    z = build_partition(params).balls[0].center
     prev = None
     for _ in range(params.digits + 8):
         nxt = z
         for s in reversed(word):
-            nxt = inverse_branch(params, s, nxt, part)
+            nxt = inverse_branch(params, s, nxt)
         gap = nxt - z
         z = nxt
         if gap.is_zero_like:
@@ -335,8 +319,8 @@ def cycle_multiplier(params: MapParams, x, period: int) -> Padic:
     return out
 
 
-def incidence_matrix(params: MapParams, partition: Partition | None = None,
-                     samples_per_ball: int = 3, seed: int = 0) -> IncidenceMatrix:
+def incidence_matrix(params: MapParams, samples_per_ball: int = 3,
+                     seed: int = 0) -> IncidenceMatrix:
     """Transition structure of the cover, verified rather than assumed.
 
     Entry (i, j) is set after checking, on the center of ball j plus
@@ -345,19 +329,19 @@ def incidence_matrix(params: MapParams, partition: Partition | None = None,
     every entry 1; a failed check is raised loudly because it would
     falsify that conclusion at these parameters.
     """
-    part = partition if partition is not None else build_partition(params)
+    part = build_partition(params)
     kappa = part.kappa
     rows = []
     for i in range(1, kappa + 1):
         row = []
         for j in range(1, kappa + 1):
             targets = [part.balls[j - 1].center] + [
-                s.realize(params, part)
+                s.realize(params)
                 for s in sampling.ball_samples(params, j, samples_per_ball,
                                                seed, tag="incidence")
             ]
             for y in targets:
-                x = inverse_branch(params, i, y, part)
+                x = inverse_branch(params, i, y)
                 if not part.balls[i - 1].ball.contains(x):
                     raise VerificationError(
                         f"branch {i} left its ball on a point of ball {j}"
@@ -371,12 +355,11 @@ def incidence_matrix(params: MapParams, partition: Partition | None = None,
     return IncidenceMatrix(tuple(rows))
 
 
-def df_metric(params: MapParams, wx, wy,
-              partition: Partition | None = None) -> Fraction:
+def df_metric(params: MapParams, wx, wy) -> Fraction:
     """The dynamical metric between two words: p**-(tau_{x_0}+...+tau_{x_{n-1}}
     + kappa(x_n, y_n)) where n is the first disagreement and kappa(i, j)
     is the exact exponent of the center distance."""
-    part = partition if partition is not None else build_partition(params)
+    part = build_partition(params)
     ax = tuple(wx.word if isinstance(wx, Itinerary) else wx)
     ay = tuple(wy.word if isinstance(wy, Itinerary) else wy)
     n = None
@@ -405,7 +388,6 @@ def norm_fraction(x: Padic) -> Fraction:
 
 
 def pole_preimage_tree(params: MapParams, depth: int,
-                       partition: Partition | None = None,
                        budget: int = POLE_TREE_BUDGET) -> list[list[Padic]]:
     """Backward orbit of the pole, level by level.
 
@@ -421,7 +403,7 @@ def pole_preimage_tree(params: MapParams, depth: int,
         return []
     if regime.tag == RegimeTag.UNCLASSIFIED:
         raise ValueError(f"parameters are unclassified: {regime.detail}")
-    part = _partition_for(params, partition, regime)
+    part = build_partition(params)
     total = sum(part.kappa**n for n in range(1, depth + 1))
     if total > budget:
         raise ValueError(
@@ -434,7 +416,7 @@ def pole_preimage_tree(params: MapParams, depth: int,
         nxt = []
         for y in current:
             for i in range(1, part.kappa + 1):
-                x = inverse_branch(params, i, y, part)
+                x = inverse_branch(params, i, y)
                 nxt.append(x)
         for x in nxt:
             try:

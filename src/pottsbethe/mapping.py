@@ -85,7 +85,10 @@ class MapParams:
     """Validated parameters (p, k, q, theta) with derived quantities.
 
     Immutable after construction; all evaluation functions are pure, so a
-    single instance can be shared freely across a parameter sweep.
+    single instance can be shared freely across a parameter sweep.  Two
+    instances are equal, and hash alike, when they name the same
+    configuration (p, k, q, theta, digits), the inputs every other field
+    is derived from.
     """
 
     p: int
@@ -154,6 +157,17 @@ class MapParams:
             "theta was supplied as an inexact value; cannot rebuild at "
             f"{digits} digits"
         )
+
+    def _key(self) -> tuple:
+        return (self.p, self.k, self.q, self.theta_key, self.digits)
+
+    def __eq__(self, other):
+        if not isinstance(other, MapParams):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     def embed(self, x) -> Padic:
         if isinstance(x, Padic):
@@ -337,7 +351,8 @@ def build_partition(params: MapParams) -> Partition:
     by |q|/|k(theta-1)|; the ball at xi != 1 is centered at
     2 - q - theta + q(theta-1)/(1-xi) and scales by |k|/|q(theta-1)|.
     Disjointness and positivity of every exponent are asserted, not
-    assumed.
+    assumed.  Cached: every MapParams of one configuration shares one
+    Partition.
     """
     regime = classify_regime(params)
     if regime.tag not in (RegimeTag.B1, RegimeTag.B2):
@@ -379,8 +394,7 @@ def build_partition(params: MapParams) -> Partition:
     return Partition(s, tuple(balls))
 
 
-def inverse_branch(params: MapParams, symbol: int, y,
-                   partition: Partition | None = None) -> Padic:
+def inverse_branch(params: MapParams, symbol: int, y) -> Padic:
     """The inverse branch through the ball of the given symbol:
     h_i(y) = ((q+theta-2) * xi_i * y**(1/k) - q + 1) / (theta - xi_i * y**(1/k))
     using the principal k-th root.
@@ -391,14 +405,13 @@ def inverse_branch(params: MapParams, symbol: int, y,
     the ball of radius |q^2|_p around 1 - q (the cover and the pole both
     do); f(h_i(y)) = y holds on the whole domain.
     """
-    part = partition if partition is not None else build_partition(params)
     y = params.embed(y)
     if not (y - 1).val_at_least(params.v_k + 1):
         raise ValueError(
             "y is outside the domain of the inverse branches "
             "(|y - 1|_p >= |k|_p leaves no principal root)"
         )
-    entry = part.balls[symbol - 1]
+    entry = build_partition(params).balls[symbol - 1]
     root = hensel.principal_kth_root(y, params.k)
     xr = entry.xi * root
     num = (params.theta + (params.q - 2)) * xr - (params.q - 1)

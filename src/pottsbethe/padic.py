@@ -221,7 +221,9 @@ class Padic:
                     f"mixed primes: {self.prime} vs {other.prime}"
                 )
             return other
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
+            return Padic._build(self.prime, 0, int(other), INF, self.cap)
+        if isinstance(other, Fraction):
             return from_rational(other, 1, prime=self.prime, digits=self.cap)
         return NotImplemented
 

@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .mapping import MapParams, Partition
+from .mapping import MapParams, build_partition
 from .padic import Padic
 
 
@@ -25,15 +25,13 @@ class Sample:
     category: str
     payload: Fraction
 
-    def realize(self, params: MapParams,
-                partition: Partition | None = None) -> Padic:
+    def realize(self, params: MapParams) -> Padic:
         if self.category.startswith("ball:"):
-            if partition is None:
-                raise ValueError("ball samples need the partition")
             symbol = int(self.category.split(":", 1)[1])
-            entry = partition.balls[symbol - 1]
+            part = build_partition(params)
+            entry = part.balls[symbol - 1]
             offset = params.embed(self.payload)
-            return entry.center + offset * params.p ** (partition.radius_exp + 1)
+            return entry.center + offset * params.p ** (part.radius_exp + 1)
         return params.embed(self.payload)
 
 

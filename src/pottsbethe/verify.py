@@ -49,8 +49,8 @@ def _norm_exp_field(x: Padic):
 class _Ladder:
     """The retry policy of one report call: a record that runs out of
     precision is retried on its exact input at each RETRY_LADDER multiple
-    of the digits.  Each rung (params, partition, pole tree) is built once,
-    on first use, and shared by every record of the call."""
+    of the digits.  Each rung (params, pole tree) is built once, on first
+    use, and shared by every record of the call."""
 
     def __init__(self, params: MapParams, tree_depth: int = 0):
         self.params, self.tree_depth = params, tree_depth
@@ -62,15 +62,14 @@ class _Ladder:
             factor = RETRY_LADDER[len(self.rungs)]
             pd = (self.params if factor == 1
                   else self.params.at_digits(self.params.digits * factor))
-            part = (build_partition(pd) if self.regime.tag in
-                    (RegimeTag.B1, RegimeTag.B2) else None)
-            tree = (dynamics.pole_preimage_tree(pd, self.tree_depth, part)
-                    if self.tree_depth > 0 and part is not None else [])
-            self.rungs.append((pd, part, tree))
+            tree = (dynamics.pole_preimage_tree(pd, self.tree_depth)
+                    if self.tree_depth > 0 and self.regime.tag in
+                    (RegimeTag.B1, RegimeTag.B2) else [])
+            self.rungs.append((pd, tree))
         return self.rungs[i]
 
     def run(self, attempt, classify_depth: int | None = None) -> dict:
-        """The record of ``attempt(params, partition, tree)`` on the first
+        """The record of ``attempt(params, tree)`` on the first
         rung where it raises no PrecisionError, else the undecided record;
         either way with its ``retries`` count."""
         for i in range(len(RETRY_LADDER)):
@@ -114,12 +113,11 @@ def classify_report(params: MapParams) -> dict:
     return report
 
 
-def _orbit_record(params, part, x0, max_iter: int, tol: int,
+def _orbit_record(params, x0, max_iter: int, tol: int,
                   classify_depth: int | None) -> dict:
     rec: dict = {}
     traj = dynamics.Trajectory(params, x0)
-    res = dynamics.orbit(params, traj, max_iter=max_iter, tol=tol,
-                         partition=part)
+    res = dynamics.orbit(params, traj, max_iter=max_iter, tol=tol)
     if res.status is OrbitStatus.UNDECIDED and res.reason == "precision":
         raise PrecisionError("orbit undecided")
     rec["status"] = res.status.value
@@ -131,17 +129,16 @@ def _orbit_record(params, part, x0, max_iter: int, tol: int,
     rec["final_norm_exp_exact"] = exact
     rec["itinerary"] = list(res.itinerary.word) if res.itinerary else None
     if classify_depth is not None:
-        cls = dynamics.basin_classify(params, traj, classify_depth,
-                                      partition=part)
+        cls = dynamics.basin_classify(params, traj, classify_depth)
         rec["classification"] = cls.kind.value
         rec["classification_step"] = cls.step
         if cls.itinerary is not None:
             rec["classification_itinerary"] = list(cls.itinerary.word)
-        _check_consistency(params, part, traj, cls, max_iter)
+        _check_consistency(params, traj, cls, max_iter)
     return rec
 
 
-def _check_consistency(params, part, traj: dynamics.Trajectory, cls,
+def _check_consistency(params, traj: dynamics.Trajectory, cls,
                        max_iter: int) -> None:
     """Desk-scale coherence of a classification, on the iterates the
     classification read.
@@ -151,9 +148,10 @@ def _check_consistency(params, part, traj: dynamics.Trajectory, cls,
     step.  Either failure would falsify the trichotomy and is raised
     loudly.
     """
-    if part is None:
+    if classify_regime(params).tag is RegimeTag.A:
         return
     if cls.kind is ClassifyKind.BASIN:
+        part = build_partition(params)
         left = False
         for t in range(min(max_iter, cls.step + 40)):
             inside = part.locate(traj[t]) is not None
@@ -194,20 +192,20 @@ def sweep_report(params: MapParams, samples: int, seed: int,
     plan: list = [(desc.category, str(desc.payload), desc) for desc
                   in descriptors]
     if pole_tree_depth > 0:
-        _, _, tree = ladder.rung(0)
+        _, tree = ladder.rung(0)
         for n, level in enumerate(tree, start=1):
             for i in range(len(level)):
                 plan.append((f"pole_tree:{n}", f"level{n}#{i}", (n, i)))
     records = []
     histogram: dict[str, int] = {}
     for idx, (category, label, desc) in enumerate(plan):
-        def attempt(pd: MapParams, part, tree: list) -> dict:
+        def attempt(pd: MapParams, tree: list) -> dict:
             if isinstance(desc, sampling.Sample):
-                x0 = desc.realize(pd, part)
+                x0 = desc.realize(pd)
             else:
                 n, i = desc
                 x0 = tree[n - 1][i]
-            return _orbit_record(pd, part, x0, max_iter, tol, classify_depth)
+            return _orbit_record(pd, x0, max_iter, tol, classify_depth)
 
         rec = {"index": idx, "category": category, "input": label,
                **ladder.run(attempt, classify_depth)}
@@ -237,8 +235,8 @@ def sweep_report(params: MapParams, samples: int, seed: int,
 def orbit_report(params: MapParams, x0: Fraction, max_iter: int,
                  tol: int) -> dict:
     ladder = _Ladder(params)
-    record = ladder.run(lambda pd, part, _: _orbit_record(
-        pd, part, x0, max_iter, tol, None))
+    record = ladder.run(lambda pd, _: _orbit_record(
+        pd, x0, max_iter, tol, None))
     return {
         "version": __version__,
         "command": "orbit",
@@ -319,7 +317,7 @@ def julia_report(params: MapParams, depth: int, seed: int = 0,
                classify_fixed(lam) == "repelling", int(lam.valuation))
 
     try:
-        matrix = dynamics.incidence_matrix(params, part, seed=seed)
+        matrix = dynamics.incidence_matrix(params, seed=seed)
         _check(checks, "incidence_all_ones",
                matrix.all_ones and matrix.is_irreducible(),
                [list(r) for r in matrix.entries])
@@ -333,8 +331,8 @@ def julia_report(params: MapParams, depth: int, seed: int = 0,
     for n in range(1, depth + 1):
         for word in itertools.product(range(1, part.kappa + 1), repeat=n):
             words_total += 1
-            pt, _ = dynamics.cylinder_point(params, word, part)
-            back = dynamics.itinerary_of(params, pt, n, part)
+            pt, _ = dynamics.cylinder_point(params, word)
+            back = dynamics.itinerary_of(params, pt, n)
             if back.word == word:
                 realized += 1
             else:
@@ -347,7 +345,7 @@ def julia_report(params: MapParams, depth: int, seed: int = 0,
     periodic_detail = []
     for m in range(1, min(max_period, max(depth, 1)) + 1):
         for word in itertools.product(range(1, part.kappa + 1), repeat=m):
-            x = dynamics.periodic_point(params, word, part)
+            x = dynamics.periodic_point(params, word)
             traj = dynamics.Trajectory(params, x)
             drift = traj[m] - x
             good = _residual_vanishes(drift, periodic_digits)
@@ -365,12 +363,12 @@ def julia_report(params: MapParams, depth: int, seed: int = 0,
     if depth >= 1:
         pts = {}
         for word in itertools.product(range(1, part.kappa + 1), repeat=depth):
-            pts[word], _ = dynamics.cylinder_point(params, word, part)
+            pts[word], _ = dynamics.cylinder_point(params, word)
         iso_ok = True
         mism = 0
         for wa, wb in itertools.combinations(pts, 2):
             dist = dynamics.norm_fraction(pts[wa] - pts[wb])
-            metric = dynamics.df_metric(params, wa, wb, part)
+            metric = dynamics.df_metric(params, wa, wb)
             if dist != metric:
                 iso_ok = False
                 mism += 1
@@ -380,22 +378,21 @@ def julia_report(params: MapParams, depth: int, seed: int = 0,
         _check(checks, "isometry_cylinder_vs_word_metric", True,
                {"pairs": 0, "mismatches": 0})
 
-    expansion = expansion_law_report(params, pairs_per_ball, seed, part)
+    expansion = expansion_law_report(params, pairs_per_ball, seed)
     _check(checks, "expansion_laws", expansion["pass"], expansion["detail"])
 
     if depth >= 2:
         word = tuple((t % part.kappa) + 1 for t in range(depth))
-        x, _ = dynamics.cylinder_point(params, word, part)
-        full = dynamics.itinerary_of(params, x, depth, part)
-        shifted = dynamics.itinerary_of(params, eval_f(params, x), depth - 1,
-                                        part)
+        x, _ = dynamics.cylinder_point(params, word)
+        full = dynamics.itinerary_of(params, x, depth)
+        shifted = dynamics.itinerary_of(params, eval_f(params, x), depth - 1)
         _check(checks, "shift_equivariance",
                shifted.word == full.word[1:], list(full.word))
     else:
         _check(checks, "shift_equivariance", True, None)
 
     tree_depth = min(depth, 3) if part.kappa > 1 else min(depth, 5)
-    levels = dynamics.pole_preimage_tree(params, tree_depth, part)
+    levels = dynamics.pole_preimage_tree(params, tree_depth)
     _check(checks, "pole_tree_levels",
            [len(l) for l in levels] ==
            [part.kappa**n for n in range(1, tree_depth + 1)],
@@ -405,22 +402,21 @@ def julia_report(params: MapParams, depth: int, seed: int = 0,
     return report
 
 
-def expansion_law_report(params: MapParams, pairs_per_ball: int, seed: int,
-                         partition=None) -> dict:
+def expansion_law_report(params: MapParams, pairs_per_ball: int,
+                         seed: int) -> dict:
     """Sample pairs inside each partition ball and compare the exact jump
     of norm exponents under the map with the predicted constant:
     v(k)+v(theta-1)-v(q) on the ball at 1, v(q)+v(theta-1)-v(k) elsewhere."""
-    part = partition if partition is not None else build_partition(params)
     detail = []
     all_ok = True
-    for entry in part.balls:
+    for entry in build_partition(params).balls:
         plan = sampling.ball_samples(params, entry.symbol, 2 * pairs_per_ball,
                                      seed, tag="expansion")
         failures = 0
         tested = 0
         for a, b in zip(plan[0::2], plan[1::2]):
-            x = a.realize(params, part)
-            y = b.realize(params, part)
+            x = a.realize(params)
+            y = b.realize(params)
             d = x - y
             if d.is_zero_like:
                 continue

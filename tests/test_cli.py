@@ -1,6 +1,8 @@
 """Command-line surface: flags, exit codes, determinism, formats."""
 
 import json
+import os
+import pathlib
 import subprocess
 import sys
 
@@ -195,20 +197,43 @@ class TestJuliaVerify:
         assert json.loads(out)["falsified"] is True
 
 
+B2_ARGS = ["--p", "5", "--k", "2", "--q", "5", "--theta", "1+p^3"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", *B2_ARGS, "--samples", "3", "--seed", "1", "--depth", "-1"],
+    ["sweep", *B2_ARGS, "--samples", "-1"],
+    ["sweep", *B2_ARGS, "--samples", "3", "--max-iter", "-1"],
+    ["sweep", *B2_ARGS, "--samples", "3", "--tol", "-1"],
+    ["sweep", *B2_ARGS, "--samples", "3", "--pole-tree-depth", "-1"],
+    ["orbit", *B2_ARGS, "--x0", "7", "--max-iter", "-1"],
+    ["orbit", *B2_ARGS, "--x0", "7", "--tol", "-1"],
+    ["julia-verify", *B2_ARGS, "--depth", "-1"],
+    ["julia-verify", *B2_ARGS, "--samples", "-1"],
+], ids=lambda argv: argv[0] + argv[-2])
+def test_negative_counts_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "must be >= 0, got -1" in capsys.readouterr().err
+
+
+def _run_module(args):
+    """``python -m pottsbethe`` in a child process that finds the source
+    tree without an installed package."""
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    return subprocess.run([sys.executable, "-m", "pottsbethe", *args],
+                          capture_output=True, text=True, env=env)
+
+
 def test_console_entry_point_runs():
-    proc = subprocess.run(
-        [sys.executable, "-m", "pottsbethe", "classify", "--p", "5",
-         "--k", "2", "--q", "5", "--theta", "1+p^3"],
-        capture_output=True, text=True,
-    )
+    proc = _run_module(["classify", *B2_ARGS])
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["regime"] == "B2"
 
 
 def test_help_documents_theta_grammar():
-    proc = subprocess.run(
-        [sys.executable, "-m", "pottsbethe", "classify", "--help"],
-        capture_output=True, text=True,
-    )
+    proc = _run_module(["classify", "--help"])
     assert proc.returncode == 0
     assert "1+" in proc.stdout and "p^" in proc.stdout

@@ -116,14 +116,13 @@ class TestTrajectory:
         assert again.value is first.value and len(traj.points) == 2
 
     def test_shared_trajectory_gives_the_same_verdicts(self, regime_b2):
-        part = build_partition(regime_b2)
         for x0 in (7, inverse_branch(regime_b2, 2, regime_b2.pole),
                    periodic_point(regime_b2, (1, 2))):
             traj = Trajectory(regime_b2, x0)
-            shared = orbit(regime_b2, traj, max_iter=12, partition=part)
-            cls = basin_classify(regime_b2, traj, 12, partition=part)
-            fresh = orbit(regime_b2, x0, max_iter=12, partition=part)
-            cls0 = basin_classify(regime_b2, x0, 12, partition=part)
+            shared = orbit(regime_b2, traj, max_iter=12)
+            cls = basin_classify(regime_b2, traj, 12)
+            fresh = orbit(regime_b2, x0, max_iter=12)
+            cls0 = basin_classify(regime_b2, x0, 12)
             assert (shared.status, shared.steps) == (fresh.status,
                                                      fresh.steps)
             assert len(shared.trajectory) == len(fresh.trajectory)
@@ -132,6 +131,10 @@ class TestTrajectory:
     def test_other_params_rejected(self, regime_b1, regime_b2):
         with pytest.raises(ValueError):
             orbit(regime_b1, Trajectory(regime_b2, 7))
+        # a value-equal params is the same map
+        same = MapParams.make(5, 2, 5, "1+p^3")
+        assert orbit(same, Trajectory(regime_b2, 7)).status is \
+            orbit(regime_b2, 7).status
 
 
 class TestBasinClassify:
@@ -191,30 +194,29 @@ class TestCylinderPoints:
     def test_single_symbol_lands_in_ball(self, regime_b2):
         part = build_partition(regime_b2)
         for entry in part.balls:
-            x, ball = cylinder_point(regime_b2, (entry.symbol,), part)
+            x, ball = cylinder_point(regime_b2, (entry.symbol,))
             assert entry.ball.contains(x)
             assert ball.radius_exp == part.radius_exp + entry.tau
 
     def test_every_word_of_length_four(self, regime_b2):
         part = build_partition(regime_b2)
         for word in itertools.product((1, 2), repeat=4):
-            x, cert = cylinder_point(regime_b2, word, part)
-            assert itinerary_of(regime_b2, x, 4, part).word == word
+            x, cert = cylinder_point(regime_b2, word)
+            assert itinerary_of(regime_b2, x, 4).word == word
             assert cert.radius_exp == part.radius_exp + sum(
                 part.balls[s - 1].tau for s in word)
 
     def test_distance_matches_word_metric(self, regime_b2):
-        part = build_partition(regime_b2)
         words = list(itertools.product((1, 2), repeat=3))
-        pts = {w: cylinder_point(regime_b2, w, part)[0] for w in words}
+        pts = {w: cylinder_point(regime_b2, w)[0] for w in words}
         for wa, wb in itertools.combinations(words, 2):
             assert norm_fraction(pts[wa] - pts[wb]) == \
-                df_metric(regime_b2, wa, wb, part)
+                df_metric(regime_b2, wa, wb)
 
     def test_periodic_points(self, regime_b2):
         part = build_partition(regime_b2)
         for word in [(1,), (2,), (1, 2), (2, 2, 1)]:
-            x = periodic_point(regime_b2, word, part)
+            x = periodic_point(regime_b2, word)
             z = x
             for _ in range(len(word)):
                 z = eval_f(regime_b2, z)

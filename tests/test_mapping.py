@@ -84,6 +84,13 @@ class TestParamsValidation:
         with pytest.raises(ValueError):
             MapParams.make(5, 2, 5, -4)
 
+    def test_equal_by_configuration(self):
+        a = MapParams.make(5, 2, 5, "1+p^3")
+        b = MapParams.make(5, 2, 5, "1+p^3")
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert a != MapParams.make(5, 2, 5, "1+p^3", digits=32)
+        assert a != MapParams.make(5, 2, 5, "1+p^4")
+
     def test_pole_in_ep_and_not_one(self, regime_b2):
         d = regime_b2.pole - 1
         assert d.valuation == regime_b2.v_qtheta1 >= 1
@@ -223,6 +230,14 @@ class TestPartition:
             d = part.balls[-1].center - params.pole
             assert d.valuation == part.radius_exp
 
+    def test_one_partition_per_configuration(self, regime_b2):
+        assert build_partition(regime_b2.at_digits(128)) is \
+            build_partition(regime_b2.at_digits(128))
+        before = build_partition.cache_info().currsize
+        for _ in range(100):
+            build_partition(MapParams.make(5, 2, 5, "1+p^3", digits=48))
+        assert build_partition.cache_info().currsize - before <= 1
+
     def test_regime_a_has_no_partition(self, regime_a):
         with pytest.raises(ValueError):
             build_partition(regime_a)
@@ -243,7 +258,7 @@ class TestInverseBranch:
             for _ in range(3):
                 x = entry.center + rng.randrange(5**40) * 5**(part.radius_exp + 1)
                 y = eval_f(regime_b2, x)
-                back = inverse_branch(regime_b2, entry.symbol, y, part)
+                back = inverse_branch(regime_b2, entry.symbol, y)
                 assert (back - x).is_zero_like
 
     def test_images_land_in_their_ball(self, regime_b2):
@@ -252,10 +267,10 @@ class TestInverseBranch:
         for b in part.balls:
             samples.append(b.center)
             for s in sampling.ball_samples(regime_b2, b.symbol, 50, seed=2):
-                samples.append(s.realize(regime_b2, part))
+                samples.append(s.realize(regime_b2))
         for entry in part.balls:
             for y in samples:
-                h = inverse_branch(regime_b2, entry.symbol, y, part)
+                h = inverse_branch(regime_b2, entry.symbol, y)
                 assert entry.ball.contains(h)
                 assert (eval_f(regime_b2, h) - y).is_zero_like
 
@@ -265,7 +280,7 @@ class TestInverseBranch:
             regime_b2.v_theta1
         part = build_partition(regime_b2)
         for entry in part.balls:
-            h = inverse_branch(regime_b2, entry.symbol, regime_b2.pole, part)
+            h = inverse_branch(regime_b2, entry.symbol, regime_b2.pole)
             assert entry.ball.contains(h)
 
     def test_domain_precondition(self, regime_b2):

@@ -248,6 +248,18 @@ class TestInvariants:
         lead = k * (alpha - beta)
         assert cmp_norm(alpha**k - beta**k - lead, lead) is NormCmp.LT
 
+    @given(primes, st.integers(-10**80, 10**80), st.integers(0, 300),
+           st.integers(1, 256))
+    def test_int_operand_embeds_as_from_rational(self, p, m, e, cap):
+        # the int fast path of arithmetic operands, including huge exact
+        # units that the cap truncates, the exact zero and bools
+        for n in (m * p**e, m > 0):
+            x = from_rational(1, 1, prime=p, digits=cap)._coerce(n)
+            y = from_rational(n, 1, prime=p, digits=cap)
+            assert (x.prime, x.val, x.unit, x.prec, x.cap) == \
+                (y.prime, y.val, y.unit, y.prec, y.cap)
+            assert x.to_compact() == y.to_compact()
+
     @given(primes, st.integers(0, 10**12), st.integers(0, 10**12))
     def test_ep_sum_is_unit(self, p, na, nb):
         a = from_rational(1 + p * na, 1, prime=p)

@@ -47,10 +47,17 @@ def test_b2_pole_tree_is_built_once(eval_f_calls):
 
 def test_retried_sweep_adds_one_partition_per_rung():
     # at 16 digits some B1 orbits need the 32- or 64-digit rung
-    params = MapParams.make(5, 3, 5, "1+p^3", digits=16)
+    def sweep():
+        params = MapParams.make(5, 3, 5, "1+p^3", digits=16)
+        return verify.sweep_report(params, samples=60, seed=0,
+                                   classify_depth=50)
+
     before = build_partition.cache_info().currsize
-    rep = verify.sweep_report(params, samples=60, seed=0, classify_depth=50)
+    rep = sweep()
     assert rep["histogram"] == {"converged_to_1": 60}
     assert sum(r["retries"] for r in rep["records"]) > 0
     grown = build_partition.cache_info().currsize - before
     assert grown <= len(verify.RETRY_LADDER)
+    # the same sweep again finds every rung's partition in the cache
+    assert sweep() == rep
+    assert build_partition.cache_info().currsize - before == grown
