@@ -92,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="word length to realize (default %(default)s)")
     j.add_argument("--seed", type=int, default=0)
     j.add_argument("--samples", type=non_negative_int, default=50,
-                   help="pairs per ball for the expansion laws")
+                   help="pairs per ball for the expansion laws, >= 1")
     return parser
 
 
@@ -144,6 +144,9 @@ def _emit(text: str, out: str | None) -> None:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "julia-verify" and args.samples < 1:
+        parser.error("julia-verify --samples: the expansion laws need at "
+                     f"least one pair per ball, got {args.samples}")
     try:
         params = MapParams.make(args.p, args.k, args.q, args.theta,
                                 args.precision)

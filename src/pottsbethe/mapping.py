@@ -24,6 +24,7 @@ from .padic import (
     Padic,
     PrecisionError,
     _check_prime,
+    _inverse_mod,
     _vp,
     from_rational,
 )
@@ -206,8 +207,55 @@ def eval_g(params: MapParams, x) -> Padic:
 
 
 def eval_f(params: MapParams, x) -> Padic:
-    """One application of the full map, g(x)**k."""
+    """One application of the full map, g(x)**k.
+
+    An inexact nonzero x is mapped on residues by ``_eval_f_residues``,
+    with the value and precision ``eval_g(params, x).pow_int(k)`` gives;
+    exact x, inexact zeros and pole hits take that composed path, so
+    every PoleHit is raised by eval_g."""
+    x = params.embed(x)
+    if x.unit and x.prec != INF:
+        fx = _eval_f_residues(params, x)
+        if fx is not None:
+            return fx
     return eval_g(params, x).pow_int(params.k)
+
+
+def _eval_f_residues(params: MapParams, x: Padic) -> Padic | None:
+    """f(x) for an inexact nonzero x, on integers.
+
+    A sum of Padic values is its residue modulo p^a, a the least absolute
+    precision of its terms; a product keeps the least relative precision.
+    So D = x + theta + (q-2) is known modulo p^min(A_x, A_theta) and
+    N = theta*x + (q-1) modulo p^(v(x) + min(prec x, prec theta)).  Then
+    f = p^(k(v(N)-v(D))) * (u_N / u_D)^k modulo p^P, P the least relative
+    precision of N and D: one modular inverse and one modular power.
+    theta is a unit, since it lies in the exponential domain.  None when
+    D cancels (a pole hit) or q is too large to stay exact under the cap.
+    """
+    p, k, q, theta = params.p, params.k, params.q, params.theta
+    cap = min(x.cap, theta.cap)
+    if max(abs(q - 1), abs(q - 2)).bit_length() > (cap + 24) * math.log2(p):
+        return None
+    v, px, pt = x.val, x.prec, theta.prec
+    m = min(v, 0)
+    a_d = v + px if pt == INF else min(v + px, pt)
+    a_n = v + (px if pt == INF else min(px, pt))
+    ux = x.unit * p ** (v - m)
+    shift = p ** -m
+    r_d = (ux + (theta.unit + q - 2) * shift) % p ** (a_d - m)
+    if r_d == 0:
+        return None
+    c = _vp(r_d, p)
+    v_d, u_d, prec_d = m + c, r_d // p**c, a_d - m - c
+    r_n = (theta.unit * ux + (q - 1) * shift) % p ** (a_n - m)
+    if r_n == 0:
+        return Padic.inexact_zero(p, k * (a_n - v_d), cap)
+    c = _vp(r_n, p)
+    prec = min(a_n - m - c, prec_d)
+    mod = p**prec
+    unit = pow(r_n // p**c * _inverse_mod(u_d, p, prec), k, mod)
+    return Padic(p, k * (m + c - v_d), unit, prec, cap)
 
 
 def derivative_at(params: MapParams, x: Padic) -> Padic:

@@ -406,7 +406,11 @@ def expansion_law_report(params: MapParams, pairs_per_ball: int,
                          seed: int) -> dict:
     """Sample pairs inside each partition ball and compare the exact jump
     of norm exponents under the map with the predicted constant:
-    v(k)+v(theta-1)-v(q) on the ball at 1, v(q)+v(theta-1)-v(k) elsewhere."""
+    v(k)+v(theta-1)-v(q) on the ball at 1, v(q)+v(theta-1)-v(k) elsewhere.
+    At least one pair per ball is needed: a check of no pairs proves
+    nothing either way."""
+    if pairs_per_ball < 1:
+        raise ValueError(f"pairs_per_ball must be >= 1, got {pairs_per_ball}")
     detail = []
     all_ok = True
     for entry in build_partition(params).balls:

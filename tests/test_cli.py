@@ -189,6 +189,13 @@ class TestJuliaVerify:
         assert code == 0
         assert json.loads(out)["falsified"] is False
 
+    def test_zero_pairs_is_usage_error(self, capsys):
+        # an expansion-law check of no pairs would read as a falsification
+        with pytest.raises(SystemExit) as exc:
+            main(["julia-verify", *B2_ARGS, "--depth", "2", "--samples", "0"])
+        assert exc.value.code == 2
+        assert "at least one pair per ball, got 0" in capsys.readouterr().err
+
     def test_regime_a_is_falsifying_input(self, capsys):
         code, out, _ = run_cli(
             ["julia-verify", "--p", "3", "--k", "3", "--q", "3", "--theta",

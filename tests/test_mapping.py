@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from pottsbethe import sampling
 from pottsbethe.mapping import (
@@ -20,6 +22,7 @@ from pottsbethe.mapping import (
     parse_theta,
 )
 from pottsbethe.padic import (
+    INF,
     Padic,
     PrecisionError,
     from_rational,
@@ -323,3 +326,133 @@ class TestScalingLaws:
                     jump = (norm_exp(eval_f(params, x) - eval_f(params, y))
                             - norm_exp(x - y))
                     assert jump == expected == -entry.tau
+
+
+def _fields(z):
+    return (z.val, z.unit, z.prec, z.cap)
+
+
+def _outcome(fn, *args):
+    """The result's fields, or the pole hit with its exact flag."""
+    try:
+        return _fields(fn(*args))
+    except PoleHit as exc:
+        return ("pole", exc.exact)
+
+
+def _agree(z, w, a):
+    """z and w are congruent modulo p**a."""
+    p = z.prime
+    m = min(z.val, w.val, a)
+    return (z.unit * p ** (z.val - m) - w.unit * p ** (w.val - m)) \
+        % p ** (a - m) == 0
+
+
+def _unit(draw, p, digits):
+    u = draw(st.integers(1, p**digits - 1))
+    return u if u % p else u + 1
+
+
+@st.composite
+def map_params(draw):
+    """p in {3, 5, 7}, k in {1, 2, 3, p, 2p}; theta exact, a rational
+    with a denominator prime to p, or an inexact Padic with fewer digits
+    than the working precision."""
+    p = draw(st.sampled_from([3, 5, 7]))
+    k = draw(st.sampled_from([1, 2, 3, p, 2 * p]))
+    q = p * draw(st.sampled_from([-2, -1, 1, 2, 3]))
+    digits = draw(st.sampled_from([8, 20, 64]))
+    j = draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(["exact", "rational", "padic"]))
+    if kind == "exact":
+        theta = Fraction(1 + draw(st.integers(1, p - 1)) * p**j)
+    elif kind == "rational":
+        b = draw(st.integers(2, 60).filter(lambda b: b % p))
+        theta = Fraction(b + p**j, b)
+    else:
+        pt = draw(st.integers(j + 1, digits))
+        theta = Padic(p, 0, (1 + p**j * draw(st.integers(1, p**pt))) % p**pt,
+                      pt, digits)
+    try:
+        return MapParams.make(p, k, q, theta, digits)
+    except (ValueError, PrecisionError):  # q + theta - 1 is 0 or O(p^n)
+        assume(False)
+
+
+@st.composite
+def inexact_points(draw, params):
+    """An inexact nonzero x: a valuation in -6..8 with any digit count,
+    or a point within a few digits of the pole or of the zero (1-q)/theta
+    of the numerator, known or unknown beyond them."""
+    p, digits = params.p, params.digits
+    if draw(st.booleans()):
+        prec = draw(st.integers(1, digits))
+        cap = draw(st.sampled_from([digits, prec + 3, digits + 8]))
+        return Padic(p, draw(st.integers(-6, 8)), _unit(draw, p, prec), prec,
+                     cap)
+    d = draw(st.integers(1, 14))
+    if draw(st.booleans()):
+        offset = Padic.inexact_zero(p, d, digits)
+    else:
+        offset = Padic.from_residue(_unit(draw, p, 4) * p**d,
+                                    d + draw(st.integers(1, 4)), p, digits)
+    anchor = draw(st.sampled_from(
+        [params.pole, params.embed(1 - params.q) / params.theta]))
+    return anchor + offset
+
+
+class TestResidueKernel:
+    """eval_f maps an inexact nonzero x on residues; the composed Padic
+    path eval_g(x)**k is the oracle, down to the claimed precision."""
+
+    @given(st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_composed_path(self, data):
+        params = data.draw(map_params())
+        x = data.draw(inexact_points(params))
+        assert x.unit != 0 and x.prec != INF
+        composed = _outcome(lambda: eval_g(params, x).pow_int(params.k))
+        assert _outcome(eval_f, params, x) == composed
+
+    def test_pole_cancellation_is_inexact_hit(self, regime_b2):
+        x = regime_b2.pole + Padic.inexact_zero(5, 7)
+        with pytest.raises(PoleHit, match=r"O\(p\^7\)") as exc:
+            eval_f(regime_b2, x)
+        assert exc.value.exact is False
+
+    def test_q_truncated_by_the_cap_matches_composed_path(self):
+        # q - 1 and q - 2 too large to stay exact under 8 digits enter the
+        # composed sums known only to p^8
+        params = MapParams.make(5, 2, 5**40, "1+p^3", digits=8)
+        x = Padic(5, 1, 123, 8, 8)
+        assert _fields(eval_f(params, x)) == \
+            _fields(eval_g(params, x).pow_int(2))
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_perturbing_hidden_digits_keeps_claimed_digits(self, data):
+        # x and x2 agree on every digit x claims; f(x2) and x2 - y2 must
+        # then agree with f(x) and x - y on every digit those claim
+        params = data.draw(map_params())
+        p = params.p
+
+        def perturb(z):
+            e = data.draw(st.integers(1, 8))
+            hidden = data.draw(st.integers(0, p**e - 1))
+            return Padic(p, z.val, z.unit + p**z.prec * hidden, z.prec + e,
+                         z.cap + e)
+
+        x = data.draw(inexact_points(params))
+        y = data.draw(inexact_points(params))
+        x2, y2 = perturb(x), perturb(y)
+        assert _agree(x, x2, x.abs_prec)
+        diff, diff2 = x - y, x2 - y2
+        assert diff2.abs_prec >= diff.abs_prec
+        assert _agree(diff, diff2, diff.abs_prec)
+        try:
+            fx = eval_f(params, x)
+        except PoleHit:
+            return
+        fx2 = eval_f(params, x2)
+        assert fx2.abs_prec >= fx.abs_prec
+        assert _agree(fx, fx2, fx.abs_prec)

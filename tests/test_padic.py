@@ -13,6 +13,7 @@ from pottsbethe.padic import (
     NormCmp,
     Padic,
     PrecisionError,
+    _inverse_mod,
     ball_contains,
     balls_disjoint,
     cmp_norm,
@@ -259,6 +260,11 @@ class TestInvariants:
             assert (x.prime, x.val, x.unit, x.prec, x.cap) == \
                 (y.prime, y.val, y.unit, y.prec, y.cap)
             assert x.to_compact() == y.to_compact()
+
+    @given(primes, st.integers(-10**80, 10**80), st.integers(1, 300))
+    def test_newton_inverse_is_the_modular_inverse(self, p, a, n):
+        a = a * p + 1
+        assert _inverse_mod(a, p, n) == pow(a, -1, p**n)
 
     @given(primes, st.integers(0, 10**12), st.integers(0, 10**12))
     def test_ep_sum_is_unit(self, p, na, nb):

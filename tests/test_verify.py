@@ -61,3 +61,9 @@ def test_retried_sweep_adds_one_partition_per_rung():
     # the same sweep again finds every rung's partition in the cache
     assert sweep() == rep
     assert build_partition.cache_info().currsize - before == grown
+
+
+def test_expansion_laws_need_a_pair():
+    params = MapParams.make(5, 2, 5, "1+p^3")
+    with pytest.raises(ValueError, match="pairs_per_ball must be >= 1"):
+        verify.expansion_law_report(params, 0, seed=0)
