@@ -9,12 +9,9 @@ from pottsbethe import (
     Ball,
     Padic,
     PrecisionError,
-    ball_contains,
-    balls_disjoint,
     cmp_norm,
     from_rational,
     in_ep,
-    norm_exp,
 )
 
 p = 5
@@ -23,13 +20,13 @@ print("== embedding rationals ==")
 for num, den in [(1, 1), (75, 4), (-383, 2), (7, 25)]:
     x = from_rational(num, den, prime=p, digits=8)
     print(f"{num}/{den} as a {p}-adic: {x}")
-    print(f"   norm exponent -log_p |x|_p = {norm_exp(x)}")
+    print(f"   norm exponent -log_p |x|_p = {x.norm_exp()}")
 
 print()
 print("== the strong triangle inequality ==")
 x = from_rational(5, 1, prime=p)
 y = from_rational(25, 1, prime=p)
-print(f"|x|=5^-1, |y|=5^-2, so |x+y| = 5^-{norm_exp(x + y)} (the max)")
+print(f"|x|=5^-1, |y|=5^-2, so |x+y| = 5^-{(x + y).norm_exp()} (the max)")
 
 print()
 print("== exact cancellation vs precision loss ==")
@@ -42,7 +39,7 @@ print(f"(a + 5^4) - a = {d}   <- 4 leading digits cancelled, 8 survive")
 z = a - a
 print(f"a - a = {z}   <- nothing survives, only a bound remains")
 try:
-    norm_exp(z)
+    z.norm_exp()
 except PrecisionError as exc:
     print("asking for its exact norm raises:", exc)
 
@@ -51,8 +48,8 @@ print("== ultrametric balls ==")
 b1 = Ball(from_rational(1, 1, prime=p), 2)
 b2 = Ball(from_rational(1 + 25, 1, prime=p), 2)
 print("centers at distance 5^-2, open radius 5^-2 -> disjoint:",
-      balls_disjoint(b1, b2))
-print("a ball contains its center:", ball_contains(b1, b1.center))
+      b1.is_disjoint(b2))
+print("a ball contains its center:", b1.contains(b1.center))
 
 print()
 print("== norm comparison as a calculus ==")

@@ -14,7 +14,6 @@ from pottsbethe import (
     eval_f,
     incidence_matrix,
     inverse_branch,
-    norm_exp,
 )
 
 params = MapParams.make(5, 4, 5, "1+p^3")  # four symbols
@@ -32,7 +31,8 @@ rng = random.Random(0)
 for b in part.balls:
     x = b.center + rng.randrange(5**30) * 5**(part.radius_exp + 1)
     y = b.center + rng.randrange(5**30) * 5**(part.radius_exp + 1)
-    jump = norm_exp(eval_f(params, x) - eval_f(params, y)) - norm_exp(x - y)
+    jump = ((eval_f(params, x) - eval_f(params, y)).norm_exp()
+            - (x - y).norm_exp())
     print(f"  ball {b.symbol}: |f(x)-f(y)| = p^{-jump} * |x-y| "
           f"(predicted tau = {b.tau})")
 

@@ -15,12 +15,9 @@ from .padic import (
     NormCmp,
     Padic,
     PrecisionError,
-    ball_contains,
-    balls_disjoint,
     cmp_norm,
     from_rational,
     in_ep,
-    norm_exp,
 )
 from .hensel import (
     PolyZp,

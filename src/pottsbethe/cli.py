@@ -150,11 +150,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         params = MapParams.make(args.p, args.k, args.q, args.theta,
                                 args.precision)
-    except (ValueError, ZeroDivisionError) as exc:
-        print(f"pottsbethe: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-
-    try:
         if args.command == "classify":
             report = verify.classify_report(params)
             _emit(verify.canonical_json(report), args.out)

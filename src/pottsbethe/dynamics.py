@@ -22,11 +22,13 @@ from .mapping import (
     PoleHit,
     RegimeTag,
     VerificationError,
+    attracting_ball,
     build_partition,
     classify_regime,
     derivative_at,
     eval_f,
     inverse_branch,
+    on_residue_kernel,
 )
 from .padic import INF, Ball, Padic, PrecisionError
 from . import sampling
@@ -61,8 +63,18 @@ class Itinerary:
 
 @dataclass(frozen=True, eq=False)
 class OrbitResult:
+    """The verdict of ``orbit``.
+
+    ``final_norm_exp_to_1`` is the (bound, exact) pair of
+    ``norm_exp_field`` for f^steps(x0) - 1.  ``trajectory`` holds only the
+    iterates actually computed, f^0(x0) onward: when the attracting-ball
+    lemma settles a converging orbit it ends at the iterate that entered
+    B_1, before step ``steps``.
+    """
+
     status: OrbitStatus
     steps: int | None = None
+    final_norm_exp_to_1: tuple[int | str, bool] | None = None
     itinerary: Itinerary | None = None
     reason: str | None = None
     trajectory: tuple[Padic, ...] = field(default=())
@@ -126,6 +138,13 @@ def _trajectory(params: MapParams, x0) -> Trajectory:
     return x0
 
 
+def norm_exp_field(x: Padic) -> tuple[int | str, bool]:
+    """Lower bound on -log_p |x|_p plus whether the bound is exact."""
+    if x.is_exact_zero:
+        return "inf", True
+    return x.val, x.unit != 0
+
+
 def orbit(params: MapParams, x0, max_iter: int = DEFAULT_MAX_ITER,
           tol: int = DEFAULT_TOL) -> OrbitResult:
     """Iterate the map from x0 (a point or a Trajectory), certifying the
@@ -137,18 +156,27 @@ def orbit(params: MapParams, x0, max_iter: int = DEFAULT_MAX_ITER,
     cover for the whole budget reports its symbol itinerary instead.
     Precision exhaustion, including a contraction step that cancels at
     the working precision, is reported, never guessed over.
+
+    In regime B with an exact theta, an orbit that enters the attracting
+    ball B_1 is settled there when ``_lemma_verdict`` proves its outcome.
     """
     part = (build_partition(params) if classify_regime(params).tag in
             (RegimeTag.B1, RegimeTag.B2) else None)
+    ball_1 = (attracting_ball(params)
+              if part is not None and params.theta.is_exact else None)
     traj = _trajectory(params, x0)
     symbols: list[int] = []
     always_in_x = part is not None
     last = 0  # index of the last iterate read
 
-    def result(status: OrbitStatus, **fields) -> OrbitResult:
-        return OrbitResult(status, last,
-                           trajectory=tuple(traj.points[:last + 1]),
-                           **fields)
+    def result(status: OrbitStatus, steps: int | None = None,
+               final: tuple[int, bool] | None = None,
+               **fields) -> OrbitResult:
+        return OrbitResult(
+            status, last if steps is None else steps,
+            final if final is not None
+            else norm_exp_field(traj.points[last] - 1),
+            trajectory=tuple(traj.points[:last + 1]), **fields)
 
     try:
         for t in range(max_iter + 1):
@@ -161,6 +189,13 @@ def orbit(params: MapParams, x0, max_iter: int = DEFAULT_MAX_ITER,
                 if d.val >= tol + 1:
                     return result(OrbitStatus.CONVERGED_TO_1)
                 return result(OrbitStatus.UNDECIDED, reason="precision")
+            if (ball_1 is not None and on_residue_kernel(params, x)
+                    and ball_1.contains(x)):
+                verdict = _lemma_verdict(params, part, x, t, max_iter, tol)
+                if verdict is not None:
+                    steps, w = verdict
+                    return result(OrbitStatus.CONVERGED_TO_1, steps,
+                                  (w, True))
             if d.val >= tol + 1:
                 d2 = traj[t + 1] - 1
                 if d2.val_lower_bound > d.val:
@@ -188,6 +223,26 @@ def orbit(params: MapParams, x0, max_iter: int = DEFAULT_MAX_ITER,
         return result(OrbitStatus.STAYED_IN_X,
                       itinerary=Itinerary(tuple(symbols)))
     return result(OrbitStatus.UNDECIDED, reason="budget")
+
+
+def _lemma_verdict(params: MapParams, part, x: Padic, t: int,
+                   max_iter: int, tol: int) -> tuple[int, int] | None:
+    """(steps, v(f^steps(x0) - 1)) of the converging orbit through the
+    inexact x = f^t(x0) of B_1 on the residue kernel, theta exact; None
+    when only iterating can decide.
+
+    With w = v(x-1) and A = abs_prec(x), ``attracting_ball``'s lemma gives
+    v(f^j(x) - 1) = w + j*tau_one, and the residue kernel, where D and N
+    both have valuation v(q), gives abs_prec(f^j(x)) = A - j*v(q).  So
+    the orbit enters the convergence ball n = ceil((tol+1-w)/tau_one)
+    steps on, and its contraction step is decided when
+    w + (n+1)tau_one < A - (n+1)v(q): iterating reads the same values.
+    """
+    w, tau, v_q = (x - 1).val, part.tau_one, params.v_q
+    n = max(0, -((w - tol - 1) // tau))
+    if t + n > max_iter or w + (n + 1) * tau >= x.abs_prec - (n + 1) * v_q:
+        return None
+    return t + n, w + n * tau
 
 
 class ClassifyKind(Enum):

@@ -214,11 +214,21 @@ def eval_f(params: MapParams, x) -> Padic:
     exact x, inexact zeros and pole hits take that composed path, so
     every PoleHit is raised by eval_g."""
     x = params.embed(x)
-    if x.unit and x.prec != INF:
+    if on_residue_kernel(params, x):
         fx = _eval_f_residues(params, x)
         if fx is not None:
             return fx
     return eval_g(params, x).pow_int(params.k)
+
+
+def on_residue_kernel(params: MapParams, x: Padic) -> bool:
+    """Whether eval_f maps x on residues: x is inexact and nonzero, and q
+    is small enough to stay exact under the cap.  (The kernel still falls
+    back to eval_g when x + theta + q - 2 cancels.)"""
+    cap = min(x.cap, params.theta.cap)
+    return (x.unit != 0 and x.prec != INF and
+            max(abs(params.q - 1), abs(params.q - 2)).bit_length()
+            <= (cap + 24) * math.log2(params.p))
 
 
 def _eval_f_residues(params: MapParams, x: Padic) -> Padic | None:
@@ -230,13 +240,11 @@ def _eval_f_residues(params: MapParams, x: Padic) -> Padic | None:
     N = theta*x + (q-1) modulo p^(v(x) + min(prec x, prec theta)).  Then
     f = p^(k(v(N)-v(D))) * (u_N / u_D)^k modulo p^P, P the least relative
     precision of N and D: one modular inverse and one modular power.
-    theta is a unit, since it lies in the exponential domain.  None when
-    D cancels (a pole hit) or q is too large to stay exact under the cap.
+    theta is a unit, since it lies in the exponential domain.  Only for
+    an x ``on_residue_kernel`` accepts; None when D cancels (a pole hit).
     """
     p, k, q, theta = params.p, params.k, params.q, params.theta
     cap = min(x.cap, theta.cap)
-    if max(abs(q - 1), abs(q - 2)).bit_length() > (cap + 24) * math.log2(p):
-        return None
     v, px, pt = x.val, x.prec, theta.prec
     m = min(v, 0)
     a_d = v + px if pt == INF else min(v + px, pt)
@@ -347,10 +355,13 @@ class PartitionBall:
 @dataclass(frozen=True, eq=False)
 class Partition:
     """The invariant cover: kappa disjoint balls of radius |q(theta-1)|_p,
-    one per k-th root of unity, each carrying its scaling exponent tau."""
+    one per k-th root of unity, each carrying its scaling exponent tau.
+    ``tau_one`` = v(k)+v(theta-1)-v(q) is the exponent at the root 1, and
+    the contraction rate of the attracting ball B_1."""
 
     radius_exp: int
     balls: tuple[PartitionBall, ...]
+    tau_one: int
 
     @property
     def kappa(self) -> int:
@@ -398,9 +409,9 @@ def build_partition(params: MapParams) -> Partition:
     1 - q + (k-1)(1 - q/2 + (k-2)q^2/(6k))(theta-1) and scales distances
     by |q|/|k(theta-1)|; the ball at xi != 1 is centered at
     2 - q - theta + q(theta-1)/(1-xi) and scales by |k|/|q(theta-1)|.
-    Disjointness and positivity of every exponent are asserted, not
-    assumed.  Cached: every MapParams of one configuration shares one
-    Partition.
+    Disjointness, positivity of every exponent, and that the cover misses
+    the pole and the attracting ball B_1 are asserted, not assumed.
+    Cached: every MapParams of one configuration shares one Partition.
     """
     regime = classify_regime(params)
     if regime.tag not in (RegimeTag.B1, RegimeTag.B2):
@@ -431,6 +442,7 @@ def build_partition(params: MapParams) -> Partition:
                 "would not be expanding"
             )
         balls.append(PartitionBall(i, xi, center, Ball(center, s), tau))
+    ball_1 = attracting_ball(params)
     for i in range(len(balls)):
         for j in range(i + 1, len(balls)):
             if not balls[i].ball.is_disjoint(balls[j].ball):
@@ -439,7 +451,27 @@ def build_partition(params: MapParams) -> Partition:
                 )
         if balls[i].ball.contains(params.pole):
             raise VerificationError("the pole fell inside the cover")
-    return Partition(s, tuple(balls))
+        if not balls[i].ball.is_disjoint(ball_1):
+            raise VerificationError(
+                f"partition ball {i + 1} meets the attracting ball B_1"
+            )
+    return Partition(s, tuple(balls), tau_one)
+
+
+def attracting_ball(params: MapParams) -> Ball:
+    """B_1 = {x : v(x-1) >= v(q)+1}, the attracting ball of the fixed
+    point 1 in regime B; ``contains`` decides membership.
+
+    For x = 1+h in B_1, g(x) - 1 = (theta-1)h/(q+theta-1+h) exactly, and
+    v(theta-1) >= 2v(q)+1 makes v(q+theta-1+h) = v(q), so
+    v(g(x)-1) = v(theta-1)+v(h)-v(q) >= 2; for odd p,
+    v((1+u)^k - 1) = v(k)+v(u) when v(u) >= 1.  Hence
+    v(f(x)-1) = v(x-1) + tau_one: B_1 maps into itself and each step
+    brings a point closer to 1 by exactly p^-tau_one.  Every cover center
+    lies at distance |q|_p from 1, so B_1 misses the cover, which
+    ``build_partition`` asserts.
+    """
+    return Ball(Padic.one(params.p, params.digits), params.v_q)
 
 
 def inverse_branch(params: MapParams, symbol: int, y) -> Padic:

@@ -488,11 +488,6 @@ def from_rational(num, den=1, *, prime: int, digits: int = DEFAULT_DIGITS) -> Pa
     return Padic._build(prime, vn - vd, unit, digits, digits)
 
 
-def norm_exp(x: Padic) -> int | float:
-    """-log_p |x|_p; +inf for the exact zero."""
-    return x.norm_exp()
-
-
 def cmp_norm(x: Padic, y: Padic) -> NormCmp:
     """Exact comparison of |x|_p and |y|_p.
 
@@ -562,14 +557,6 @@ class Ball:
         # whether the centers are separated at the larger radius
         s = min(self.radius_exp, other.radius_exp)
         return (self.center - other.center).val_at_most(s)
-
-
-def ball_contains(ball: Ball, x: Padic) -> bool:
-    return ball.contains(x)
-
-
-def balls_disjoint(b1: Ball, b2: Ball) -> bool:
-    return b1.is_disjoint(b2)
 
 
 # -- parsing helpers -------------------------------------------------------

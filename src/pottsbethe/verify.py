@@ -21,6 +21,7 @@ from .mapping import (
     MapParams,
     RegimeTag,
     VerificationError,
+    attracting_ball,
     build_partition,
     classify_fixed,
     classify_regime,
@@ -35,15 +36,6 @@ RETRY_LADDER = (1, 2, 4)
 def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"),
                       ensure_ascii=True) + "\n"
-
-
-def _norm_exp_field(x: Padic):
-    """Lower bound on -log_p |x|_p plus whether the bound is exact."""
-    if x.is_exact_zero:
-        return "inf", True
-    if x.unit == 0:
-        return x.val, False
-    return x.val, True
 
 
 class _Ladder:
@@ -123,10 +115,8 @@ def _orbit_record(params, x0, max_iter: int, tol: int,
     rec["status"] = res.status.value
     rec["steps"] = res.steps
     rec["reason"] = res.reason
-    final = res.trajectory[-1] - 1
-    bound, exact = _norm_exp_field(final)
-    rec["final_norm_exp_to_1"] = bound
-    rec["final_norm_exp_exact"] = exact
+    rec["final_norm_exp_to_1"], rec["final_norm_exp_exact"] = \
+        res.final_norm_exp_to_1
     rec["itinerary"] = list(res.itinerary.word) if res.itinerary else None
     if classify_depth is not None:
         cls = dynamics.basin_classify(params, traj, classify_depth)
@@ -146,27 +136,26 @@ def _check_consistency(params, traj: dynamics.Trajectory, cls,
     A basin point must never re-enter the cover after leaving it, and a
     pole preimage must run forward into the pole at exactly the predicted
     step.  Either failure would falsify the trichotomy and is raised
-    loudly.
+    loudly.  The basin walk ends at the first iterate in the attracting
+    ball B_1, which maps into itself and misses the cover; a precision
+    shortage before it is retried, not passed.
     """
     if classify_regime(params).tag is RegimeTag.A:
         return
     if cls.kind is ClassifyKind.BASIN:
         part = build_partition(params)
+        ball_1 = attracting_ball(params)
         left = False
         for t in range(min(max_iter, cls.step + 40)):
-            inside = part.locate(traj[t]) is not None
-            if not inside:
+            x = traj[t]
+            if ball_1.contains(x):
+                return
+            if part.locate(x) is None:
                 left = True
             elif left:
                 raise VerificationError(
                     f"basin point re-entered the cover at step {t}"
                 )
-            try:
-                x = traj[t + 1]
-            except PrecisionError:
-                return
-            if (x - 1).is_zero_like:
-                return
     elif cls.kind is ClassifyKind.POLE_PREIMAGE:
         if not (traj[cls.step] - params.pole).is_zero_like:
             raise VerificationError(
@@ -309,7 +298,7 @@ def julia_report(params: MapParams, depth: int, seed: int = 0,
     if regime.tag is RegimeTag.B1:
         x_star = hensel.fixed_point_B1(params)
         resid = eval_f(params, x_star) - x_star
-        bound, _ = _norm_exp_field(resid)
+        bound, _ = dynamics.norm_exp_field(resid)
         _check(checks, "b1_fixed_point_residual",
                _residual_vanishes(resid, fixed_point_digits), bound)
         lam = multiplier(params, x_star)

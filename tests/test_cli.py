@@ -55,6 +55,15 @@ class TestClassify:
         assert report["regime"] == "unclassified"
         assert "q^2" in report["regime_detail"]
 
+    def test_params_precision_shortage_exit_code(self, capsys):
+        # q + theta - 1 = 5^13/7 cancels to O(5^8) at 8 digits:
+        # a shortage of digits, not a falsified theory
+        code, out, err = run_cli(
+            ["classify", "--p", "5", "--k", "2", "--q", "5", "--theta",
+             "1220703097/7", "--precision", "8"], capsys)
+        assert code == 3 and out == ""
+        assert "precision exhausted" in err
+
 
 class TestOrbitAndSweep:
     def test_single_orbit(self, capsys):

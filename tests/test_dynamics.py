@@ -27,7 +27,7 @@ from pottsbethe.mapping import (
     eval_f,
     inverse_branch,
 )
-from pottsbethe.padic import from_rational, norm_exp
+from pottsbethe.padic import from_rational
 
 
 @pytest.fixture(scope="module")
@@ -99,6 +99,23 @@ class TestOrbit:
         assert res.reason == "precision" and res.steps == 10
 
 
+    def test_lemma_settles_basin_orbit(self, regime_b1):
+        # 7 leaves the cover at once; f(7) lies in B_1, where each step
+        # brings the orbit closer to 1 by exactly p^-tau_one
+        res = orbit(regime_b1, 7)
+        assert res.status is OrbitStatus.CONVERGED_TO_1
+        assert len(res.trajectory) == 2 and res.steps == 10
+        d = Trajectory(regime_b1, 7)[res.steps] - 1
+        assert res.final_norm_exp_to_1 == (d.valuation, True) == (21, True)
+
+    def test_inexact_theta_iterates(self):
+        # the lemma's precision law needs an exact theta
+        params = MapParams.make(5, 3, 5, "132/7")
+        res = orbit(params, 7)
+        assert res.status is OrbitStatus.CONVERGED_TO_1
+        assert len(res.trajectory) == res.steps + 1
+
+
 class TestTrajectory:
     def test_iterates_are_computed_once(self, regime_b2):
         traj = Trajectory(regime_b2, 7)
@@ -145,7 +162,7 @@ class TestBasinClassify:
         # |x - 1 + q| >= |q| certifies the basin; such x never lies in
         # the cover, so the exit step is zero
         x = from_rational(1 + regime_b2.q, 1, prime=5)
-        assert norm_exp(x - (1 - regime_b2.q)) <= regime_b2.v_q
+        assert (x - (1 - regime_b2.q)).norm_exp() <= regime_b2.v_q
         res = basin_classify(regime_b2, x, 50)
         assert res.kind is ClassifyKind.BASIN and res.step == 0
 
@@ -248,7 +265,7 @@ class TestIncidence:
 class TestWordMetric:
     def test_first_symbol_disagreement(self, regime_b2):
         part = build_partition(regime_b2)
-        kappa_12 = norm_exp(part.balls[0].center - part.balls[1].center)
+        kappa_12 = (part.balls[0].center - part.balls[1].center).norm_exp()
         assert df_metric(regime_b2, (1, 1), (2, 1)) == \
             norm_fraction(part.balls[0].center - part.balls[1].center)
         assert kappa_12 == regime_b2.v_k + regime_b2.v_theta1

@@ -12,6 +12,7 @@ from pottsbethe.mapping import (
     MapParams,
     PoleHit,
     RegimeTag,
+    attracting_ball,
     build_partition,
     classify_fixed,
     classify_regime,
@@ -26,7 +27,6 @@ from pottsbethe.padic import (
     Padic,
     PrecisionError,
     from_rational,
-    norm_exp,
 )
 
 
@@ -205,8 +205,8 @@ class TestPartition:
                     continue
                 x = entry.center + off1 * 5**(part.radius_exp + 1)
                 y = entry.center + off2 * 5**(part.radius_exp + 1)
-                jump = (norm_exp(eval_f(regime_b2, x) - eval_f(regime_b2, y))
-                        - norm_exp(x - y))
+                fx, fy = eval_f(regime_b2, x), eval_f(regime_b2, y)
+                jump = (fx - fy).norm_exp() - (x - y).norm_exp()
                 assert jump == -entry.tau
 
     def test_pairwise_center_distance_nontrivial_roots(self, regime_b4):
@@ -215,14 +215,14 @@ class TestPartition:
         others = [b.center for b in part.balls[1:]]
         for i in range(len(others)):
             for j in range(i + 1, len(others)):
-                assert norm_exp(others[i] - others[j]) == part.radius_exp
+                assert (others[i] - others[j]).norm_exp() == part.radius_exp
 
     def test_first_center_distance(self, regime_b4):
         # |x_1 - x_j| = |k(theta-1)| for xi_j != 1
         part = build_partition(regime_b4)
         expected = regime_b4.v_k + regime_b4.v_theta1
         for b in part.balls[1:]:
-            assert norm_exp(part.balls[0].center - b.center) == expected
+            assert (part.balls[0].center - b.center).norm_exp() == expected
 
     def test_pole_outside_cover(self, regime_b2, regime_b4):
         for params in (regime_b2, regime_b4):
@@ -279,7 +279,7 @@ class TestInverseBranch:
 
     def test_pole_preimages_defined(self, regime_b2):
         # the pole satisfies |pole - (1-q)| = |theta-1| < |q^2|
-        assert norm_exp(regime_b2.pole - (1 - regime_b2.q)) == \
+        assert (regime_b2.pole - (1 - regime_b2.q)).norm_exp() == \
             regime_b2.v_theta1
         part = build_partition(regime_b2)
         for entry in part.balls:
@@ -300,8 +300,8 @@ class TestRegimeAContraction:
             # |x - 1| < |q + theta - 1| = p^-1, x != 1
             off = rng.randrange(1, p**30)
             x = from_rational(1 + p**2 * off, 1, prime=p, digits=40)
-            d0 = norm_exp(x - 1)
-            d1 = norm_exp(eval_f(regime_a, x) - 1)
+            d0 = (x - 1).norm_exp()
+            d1 = (eval_f(regime_a, x) - 1).norm_exp()
             assert d1 > d0
 
 
@@ -323,8 +323,8 @@ class TestScalingLaws:
                         continue
                     x = entry.center + a * 5**(part.radius_exp + 1)
                     y = entry.center + b * 5**(part.radius_exp + 1)
-                    jump = (norm_exp(eval_f(params, x) - eval_f(params, y))
-                            - norm_exp(x - y))
+                    fx, fy = eval_f(params, x), eval_f(params, y)
+                    jump = (fx - fy).norm_exp() - (x - y).norm_exp()
                     assert jump == expected == -entry.tau
 
 
@@ -456,3 +456,55 @@ class TestResidueKernel:
         fx2 = eval_f(params, x2)
         assert fx2.abs_prec >= fx.abs_prec
         assert _agree(fx, fx2, fx.abs_prec)
+
+
+@st.composite
+def regime_b_params(draw):
+    """Regime-B parameters with an exact theta: p in {3, 5, 7, 11},
+    v(q) in {1, 2}, v(k) < v(q) and v(theta-1) >= 2v(q)+1."""
+    p = draw(st.sampled_from([3, 5, 7, 11]))
+    prime_to_p = st.integers(1, 40).filter(lambda u: u % p)
+    v_q = draw(st.integers(1, 2))
+    q = draw(st.sampled_from([-1, 1])) * draw(prime_to_p) * p**v_q
+    k = draw(prime_to_p) * p**draw(st.integers(0, v_q - 1))
+    e = draw(st.integers(2 * v_q + 1, 2 * v_q + 4))
+    theta = 1 + draw(st.sampled_from([-1, 1])) * draw(prime_to_p) * p**e
+    digits = draw(st.sampled_from([24, 64]))
+    return MapParams.make(p, k, q, Fraction(theta), digits)
+
+
+class TestAttractingBall:
+    """In regime B, v(f(x)-1) = v(x-1) + tau_one on B_1 = {v(x-1) >=
+    v(q)+1}, and the residue kernel loses exactly v(q) digits there."""
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_contraction_law(self, data):
+        params = data.draw(regime_b_params())
+        p, v_q = params.p, params.v_q
+        assert classify_regime(params).tag in (RegimeTag.B1, RegimeTag.B2)
+        part = build_partition(params)  # asserts the cover misses B_1
+        tau = params.v_k + params.v_theta1 - v_q
+        assert part.tau_one == tau == multiplier(params, 1).valuation
+        v_h = data.draw(st.integers(v_q + 1, v_q + 12))
+        h = data.draw(st.integers(1, p**6).filter(lambda u: u % p)) * p**v_h
+        a = data.draw(st.integers(v_h + 1, params.digits))
+        inexact = Padic(p, 0, (1 + h) % p**a, a, params.digits)
+        for x in (params.embed(1 + h), inexact):
+            assert attracting_ball(params).contains(x)
+            assert part.locate(x) is None
+            fx = eval_f(params, x)
+            d = fx - 1
+            assert d.val_lower_bound == min(v_h + tau, fx.abs_prec)
+            assert d.is_zero_like == (v_h + tau >= fx.abs_prec)
+            if x is inexact:
+                assert fx.abs_prec == a - v_q
+
+    def test_membership(self, regime_b1):
+        ball_1 = attracting_ball(regime_b1)
+        assert ball_1.contains(regime_b1.embed(1))
+        assert ball_1.contains(regime_b1.embed(26))
+        assert not ball_1.contains(regime_b1.embed(6))
+        with pytest.raises(PrecisionError):
+            ball_1.contains(1 + Padic.inexact_zero(5, 1))
+

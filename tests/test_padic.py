@@ -14,12 +14,9 @@ from pottsbethe.padic import (
     Padic,
     PrecisionError,
     _inverse_mod,
-    ball_contains,
-    balls_disjoint,
     cmp_norm,
     from_rational,
     in_ep,
-    norm_exp,
 )
 
 
@@ -54,7 +51,7 @@ class TestFromRational:
 
     def test_norm_of_p(self):
         x = from_rational(3, 1, prime=3, digits=10)
-        assert x.val == 1 and norm_exp(x) == 1
+        assert x.val == 1 and x.norm_exp() == 1
 
     def test_zero_denominator(self):
         with pytest.raises(ZeroDivisionError):
@@ -77,7 +74,7 @@ class TestArithmetic:
     def test_strong_triangle_equality_case(self):
         x = from_rational(3, 1, prime=3)
         y = from_rational(9, 1, prime=3)
-        assert norm_exp(x + y) == 1
+        assert (x + y).norm_exp() == 1
 
     def test_square_of_four_digits(self):
         # oracle: plain integer multiplication, then base-3 digits
@@ -121,12 +118,12 @@ class TestArithmetic:
 
 class TestNormExp:
     def test_examples(self):
-        assert norm_exp(from_rational(9, 1, prime=3)) == 2
-        assert norm_exp(from_rational(1, 3, prime=3)) == -1
-        assert norm_exp(from_rational(10, 1, prime=3)) == 0
+        assert from_rational(9, 1, prime=3).norm_exp() == 2
+        assert from_rational(1, 3, prime=3).norm_exp() == -1
+        assert from_rational(10, 1, prime=3).norm_exp() == 0
 
     def test_exact_zero(self):
-        assert norm_exp(Padic.zero(3)) == INF
+        assert Padic.zero(3).norm_exp() == INF
 
 
 class TestEp:
@@ -140,7 +137,7 @@ class TestEp:
     def test_derived_member(self):
         p = 5
         x = from_rational(1 + 2 * p + p**3, 1, prime=p)
-        assert norm_exp(x - 1) == 1
+        assert (x - 1).norm_exp() == 1
         assert in_ep(x)
 
     def test_undecidable(self):
@@ -182,27 +179,27 @@ class TestCmpNorm:
 class TestBalls:
     def test_center_membership(self):
         c = from_rational(7, 1, prime=5)
-        assert ball_contains(Ball(c, 3), c)
+        assert Ball(c, 3).contains(c)
 
     def test_equal_radius_distance_equal_radius_disjoint(self):
         # open balls: center distance exactly the radius separates them
         b1 = Ball(from_rational(1, 1, prime=5), 2)
         b2 = Ball(from_rational(1 + 25, 1, prime=5), 2)
-        assert norm_exp(b1.center - b2.center) == 2
-        assert balls_disjoint(b1, b2)
+        assert (b1.center - b2.center).norm_exp() == 2
+        assert b1.is_disjoint(b2)
 
     def test_nested_same_center(self):
         c = from_rational(4, 1, prime=5)
         small = Ball(c, 6)
         big = Ball(c, 2)
-        assert not balls_disjoint(small, big)
-        assert ball_contains(big, small.center)
+        assert not small.is_disjoint(big)
+        assert big.contains(small.center)
 
     def test_membership_undecidable(self):
         c = from_rational(1, 1, prime=5)
         x = 1 + Padic.inexact_zero(5, 2)
         with pytest.raises(PrecisionError):
-            ball_contains(Ball(c, 4), x)
+            Ball(c, 4).contains(x)
 
 
 nonzero_rationals = st.fractions(
@@ -228,7 +225,7 @@ class TestInvariants:
     def test_multiplicativity(self, p, a, b):
         x = from_rational(a, 1, prime=p)
         y = from_rational(b, 1, prime=p)
-        assert norm_exp(x * y) == norm_exp(x) + norm_exp(y)
+        assert (x * y).norm_exp() == x.norm_exp() + y.norm_exp()
 
     @given(primes, nonzero_rationals, nonzero_rationals)
     def test_division_round_trip(self, p, a, b):
@@ -270,7 +267,7 @@ class TestInvariants:
     def test_ep_sum_is_unit(self, p, na, nb):
         a = from_rational(1 + p * na, 1, prime=p)
         b = from_rational(1 + p * nb, 1, prime=p)
-        assert norm_exp(a + b) == 0
+        assert (a + b).norm_exp() == 0
 
 
 class TestEncodings:

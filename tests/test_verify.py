@@ -4,8 +4,16 @@ import sys
 
 import pytest
 
-from pottsbethe import mapping, verify
-from pottsbethe.mapping import MapParams, build_partition
+from pottsbethe import dynamics, mapping, sampling, verify
+from pottsbethe.dynamics import Trajectory, basin_classify, norm_exp_field
+from pottsbethe.mapping import (
+    MapParams,
+    PoleHit,
+    RegimeTag,
+    build_partition,
+    classify_regime,
+)
+from pottsbethe.padic import PrecisionError
 
 
 @pytest.fixture
@@ -31,8 +39,9 @@ def test_b1_sweep_iterates_each_orbit_once(eval_f_calls):
     rep = verify.sweep_report(params, samples=30, seed=7, classify_depth=50)
     assert rep["classification_histogram"] == {"basin": 30}
     # 990 when orbit, basin_classify and the consistency check each
-    # iterated the orbit from its start
-    assert eval_f_calls[0] == 657
+    # iterated the orbit from its start; 657 when the shared orbit was
+    # iterated into B_1 and on until its distance to 1 cancelled
+    assert eval_f_calls[0] == 30
 
 
 def test_b2_pole_tree_is_built_once(eval_f_calls):
@@ -41,8 +50,9 @@ def test_b2_pole_tree_is_built_once(eval_f_calls):
                               pole_tree_depth=3)
     assert rep["classification_histogram"] == {"basin": 10,
                                                "pole_preimage": 14}
-    # 797 when the pole tree was rebuilt for every tree record
-    assert eval_f_calls[0] == 302
+    # 797 when the pole tree was rebuilt for every tree record; 302 when
+    # basin orbits were iterated on inside B_1
+    assert eval_f_calls[0] == 93
 
 
 def test_retried_sweep_adds_one_partition_per_rung():
@@ -67,3 +77,94 @@ def test_expansion_laws_need_a_pair():
     params = MapParams.make(5, 2, 5, "1+p^3")
     with pytest.raises(ValueError, match="pairs_per_ball must be >= 1"):
         verify.expansion_law_report(params, 0, seed=0)
+
+
+def test_precision_shortage_before_b1_reaches_the_ladder():
+    # a shortage before the orbit enters B_1 is retried on every rung,
+    # never counted as a passed check
+    def attempt(pd, tree):
+        traj = Trajectory(pd, 0)  # outside the cover and outside B_1
+        traj.error = PrecisionError("injected at step 1")
+        cls = basin_classify(pd, traj, 50)
+        assert (cls.kind, cls.step) == (dynamics.ClassifyKind.BASIN, 0)
+        verify._check_consistency(pd, traj, cls, 200)
+        return {"status": "checked"}
+
+    rec = verify._Ladder(MapParams.make(5, 3, 5, "1+p^3")).run(attempt)
+    assert rec["status"] == "undecided" and rec["reason"] == "precision"
+    assert rec["retries"] == len(verify.RETRY_LADDER)
+
+
+def _desk_check(params, x0, max_iter, tol, classify_step):
+    """The orbit verdict by plain iteration, with no attracting-ball
+    lemma: (status, steps, final distance field).  A basin point's walk
+    also runs on until its distance to 1 cancels, and must never re-enter
+    the cover."""
+    part = (build_partition(params) if classify_regime(params).tag in
+            (RegimeTag.B1, RegimeTag.B2) else None)
+    traj = Trajectory(params, x0)
+    if classify_step is not None and part is not None:
+        left = False
+        for t in range(min(max_iter, classify_step + 40)):
+            inside = part.locate(traj[t]) is not None
+            assert not (inside and left), "basin point re-entered the cover"
+            left = left or not inside
+            if (traj[t + 1] - 1).is_zero_like:
+                break
+    last, status, inside = 0, None, part is not None
+    try:
+        for t in range(max_iter + 1):
+            last, d = t, traj[t] - 1
+            if d.is_zero_like:
+                status = ("converged_to_1" if d.val_lower_bound >= tol + 1
+                          else "undecided")
+            elif d.val >= tol + 1:
+                contracts = (traj[t + 1] - 1).val_lower_bound > d.val
+                status = "converged_to_1" if contracts else "undecided"
+            elif inside:
+                inside = part.locate(traj[t]) is not None
+            if status:
+                break
+    except PoleHit:
+        status = "pole_hit"
+    if status is None:
+        status = "stayed_in_x" if inside else "undecided"
+    return status, last, norm_exp_field(traj.points[last] - 1)
+
+
+def _assert_records_match_desk_check(params, samples, seed, tree_depth=0):
+    rep = verify.sweep_report(params, samples=samples, seed=seed,
+                              classify_depth=50, pole_tree_depth=tree_depth)
+    inputs = [("sample", desc) for desc in
+              sampling.spanning_samples(params, samples, seed)]
+    for n in range(1, tree_depth + 1):
+        inputs += [("tree", (n, i)) for i in range(params.kappa**n)]
+    assert len(inputs) == len(rep["records"])
+    for (kind, desc), rec in zip(inputs, rep["records"]):
+        assert rec["retries"] < len(verify.RETRY_LADDER)
+        factor = verify.RETRY_LADDER[rec["retries"]]
+        pd = params.at_digits(params.digits * factor)
+        if kind == "sample":
+            x0 = desc.realize(pd)
+        else:
+            n, i = desc
+            x0 = dynamics.pole_preimage_tree(pd, tree_depth)[n - 1][i]
+        step = (rec["classification_step"]
+                if rec["classification"] == "basin" else None)
+        got = (rec["status"], rec["steps"],
+               (rec["final_norm_exp_to_1"], rec["final_norm_exp_exact"]))
+        assert got == _desk_check(pd, x0, 200, 20, step), rec
+
+
+@pytest.mark.parametrize("config", [
+    (3, 3, 3, "1+p^2", 64, 1000, 20260808, 0),  # acceptance criterion 1
+    (5, 3, 5, "1+p^3", 64, 1000, 20260808, 0),  # acceptance criterion 2
+    (5, 3, 5, "1+p^3", 64, 200, 1, 0),  # sweep-b1, reduced
+    (5, 2, 5, "1+p^3", 256, 20, 1, 3),  # poletree-b2, reduced
+    (5, 3, 5, "1+p^3", 16, 100, 1, 0),  # retried rungs
+], ids=["criterion1", "criterion2", "sweep-b1", "poletree-b2", "digits16"])
+def test_records_match_full_desk_check(config):
+    p, k, q, theta, digits, samples, seed, tree_depth = config
+    params = MapParams.make(p, k, q, theta, digits)
+    _assert_records_match_desk_check(params, samples, seed, tree_depth)
+
