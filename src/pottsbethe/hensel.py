@@ -2,9 +2,9 @@
 
 Quadratic Newton refinement of polynomial roots under the classical
 lifting condition |F(x0)|_p < |F'(x0)|_p^2, the principal k-th root of
-elements close to 1 on integers, k-th roots of unity via Teichmueller
-lifting, and the second fixed point of the map in the single-symbol
-repelling regime.
+elements close to 1 and the k-th roots of unity by integer Newton lifts
+that double their digits at each step, and the second fixed point of the
+map in the single-symbol repelling regime.
 """
 
 from __future__ import annotations
@@ -18,6 +18,8 @@ from .padic import (
     INF,
     Padic,
     PrecisionError,
+    _inverse_mod,
+    _newton_precisions,
     _vp,
     from_rational,
 )
@@ -112,28 +114,41 @@ def hensel_lift(F: PolyZp, x0: Padic, target_prec: int | None = None) -> Padic:
     raise PrecisionError("Newton iteration did not reach the target")
 
 
+def _unit_root(r: int, m: int, y: int, n: int, p: int) -> int:
+    """The root of x**m = r mod p**n congruent to y mod p, for y**m = r mod
+    p and p not dividing m: the derivative m*x**(m-1) is a unit, so Newton's
+    step x <- x - (x**m - r)/(m*x**(m-1)) doubles the correct digits."""
+    for e in _newton_precisions(n):
+        mod = p**e
+        t = pow(y, m - 1, mod)
+        y = (y - (t * y - r) * _inverse_mod(m * t, p, e)) % mod
+    return y
+
+
 def _pth_root(r: int, n: int, p: int) -> int:
     """The y = 1 mod p with y**p = r mod p**n, known modulo p**(n-1), for
-    r = 1 mod p**2: Newton on g(y) = (y**p - r)/p, whose derivative
-    y**(p-1) is a unit, so each step doubles the correct digits."""
-    mod, out = p**n, p**(n - 1)
-    y = 1
-    while True:
-        g = (pow(y, p, mod) - r) % mod // p
-        if g == 0:
-            return y
-        y = (y - g * pow(y, 1 - p, out)) % out
+    r = 1 mod p**2.  With y = 1 + pz, (y**p - r)/p**2 has integer
+    coefficients in z and the unit derivative y**(p-1), and z = (r-1)/p**2
+    is its root mod p; so Newton doubles the correct digits of z, the step
+    to j digits running modulo p**(j+2)."""
+    y = 1 + (r - 1) // p
+    for j in _newton_precisions(n - 2):
+        out = p**(j + 1)
+        t = pow(y, p - 1, out * p)
+        g = (t * y - r) % (out * p) // p
+        y = (y - g * _inverse_mod(t, p, j + 1)) % out
+    return y % p**(n - 1)
 
 
 def principal_kth_root(a: Padic, k: int) -> Padic:
     """The unique k-th root of a lying in the exponential domain.
 
     Requires |a - 1|_p < |k|_p (so in particular a is in E_p).  With
-    k = p**v * m and p not dividing m, the m-th root is one modular power
-    on the unit group 1 + pZ_p and each factor p is one integer Newton
-    loop, so the cost does not grow with k.  The root is determined modulo
-    p**(A - v) when a is known modulo p**A; an exact a is taken modulo
-    p**(cap + v), so its root claims the working precision a.cap.
+    k = p**v * m and p not dividing m, the m-th root and then v p-th roots
+    are each lifted from 1 by an integer Newton iteration that doubles its
+    digits at every step: O(log k) products at the full precision.  The
+    root is determined modulo p**(A - v) when a is known modulo p**A; an
+    exact a is taken modulo p**(cap + v), so its root claims a.cap digits.
     """
     if not isinstance(k, int) or k < 1:
         raise ValueError("k must be a positive integer")
@@ -154,9 +169,7 @@ def principal_kth_root(a: Padic, k: int) -> Padic:
             "no principal root is guaranteed"
         )
     n = a.cap + vk if a.is_exact else int(a.abs_prec)
-    mod = p**n
-    # 1 + pZ/p^n has order p^(n-1), so inverting m modulo it takes m-th roots
-    root = pow(a.unit % mod, pow(k // p**vk, -1, mod // p), mod)
+    root = _unit_root(a.unit % p**n, k // p**vk, 1, n, p)
     for _ in range(vk):
         root = _pth_root(root, n, p)
         n -= 1
@@ -166,10 +179,10 @@ def principal_kth_root(a: Padic, k: int) -> Padic:
 def roots_of_unity(k: int, p: int, digits: int = DEFAULT_DIGITS) -> list[Padic]:
     """All k-th roots of unity in Q_p: exactly gcd(k, p-1) units.
 
-    Each residue c mod p with c**gcd(k, p-1) = 1 is lifted by iterating the
-    Frobenius map x <- x**p, whose fixed point is the unique root of unity
-    congruent to c.  Results are sorted by residue mod p, which fixes the
-    symbol order used by the partition downstream.
+    Each residue c mod p with c**kappa = 1, kappa = gcd(k, p-1) prime to
+    p, is lifted by Newton on x**kappa - 1 to the unique root congruent to
+    c.  Results are sorted by residue mod p, which fixes the symbol order
+    used by the partition downstream.
     """
     if p < 3:
         raise ValueError("p >= 3 required")
@@ -184,14 +197,7 @@ def roots_of_unity(k: int, p: int, digits: int = DEFAULT_DIGITS) -> list[Padic]:
         if c == 1:
             out.append(Padic.one(p, digits))
             continue
-        x = c
-        for _ in range(digits + 2):
-            nxt = pow(x, p, mod)
-            if nxt == x:
-                break
-            x = nxt
-        else:
-            raise ArithmeticError("Teichmueller iteration failed to settle")
+        x = _unit_root(1, kappa, c, digits, p)
         if pow(x, k, mod) != 1:
             raise ArithmeticError("lifted residue is not a k-th root of unity")
         out.append(Padic(p, 0, x, digits, digits))

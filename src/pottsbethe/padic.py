@@ -51,17 +51,24 @@ def _vp(n: int, p: int) -> int:
     return v
 
 
+def _newton_precisions(n: int) -> list[int]:
+    """The digit counts a Newton lift from one correct digit passes through
+    up to n, each at most twice the one before (none for n <= 1)."""
+    out = []
+    while n > 1:
+        out.append(n)
+        n = (n + 1) >> 1
+    return out[::-1]
+
+
 def _inverse_mod(a: int, p: int, n: int) -> int:
     """The inverse of an integer a prime to p, modulo p**n for n >= 1, by
     Newton's iteration x <- x(2 - ax), which doubles the digits of x at
     each step.  Same result as ``pow(a, -1, p**n)``, several times faster
     for large n."""
-    mods = []
-    while n > 1:
-        mods.append(p**n)
-        n = (n + 1) >> 1
     x = pow(a % p, -1, p)
-    for m in reversed(mods):
+    for e in _newton_precisions(n):
+        m = p**e
         x = x * (2 - a % m * x) % m
     return x
 

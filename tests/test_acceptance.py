@@ -7,14 +7,13 @@ bytes.
 """
 
 import hashlib
-import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
 from pottsbethe import dynamics, hensel, verify
-from pottsbethe.mapping import MapParams, build_partition, eval_f, multiplier
+from pottsbethe.mapping import MapParams, eval_f, multiplier
 from pottsbethe.padic import INF, from_rational
 from pottsbethe.verify import canonical_json
 

@@ -1,9 +1,12 @@
 """Root finding: Newton lifting, principal roots, roots of unity."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pottsbethe.hensel import (
     PolyZp,
@@ -13,7 +16,7 @@ from pottsbethe.hensel import (
     roots_of_unity,
 )
 from pottsbethe.mapping import MapParams, eval_f
-from pottsbethe.padic import INF, Padic, _vp, from_rational, in_ep
+from pottsbethe.padic import Padic, PrecisionError, _vp, from_rational, in_ep
 
 
 def brute_force_roots(coeffs, p, m, residue_class=None):
@@ -191,6 +194,141 @@ class TestRootsOfUnity:
                         if x % 5 and pow(x, 4, 5**m) == 1)
         got = sorted(residue(x, m) for x in roots_of_unity(4, 5, 30))
         assert got == oracle
+
+
+def reference_kth_root(a: Padic, k: int) -> Padic:
+    """The principal root as one modular power on the unit group 1 + pZ_p
+    and, per factor p of k, a Newton loop run at full precision."""
+    p = a.prime
+    vk, d = _vp(k, p), a - 1
+    if d.is_exact_zero:
+        return Padic.one(p, a.cap)
+    if d.val <= vk:
+        raise PrecisionError() if d.is_inexact_zero else ValueError()
+    n = a.cap + vk if a.is_exact else int(a.abs_prec)
+    mod = p**n
+    root = pow(a.unit % mod, pow(k // p**vk, -1, mod // p), mod)
+    for _ in range(vk):
+        mod, out = p**n, p**(n - 1)
+        y = 1
+        while g := (pow(y, p, mod) - root) % mod // p:
+            y = (y - g * pow(y, 1 - p, out)) % out
+        root, n = y, n - 1
+    return Padic.from_residue(root, n, p, a.cap)
+
+
+def reference_roots_of_unity(k: int, p: int, digits: int) -> list[Padic]:
+    """The k-th roots of unity as fixed points of the Frobenius x <- x**p."""
+    mod, out = p**digits, []
+    for c in range(1, p):
+        if pow(c, math.gcd(k, p - 1), p) != 1:
+            continue
+        if c == 1:
+            out.append(Padic.one(p, digits))
+            continue
+        x = c
+        while (nxt := pow(x, p, mod)) != x:
+            x = nxt
+        out.append(Padic(p, 0, x, digits, digits))
+    return out
+
+
+def _fields(z: Padic):
+    return (z.val, z.unit, z.prec, z.cap)
+
+
+def _root_outcome(a: Padic, k: int, fn=principal_kth_root):
+    """The root's fields, or the type of the error it raises."""
+    try:
+        return _fields(fn(a, k))
+    except (ValueError, PrecisionError) as exc:
+        return type(exc)
+
+
+def _ks(p):
+    return [1, 2, 3, p, 2 * p, p * p, p * (p - 1), 20002]
+
+
+PRIMES = [3, 5, 7, 11, 29]
+
+
+@st.composite
+def root_inputs(draw, exact=None):
+    """(a, k) with a = 1 + u*p**j, j from v(k) to v(k) + 3 (so |a - 1| is
+    at most |k| or below it), at a working precision of 1 to 300 digits:
+    exact (cut to the cap when u is large) or known to 1 to cap digits."""
+    p = draw(st.sampled_from(PRIMES))
+    k = draw(st.sampled_from(_ks(p)))
+    vk = _vp(k, p)
+    cap = draw(st.integers(1, 300))
+    u = draw(st.integers(1, p**(cap + 30)))
+    num = 1 + u * p**draw(st.integers(vk, vk + 3))
+    if exact is None:
+        exact = draw(st.booleans())
+    if exact:
+        return from_rational(num, 1, prime=p, digits=cap), k
+    return Padic.from_residue(num, draw(st.integers(1, cap)), p, cap), k
+
+
+class TestNewtonKernels:
+    """The precision-doubling Newton lifts against the modular-power and
+    Frobenius formulas they replace: identical in every field."""
+
+    @given(root_inputs())
+    @settings(max_examples=400, deadline=None)
+    def test_root_matches_reference(self, case):
+        a, k = case
+        assert _root_outcome(a, k) == _root_outcome(a, k, reference_kth_root)
+
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_root_matches_reference_at_the_edges(self, p):
+        # n = 1, n - v(k) = 1 and n - v(k) = 2 for every k
+        for k in _ks(p):
+            vk = _vp(k, p)
+            num = 1 + 2 * p**(vk + 1)
+            # claimed digits of the root; None: |a - 1| < |k| is undecided
+            cases = [(from_rational(num, 1, prime=p, digits=1), 1),
+                     (Padic.from_residue(num, 1, p, 40), None if vk else 1),
+                     (Padic.from_residue(num, vk + 1, p, 40), 1),
+                     (Padic.from_residue(num, vk + 2, p, 40), 2)]
+            for a, claimed in cases:
+                got = _root_outcome(a, k)
+                assert got == _root_outcome(a, k, reference_kth_root)
+                if claimed is None:
+                    assert got is PrecisionError
+                else:
+                    assert principal_kth_root(a, k).abs_prec == claimed
+
+    @given(st.sampled_from(PRIMES), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_roots_of_unity_match_reference(self, p, data):
+        k = data.draw(st.sampled_from(_ks(p)))
+        digits = data.draw(st.integers(1, 300))
+        assert [_fields(x) for x in roots_of_unity(k, p, digits)] == \
+            [_fields(x) for x in reference_roots_of_unity(k, p, digits)]
+
+    @given(root_inputs(exact=False), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_perturbing_hidden_digits_keeps_claimed_digits(self, case, data):
+        # a and a2 agree on every digit a claims; the root of a2 must then
+        # agree with the root of a on every digit that root claims
+        a, k = case
+        p, e = a.prime, data.draw(st.integers(1, 8))
+        hidden = data.draw(st.integers(1, p**e - 1).filter(lambda h: h % p))
+        a2 = Padic(p, a.val, a.unit + p**a.prec * hidden, a.prec + e,
+                   a.cap + e)
+        assert agrees(a, a2)
+        try:
+            x = principal_kth_root(a, k)
+        except PrecisionError:
+            return
+        except ValueError:
+            with pytest.raises(ValueError):
+                principal_kth_root(a2, k)
+            return
+        x2 = principal_kth_root(a2, k)
+        assert x2.abs_prec >= x.abs_prec
+        assert agrees(x, x2)
 
 
 class TestFixedPointB1:

@@ -290,6 +290,31 @@ class TestInverseBranch:
         with pytest.raises(ValueError):
             inverse_branch(regime_b2, 1, 7)  # |7 - (1-q)| = 1 >= |q^2|
 
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_perturbing_hidden_digits_keeps_claimed_digits(self, data):
+        # y = 1 - q + u*p**j known to a digits, and y2 equal to it on those
+        # digits: each branch of y2 agrees with that of y on every digit
+        # the branch of y claims
+        params = data.draw(regime_b_params())
+        p, digits = params.p, params.digits
+        j = data.draw(st.integers(params.v_k + 1, 2 * params.v_q + 2))
+        num = 1 - params.q + data.draw(st.integers(0, p**digits)) * p**j
+        a = data.draw(st.integers(params.v_k + 1, digits))
+        e = data.draw(st.integers(1, 8))
+        y = Padic.from_residue(num, a, p, digits)
+        hidden = data.draw(st.integers(1, p**e - 1).filter(lambda h: h % p))
+        y2 = Padic.from_residue(num + p**a * hidden, a + e, p, digits + e)
+        assert _agree(y, y2, a)
+        for symbol in range(1, len(build_partition(params).balls) + 1):
+            try:
+                h = inverse_branch(params, symbol, y)
+            except PrecisionError:
+                continue
+            h2 = inverse_branch(params, symbol, y2)
+            assert h2.abs_prec >= h.abs_prec
+            assert _agree(h, h2, h.abs_prec)
+
 
 class TestRegimeAContraction:
     def test_contraction_in_k1(self, regime_a):

@@ -1,8 +1,5 @@
 """Core arithmetic: exact norms, precision tracking, balls, encodings."""
 
-import math
-from fractions import Fraction
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
