@@ -17,7 +17,7 @@ import sys
 from fractions import Fraction
 
 from . import __version__, verify
-from .mapping import MapParams, PoleHit, VerificationError
+from .mapping import PoleHit, VerificationError
 from .padic import DEFAULT_DIGITS, PrecisionError
 
 EXIT_PASS = 0
@@ -148,8 +148,8 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("julia-verify --samples: the expansion laws need at "
                      f"least one pair per ball, got {args.samples}")
     try:
-        params = MapParams.make(args.p, args.k, args.q, args.theta,
-                                args.precision)
+        params = verify.make_params(args.p, args.k, args.q, args.theta,
+                                    args.precision)
         if args.command == "classify":
             report = verify.classify_report(params)
             _emit(verify.canonical_json(report), args.out)

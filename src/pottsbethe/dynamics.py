@@ -22,7 +22,6 @@ from .mapping import (
     PoleHit,
     RegimeTag,
     VerificationError,
-    attracting_ball,
     build_partition,
     classify_regime,
     derivative_at,
@@ -111,12 +110,17 @@ class IncidenceMatrix:
 class Trajectory:
     """The forward orbit of x0: ``traj[t]`` is f^t(x0), computed once, on
     first use.  The PoleHit or PrecisionError that ended the orbit is kept
-    and raised again for its index and every later one."""
+    and raised again for its index and every later one.  The distance
+    f^t(x0) - 1 and the cover symbol of f^t(x0) are also computed once per
+    index; a PrecisionError from ``Partition.locate`` is not a symbol, so
+    it is raised again on every read."""
 
     def __init__(self, params: MapParams, x0):
         self.params = params
         self.points = [params.embed(x0)]
         self.error: PoleHit | PrecisionError | None = None
+        self._to_1: dict[int, Padic] = {}
+        self._symbols: dict[int, int | None] = {}
 
     def __getitem__(self, t: int) -> Padic:
         while len(self.points) <= t:
@@ -129,11 +133,24 @@ class Trajectory:
                 raise
         return self.points[t]
 
+    def to_1(self, t: int) -> Padic:
+        """f^t(x0) - 1."""
+        if t not in self._to_1:
+            self._to_1[t] = self[t] - 1
+        return self._to_1[t]
+
+    def symbol(self, t: int) -> int | None:
+        """The symbol of the cover ball holding f^t(x0), None outside the
+        cover (regime B only)."""
+        if t not in self._symbols:
+            self._symbols[t] = build_partition(self.params).locate(self[t])
+        return self._symbols[t]
+
 
 def _trajectory(params: MapParams, x0) -> Trajectory:
     if not isinstance(x0, Trajectory):
         return Trajectory(params, x0)
-    if x0.params != params:
+    if x0.params is not params and x0.params != params:
         raise ValueError("the trajectory was built for other parameters")
     return x0
 
@@ -162,8 +179,7 @@ def orbit(params: MapParams, x0, max_iter: int = DEFAULT_MAX_ITER,
     """
     part = (build_partition(params) if classify_regime(params).tag in
             (RegimeTag.B1, RegimeTag.B2) else None)
-    ball_1 = (attracting_ball(params)
-              if part is not None and params.theta.is_exact else None)
+    lemma = part is not None and params.theta.is_exact
     traj = _trajectory(params, x0)
     symbols: list[int] = []
     always_in_x = part is not None
@@ -175,29 +191,30 @@ def orbit(params: MapParams, x0, max_iter: int = DEFAULT_MAX_ITER,
         return OrbitResult(
             status, last if steps is None else steps,
             final if final is not None
-            else norm_exp_field(traj.points[last] - 1),
+            else norm_exp_field(traj.to_1(last)),
             trajectory=tuple(traj.points[:last + 1]), **fields)
 
     try:
         for t in range(max_iter + 1):
             x = traj[t]
             last = t
-            d = x - 1
+            d = traj.to_1(t)
             if d.is_exact_zero:
                 return result(OrbitStatus.CONVERGED_TO_1)
             if d.is_inexact_zero:
                 if d.val >= tol + 1:
                     return result(OrbitStatus.CONVERGED_TO_1)
                 return result(OrbitStatus.UNDECIDED, reason="precision")
-            if (ball_1 is not None and on_residue_kernel(params, x)
-                    and ball_1.contains(x)):
-                verdict = _lemma_verdict(params, part, x, t, max_iter, tol)
+            if (lemma and not x.is_exact and on_residue_kernel(params, x)
+                    and d.val_at_least(params.v_q + 1)):
+                verdict = _lemma_verdict(params, part, traj, t, max_iter,
+                                         tol)
                 if verdict is not None:
                     steps, w = verdict
                     return result(OrbitStatus.CONVERGED_TO_1, steps,
                                   (w, True))
             if d.val >= tol + 1:
-                d2 = traj[t + 1] - 1
+                d2 = traj.to_1(t + 1)
                 if d2.val_lower_bound > d.val:
                     return result(OrbitStatus.CONVERGED_TO_1)
                 if d2.is_inexact_zero:
@@ -210,7 +227,7 @@ def orbit(params: MapParams, x0, max_iter: int = DEFAULT_MAX_ITER,
                     f"v(x-1)={d.val}, v(f(x)-1)>={d2.val_lower_bound}"
                 )
             if always_in_x:
-                sym = part.locate(x)
+                sym = traj.symbol(t)
                 if sym is None:
                     always_in_x = False
                 else:
@@ -225,11 +242,11 @@ def orbit(params: MapParams, x0, max_iter: int = DEFAULT_MAX_ITER,
     return result(OrbitStatus.UNDECIDED, reason="budget")
 
 
-def _lemma_verdict(params: MapParams, part, x: Padic, t: int,
+def _lemma_verdict(params: MapParams, part, traj: Trajectory, t: int,
                    max_iter: int, tol: int) -> tuple[int, int] | None:
     """(steps, v(f^steps(x0) - 1)) of the converging orbit through the
-    inexact x = f^t(x0) of B_1 on the residue kernel, theta exact; None
-    when only iterating can decide.
+    inexact x = f^t(x0) = ``traj[t]`` of B_1 on the residue kernel, theta
+    exact; None when only iterating can decide.
 
     With w = v(x-1) and A = abs_prec(x), ``attracting_ball``'s lemma gives
     v(f^j(x) - 1) = w + j*tau_one, and the residue kernel, where D and N
@@ -238,9 +255,10 @@ def _lemma_verdict(params: MapParams, part, x: Padic, t: int,
     steps on, and its contraction step is decided when
     w + (n+1)tau_one < A - (n+1)v(q): iterating reads the same values.
     """
-    w, tau, v_q = (x - 1).val, part.tau_one, params.v_q
+    w, tau, v_q = traj.to_1(t).val, part.tau_one, params.v_q
     n = max(0, -((w - tol - 1) // tau))
-    if t + n > max_iter or w + (n + 1) * tau >= x.abs_prec - (n + 1) * v_q:
+    if (t + n > max_iter
+            or w + (n + 1) * tau >= traj[t].abs_prec - (n + 1) * v_q):
         return None
     return t + n, w + n * tau
 
@@ -278,11 +296,10 @@ def basin_classify(params: MapParams, x0, depth: int) -> ClassifyResult:
         return ClassifyResult(ClassifyKind.BASIN, step=0, depth=depth)
     if regime.tag == RegimeTag.UNCLASSIFIED:
         raise ValueError(f"parameters are unclassified: {regime.detail}")
-    part = build_partition(params)
     symbols: list[int] = []
     try:
         for t in range(depth):
-            sym = part.locate(traj[t])
+            sym = traj.symbol(t)
             if sym is None:
                 return ClassifyResult(ClassifyKind.BASIN, step=t, depth=depth)
             symbols.append(sym)
@@ -413,7 +430,8 @@ def incidence_matrix(params: MapParams, samples_per_ball: int = 3,
 def df_metric(params: MapParams, wx, wy) -> Fraction:
     """The dynamical metric between two words: p**-(tau_{x_0}+...+tau_{x_{n-1}}
     + kappa(x_n, y_n)) where n is the first disagreement and kappa(i, j)
-    is the exact exponent of the center distance."""
+    is the exact exponent of the center distance, read from the
+    partition's ``center_exps`` table."""
     part = build_partition(params)
     ax = tuple(wx.word if isinstance(wx, Itinerary) else wx)
     ay = tuple(wy.word if isinstance(wy, Itinerary) else wy)
@@ -427,10 +445,8 @@ def df_metric(params: MapParams, wx, wy) -> Fraction:
             "words agree on their common prefix; the metric is undefined "
             "for this pair at this length"
         )
-    exp = sum(part.balls[s - 1].tau for s in ax[:n])
-    ci = part.balls[ax[n] - 1].center
-    cj = part.balls[ay[n] - 1].center
-    exp += (ci - cj).norm_exp()
+    exp = (sum(part.balls[s - 1].tau for s in ax[:n])
+           + part.center_exps[ax[n], ay[n]])
     return Fraction(1, params.p**exp) if exp >= 0 else Fraction(params.p**-exp)
 
 

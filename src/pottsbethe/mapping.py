@@ -159,16 +159,17 @@ class MapParams:
             f"{digits} digits"
         )
 
+    @functools.cached_property
     def _key(self) -> tuple:
         return (self.p, self.k, self.q, self.theta_key, self.digits)
 
     def __eq__(self, other):
         if not isinstance(other, MapParams):
             return NotImplemented
-        return self._key() == other._key()
+        return self._key == other._key
 
     def __hash__(self) -> int:
-        return hash(self._key())
+        return hash(self._key)
 
     def embed(self, x) -> Padic:
         if isinstance(x, Padic):
@@ -177,7 +178,7 @@ class MapParams:
             return x
         return from_rational(Fraction(x), 1, prime=self.p, digits=self.digits)
 
-    @property
+    @functools.cached_property
     def theta_key(self) -> str:
         """theta as reports and sample seeds name it."""
         return (str(self.theta_frac) if self.theta_frac is not None
@@ -209,10 +210,11 @@ def eval_g(params: MapParams, x) -> Padic:
 def eval_f(params: MapParams, x) -> Padic:
     """One application of the full map, g(x)**k.
 
-    An inexact nonzero x is mapped on residues by ``_eval_f_residues``,
-    with the value and precision ``eval_g(params, x).pow_int(k)`` gives;
-    exact x, inexact zeros and pole hits take that composed path, so
-    every PoleHit is raised by eval_g."""
+    A nonzero x that is inexact, or exact over an exact theta, is mapped
+    on residues by ``_eval_f_residues``, with the value and precision
+    ``eval_g(params, x).pow_int(k)`` gives; zeros, pole hits and the
+    kernel's fallback cases take that composed path, so every PoleHit is
+    raised by eval_g."""
     x = params.embed(x)
     if on_residue_kernel(params, x):
         fx = _eval_f_residues(params, x)
@@ -222,17 +224,17 @@ def eval_f(params: MapParams, x) -> Padic:
 
 
 def on_residue_kernel(params: MapParams, x: Padic) -> bool:
-    """Whether eval_f maps x on residues: x is inexact and nonzero, and q
-    is small enough to stay exact under the cap.  (The kernel still falls
-    back to eval_g when x + theta + q - 2 cancels.)"""
+    """Whether eval_f maps x on residues: x is nonzero, inexact or over an
+    exact theta, and q is small enough to stay exact under the cap.  (The
+    kernel may still fall back to eval_g; see ``_eval_f_residues``.)"""
     cap = min(x.cap, params.theta.cap)
-    return (x.unit != 0 and x.prec != INF and
+    return (x.unit != 0 and (x.prec != INF or params.theta.prec == INF) and
             max(abs(params.q - 1), abs(params.q - 2)).bit_length()
             <= (cap + 24) * math.log2(params.p))
 
 
 def _eval_f_residues(params: MapParams, x: Padic) -> Padic | None:
-    """f(x) for an inexact nonzero x, on integers.
+    """f(x) for a nonzero x, on integers.
 
     A sum of Padic values is its residue modulo p^a, a the least absolute
     precision of its terms; a product keeps the least relative precision.
@@ -240,17 +242,40 @@ def _eval_f_residues(params: MapParams, x: Padic) -> Padic | None:
     N = theta*x + (q-1) modulo p^(v(x) + min(prec x, prec theta)).  Then
     f = p^(k(v(N)-v(D))) * (u_N / u_D)^k modulo p^P, P the least relative
     precision of N and D: one modular inverse and one modular power.
-    theta is a unit, since it lies in the exponential domain.  Only for
-    an x ``on_residue_kernel`` accepts; None when D cancels (a pole hit).
+    theta is a unit, since it lies in the exponential domain.
+
+    An exact x over an exact theta gives exact D and N; their quotient
+    leaves exact arithmetic at the cap, so P is the cap.  That holds
+    unless u_D divides u_N (the quotient stays exact) or an intermediate
+    unit would pass the truncation bound of ``Padic._build``; then, as
+    when D cancels (a pole hit) or N is an exact zero, the result is None
+    and eval_f takes the composed path.  Only for an x
+    ``on_residue_kernel`` accepts.
     """
     p, k, q, theta = params.p, params.k, params.q, params.theta
     cap = min(x.cap, theta.cap)
     v, px, pt = x.val, x.prec, theta.prec
     m = min(v, 0)
-    a_d = v + px if pt == INF else min(v + px, pt)
-    a_n = v + (px if pt == INF else min(px, pt))
     ux = x.unit * p ** (v - m)
     shift = p ** -m
+    if px == INF:
+        # D = p^m * r_d, N = p^m * r_n, and the composed path's other
+        # exact units: x + theta = p^m * s and theta * x = p^v * tx
+        tx = theta.unit * x.unit
+        r_n = theta.unit * ux + (q - 1) * shift
+        s = ux + theta.unit * shift
+        r_d = s + (q - 2) * shift
+        if (r_d == 0 or r_n == 0 or max(abs(s), abs(r_d), abs(tx), abs(r_n))
+                .bit_length() > (cap + 24) * math.log2(p)):
+            return None
+        c_d, c_n = _vp(r_d, p), _vp(r_n, p)
+        u_d, u_n = r_d // p**c_d, r_n // p**c_n
+        if u_n % u_d == 0:
+            return None
+        unit = pow(u_n * _inverse_mod(u_d, p, cap), k, p**cap)
+        return Padic(p, k * (c_n - c_d), unit, cap, cap)
+    a_d = v + px if pt == INF else min(v + px, pt)
+    a_n = v + (px if pt == INF else min(px, pt))
     r_d = (ux + (theta.unit + q - 2) * shift) % p ** (a_d - m)
     if r_d == 0:
         return None
@@ -370,6 +395,14 @@ class Partition:
     @property
     def taus(self) -> tuple[int, ...]:
         return tuple(b.tau for b in self.balls)
+
+    @functools.cached_property
+    def center_exps(self) -> dict[tuple[int, int], int]:
+        """kappa(i, j) = v(c_i - c_j) for symbols i != j, the exponent of
+        the distance between two ball centers; exact, since
+        ``build_partition`` proved the balls disjoint."""
+        return {(a.symbol, b.symbol): (a.center - b.center).norm_exp()
+                for a in self.balls for b in self.balls if a is not b}
 
     def locate(self, x: Padic) -> int | None:
         """Symbol of the ball containing x, or None when x is provably

@@ -21,7 +21,6 @@ from .mapping import (
     MapParams,
     RegimeTag,
     VerificationError,
-    attracting_ball,
     build_partition,
     classify_fixed,
     classify_regime,
@@ -39,10 +38,11 @@ def canonical_json(obj) -> str:
 
 
 class _Ladder:
-    """The retry policy of one report call: a record that runs out of
-    precision is retried on its exact input at each RETRY_LADDER multiple
-    of the digits.  Each rung (params, pole tree) is built once, on first
-    use, and shared by every record of the call."""
+    """The retry policy of one report call: a sweep or orbit record, or a
+    whole classify or julia-verify report, that runs out of precision is
+    retried on its exact input at each RETRY_LADDER multiple of the
+    digits.  Each rung (params, pole tree) is built once, on first use,
+    and shared by every record of the call."""
 
     def __init__(self, params: MapParams, tree_depth: int = 0):
         self.params, self.tree_depth = params, tree_depth
@@ -60,29 +60,59 @@ class _Ladder:
             self.rungs.append((pd, tree))
         return self.rungs[i]
 
+    def first(self, attempt) -> tuple[int, object]:
+        """``_first_rung`` of ``attempt(params, tree)``; building a rung
+        counts as part of its attempt."""
+        return _first_rung(lambda i: attempt(*self.rung(i)))
+
     def run(self, attempt, classify_depth: int | None = None) -> dict:
-        """The record of ``attempt(params, tree)`` on the first
-        rung where it raises no PrecisionError, else the undecided record;
-        either way with its ``retries`` count."""
-        for i in range(len(RETRY_LADDER)):
-            rung = self.rung(i)
-            try:
-                return {**attempt(*rung), "retries": i}
-            except PrecisionError:
-                pass
-        record = {"status": "undecided", "reason": "precision",
-                  "steps": None, "final_norm_exp_to_1": None,
-                  "final_norm_exp_exact": False, "itinerary": None,
-                  "retries": len(RETRY_LADDER)}
-        if classify_depth is not None:
-            record.update(classification="undecided",
-                          classification_step=None)
-        return record
+        """The record of ``attempt(params, tree)`` on the first rung that
+        decides it, else the undecided record; either way with its
+        ``retries`` count."""
+        try:
+            retries, record = self.first(attempt)
+        except PrecisionError:
+            retries = len(RETRY_LADDER)
+            record = {"status": "undecided", "reason": "precision",
+                      "steps": None, "final_norm_exp_to_1": None,
+                      "final_norm_exp_exact": False, "itinerary": None}
+            if classify_depth is not None:
+                record.update(classification="undecided",
+                              classification_step=None)
+        return {**record, "retries": retries}
+
+
+def _first_rung(attempt) -> tuple[int, object]:
+    """(i, attempt(i)) for the first rung i of RETRY_LADDER where the
+    attempt raises no PrecisionError; the last rung's PrecisionError when
+    every rung raises one."""
+    last = len(RETRY_LADDER) - 1
+    for i in range(last):
+        try:
+            return i, attempt(i)
+        except PrecisionError:
+            pass
+    return last, attempt(last)
+
+
+def make_params(p: int, k: int, q: int, theta, digits: int) -> MapParams:
+    """``MapParams.make`` at the first RETRY_LADDER multiple of ``digits``
+    where q + theta - 1 does not cancel.  The command line builds every
+    command's parameters here, so a report names the digits they built
+    at."""
+    return _first_rung(lambda i: MapParams.make(
+        p, k, q, theta, digits * RETRY_LADDER[i]))[1]
 
 
 def classify_report(params: MapParams) -> dict:
     """Regime, kappa, pole, multiplier at 1, and the partition when the
-    expanding regime applies."""
+    expanding regime applies.  A precision shortage is retried on the
+    ``_Ladder`` rungs; the report is that of the first rung that decides
+    it, and its config names that rung's digits."""
+    return _Ladder(params).first(lambda pd, _: _classify(pd))[1]
+
+
+def _classify(params: MapParams) -> dict:
     regime = classify_regime(params)
     lam = multiplier(params, 1)
     report = {
@@ -143,14 +173,11 @@ def _check_consistency(params, traj: dynamics.Trajectory, cls,
     if classify_regime(params).tag is RegimeTag.A:
         return
     if cls.kind is ClassifyKind.BASIN:
-        part = build_partition(params)
-        ball_1 = attracting_ball(params)
         left = False
         for t in range(min(max_iter, cls.step + 40)):
-            x = traj[t]
-            if ball_1.contains(x):
+            if traj.to_1(t).val_at_least(params.v_q + 1):
                 return
-            if part.locate(x) is None:
+            if traj.symbol(t) is None:
                 left = True
             elif left:
                 raise VerificationError(
@@ -265,8 +292,18 @@ def julia_report(params: MapParams, depth: int, seed: int = 0,
     cycle multipliers, exact agreement of cylinder-point distances with
     the word metric, the two expansion laws, shift equivariance, and the
     first levels of the pole tree.  ``falsified`` is true if any check
-    fails.
+    fails.  A precision shortage reruns every check on the next
+    ``_Ladder`` rung; the report is that of the first rung that decides
+    them all, and its config names that rung's digits.
     """
+    return _Ladder(params).first(lambda pd, _: _julia_checks(
+        pd, depth, seed, pairs_per_ball, fixed_point_digits,
+        periodic_digits, max_period))[1]
+
+
+def _julia_checks(params: MapParams, depth: int, seed: int,
+                  pairs_per_ball: int, fixed_point_digits: int,
+                  periodic_digits: int, max_period: int) -> dict:
     regime = classify_regime(params)
     checks: list[dict] = []
     ok = _check(checks, "regime_is_B", regime.tag in (RegimeTag.B1,

@@ -56,13 +56,23 @@ class TestClassify:
         assert "q^2" in report["regime_detail"]
 
     def test_params_precision_shortage_exit_code(self, capsys):
-        # q + theta - 1 = 5^13/7 cancels to O(5^8) at 8 digits:
-        # a shortage of digits, not a falsified theory
+        # q + theta - 1 = 5^40/7 cancels at 8 digits and at the retries
+        # at 16 and 32: a shortage of digits, not a falsified theory
         code, out, err = run_cli(
             ["classify", "--p", "5", "--k", "2", "--q", "5", "--theta",
-             "1220703097/7", "--precision", "8"], capsys)
+             f"{5**40 - 28}/7", "--precision", "8"], capsys)
         assert code == 3 and out == ""
         assert "precision exhausted" in err
+
+    def test_params_precision_shortage_is_retried(self, capsys):
+        # q + theta - 1 = 5^13/7 cancels to O(5^8) at 8 digits; the
+        # 16-digit rung builds the parameters and gives the report
+        # --precision 16 gives
+        argv = ["classify", "--p", "5", "--k", "2", "--q", "5", "--theta",
+                "1220703097/7", "--precision"]
+        code, out, _ = run_cli(argv + ["8"], capsys)
+        assert code == 0 and json.loads(out)["config"]["digits"] == 16
+        assert run_cli(argv + ["16"], capsys) == (0, out, "")
 
 
 class TestOrbitAndSweep:
@@ -176,12 +186,12 @@ class TestJuliaVerify:
         assert checks["b1_fixed_point_residual"]["pass"]
         assert checks["b1_fixed_point_repelling"]["pass"]
 
-    @pytest.mark.parametrize("precision,code", [("64", 3), ("128", 0)])
+    @pytest.mark.parametrize("precision,code", [("16", 3), ("128", 0)])
     def test_cancelled_periodic_residual_is_precision(self, capsys,
                                                       precision, code):
-        # at 64 digits the period-3 and -4 residuals cancel short of the
-        # 30 digits checked: a precision shortage (exit 3), not a
-        # falsified cycle; 128 digits decide every check
+        # at 16, 32 and 64 digits a periodic or fixed-point residual
+        # cancels short of the digits checked: a precision shortage
+        # (exit 3), not a falsified cycle; 128 digits decide every check
         got, out, err = run_cli(
             ["julia-verify", "--p", "3", "--k", "3", "--q", "9", "--theta",
              "1+p^5", "--depth", "5", "--precision", precision], capsys)
@@ -190,6 +200,15 @@ class TestJuliaVerify:
             assert json.loads(out)["falsified"] is False
         else:
             assert "precision exhausted" in err
+
+    def test_cancelled_periodic_residual_is_retried(self, capsys):
+        # the 64-digit report runs short; its 128-digit rung is the report
+        # --precision 128 gives
+        argv = ["julia-verify", "--p", "3", "--k", "3", "--q", "9",
+                "--theta", "1+p^5", "--depth", "5", "--precision"]
+        code, out, _ = run_cli(argv + ["64"], capsys)
+        assert code == 0 and json.loads(out)["config"]["digits"] == 128
+        assert run_cli(argv + ["128"], capsys) == (0, out, "")
 
     def test_depth_zero_vacuous_pass(self, capsys):
         code, out, _ = run_cli(

@@ -22,12 +22,13 @@ from pottsbethe.dynamics import (
 )
 from pottsbethe.mapping import (
     MapParams,
+    Partition,
     PoleHit,
     build_partition,
     eval_f,
     inverse_branch,
 )
-from pottsbethe.padic import from_rational
+from pottsbethe.padic import Padic, PrecisionError, from_rational
 
 
 @pytest.fixture(scope="module")
@@ -131,6 +132,30 @@ class TestTrajectory:
         with pytest.raises(PoleHit) as again:
             traj[5]
         assert again.value is first.value and len(traj.points) == 2
+
+    def test_distance_and_symbol_are_computed_once(self, regime_b2,
+                                                   monkeypatch):
+        located = []
+        locate = Partition.locate
+
+        def counting_locate(part, x):
+            located.append(x)
+            return locate(part, x)
+        monkeypatch.setattr(Partition, "locate", counting_locate)
+        traj = Trajectory(regime_b2, 7)
+        d = traj.to_1(2)
+        assert traj.to_1(2) is d and (d - (traj[2] - 1)).is_zero_like
+        assert traj.symbol(0) is None and traj.symbol(0) is None
+        assert len(located) == 1
+        # membership of a point known only to the cover radius is
+        # undecidable: each read asks locate again and raises again
+        part = build_partition(regime_b2)
+        x = part.balls[0].center + Padic.inexact_zero(5, part.radius_exp)
+        traj = Trajectory(regime_b2, x)
+        for _ in range(2):
+            with pytest.raises(PrecisionError):
+                traj.symbol(0)
+        assert len(located) == 3
 
     def test_shared_trajectory_gives_the_same_verdicts(self, regime_b2):
         for x0 in (7, inverse_branch(regime_b2, 2, regime_b2.pole),
@@ -280,6 +305,16 @@ class TestWordMetric:
     def test_identical_prefix_undefined(self, regime_b2):
         with pytest.raises(ValueError):
             df_metric(regime_b2, (1, 2), (1, 2, 1))
+
+    def test_center_exponents_are_one_table_per_partition(self, regime_b4):
+        part = build_partition(regime_b4)
+        table = part.center_exps
+        assert build_partition(regime_b4).center_exps is table
+        assert len(table) == part.kappa * (part.kappa - 1)
+        for (i, j), e in table.items():
+            ci, cj = part.balls[i - 1].center, part.balls[j - 1].center
+            assert e == (ci - cj).norm_exp()
+            assert df_metric(regime_b4, (i,), (j,)) == norm_fraction(ci - cj)
 
 
 class TestPoleTree:

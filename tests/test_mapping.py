@@ -1,5 +1,6 @@
 """The map, regimes, partition geometry, and inverse branches."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -426,16 +427,45 @@ def inexact_points(draw, params):
     return anchor + offset
 
 
+@st.composite
+def exact_points(draw, params):
+    """An exact x: p^v * u; or x + theta + q - 2 = +-p^j, which keeps the
+    quotient N/D exact; or a unit within a few bits of the truncation
+    bound of ``Padic._build``, on either side, where D or N may cancel
+    to p^j."""
+    p, digits = params.p, params.digits
+    kind = draw(st.sampled_from(["plain", "exact_quotient", "near_bound"]))
+    if kind == "plain":
+        u = draw(st.integers(-p**12, p**12).filter(lambda u: u % p))
+        return params.embed(u * Fraction(p) ** draw(st.integers(-6, 8)))
+    if kind == "exact_quotient":
+        d = draw(st.sampled_from([-1, 1])) * p ** draw(st.integers(0, 6))
+        return params.embed(d + 2 - params.q) - params.theta
+    bits = int((digits + 24) * math.log2(p)) + draw(st.integers(-6, 6))
+    u = draw(st.integers(2 ** (bits - 1), 2**bits - 1))
+    pj = p ** draw(st.integers(1, 4))
+    cancel = draw(st.sampled_from(["", "D", "N"]))
+    t = params.theta.unit
+    if cancel == "D":  # x + theta + q - 2 = 0 mod p^j
+        u = u - u % pj - (t + params.q - 2) % pj
+    elif cancel == "N":  # theta*x + q - 1 = 0 mod p^j
+        u = u - u % pj + (1 - params.q) * pow(t, -1, pj) % pj
+    assume(u % p)
+    return Padic(p, 0 if cancel else draw(st.integers(-3, 3)), u, INF,
+                 digits)
+
+
 class TestResidueKernel:
-    """eval_f maps an inexact nonzero x on residues; the composed Padic
-    path eval_g(x)**k is the oracle, down to the claimed precision."""
+    """eval_f maps a nonzero x on residues, inexact or over an exact
+    theta; the composed Padic path eval_g(x)**k is the oracle, down to
+    the claimed precision."""
 
     @given(st.data())
-    @settings(max_examples=400, deadline=None)
+    @settings(max_examples=600, deadline=None)
     def test_matches_composed_path(self, data):
         params = data.draw(map_params())
-        x = data.draw(inexact_points(params))
-        assert x.unit != 0 and x.prec != INF
+        x = data.draw(st.one_of(inexact_points(params),
+                                exact_points(params)))
         composed = _outcome(lambda: eval_g(params, x).pow_int(params.k))
         assert _outcome(eval_f, params, x) == composed
 

@@ -1,5 +1,7 @@
 """Core arithmetic: exact norms, precision tracking, balls, encodings."""
 
+import operator
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -265,6 +267,80 @@ class TestInvariants:
         a = from_rational(1 + p * na, 1, prime=p)
         b = from_rational(1 + p * nb, 1, prime=p)
         assert (a + b).norm_exp() == 0
+
+
+@st.composite
+def padic_values(draw, p):
+    """An exact value (zero included), an inexact unit times p^-4..p^6
+    with 1 to 20 digits, or an inexact zero O(p^1)..O(p^8)."""
+    cap = draw(st.sampled_from([8, 20, 64]))
+    kind = draw(st.sampled_from(["exact", "inexact", "inexact_zero"]))
+    if kind == "exact":
+        return Padic._build(p, draw(st.integers(-4, 6)),
+                            draw(st.integers(-p**10, p**10)), INF, cap)
+    if kind == "inexact_zero":
+        return Padic.inexact_zero(p, draw(st.integers(1, 8)), cap)
+    prec = draw(st.integers(1, 20))
+    unit = draw(st.integers(1, p**prec - 1).filter(lambda u: u % p))
+    return Padic(p, draw(st.integers(-4, 6)), unit, prec, cap)
+
+
+def _perturb(data, z):
+    """z with e more digits that agree with every digit z claims."""
+    if z.is_exact:
+        return z
+    p, e = z.prime, data.draw(st.integers(1, 8))
+    hidden = data.draw(st.integers(0, p**e - 1))
+    if z.unit == 0:
+        return Padic.from_residue(hidden * p**z.val, z.val + e, p, z.cap + e)
+    return Padic(p, z.val, z.unit + p**z.prec * hidden, z.prec + e,
+                 z.cap + e)
+
+
+def _agree(z, w, a):
+    """z and w are congruent modulo p**a."""
+    p = z.prime
+    m = min(z.val, w.val, a)
+    return (z.unit * p ** (z.val - m) - w.unit * p ** (w.val - m)) \
+        % p ** (a - m) == 0
+
+
+def _assert_keeps_claimed_digits(fn, args, args2):
+    """fn on inputs that agree on every claimed digit agrees on every
+    digit fn(*args) claims."""
+    try:
+        r = fn(*args)
+    except (PrecisionError, ZeroDivisionError):
+        return
+    r2 = fn(*args2)
+    if r.is_exact:
+        assert (r2.val, r2.unit, r2.prec) == (r.val, r.unit, r.prec)
+        return
+    assert r2.abs_prec >= r.abs_prec
+    assert _agree(r, r2, r.abs_prec)
+
+
+class TestPrecisionSoundness:
+    """Perturbing an input below its claimed digits leaves every digit
+    of a product, quotient or power that the result claims."""
+
+    @given(st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_mul_and_div(self, data):
+        p = data.draw(primes)
+        x, y = data.draw(padic_values(p)), data.draw(padic_values(p))
+        x2, y2 = _perturb(data, x), _perturb(data, y)
+        for op in (operator.mul, operator.truediv):
+            _assert_keeps_claimed_digits(op, (x, y), (x2, y2))
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_pow_int(self, data):
+        p = data.draw(primes)
+        x = data.draw(padic_values(p))
+        n = data.draw(st.integers(-6, 12))
+        _assert_keeps_claimed_digits(Padic.pow_int, (x, n),
+                                     (_perturb(data, x), n))
 
 
 class TestEncodings:
