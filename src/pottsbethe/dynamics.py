@@ -13,7 +13,7 @@ depth, never more.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
@@ -23,7 +23,6 @@ from .mapping import (
     RegimeTag,
     VerificationError,
     build_partition,
-    classify_regime,
     derivative_at,
     eval_f,
     inverse_branch,
@@ -35,6 +34,7 @@ from . import sampling
 DEFAULT_MAX_ITER = 200
 DEFAULT_TOL = 20
 POLE_TREE_BUDGET = 10**5
+INCIDENCE_SAMPLES = 3  # sampled points per ball, besides its center
 
 
 class OrbitStatus(Enum):
@@ -65,10 +65,10 @@ class OrbitResult:
     """The verdict of ``orbit``.
 
     ``final_norm_exp_to_1`` is the (bound, exact) pair of
-    ``norm_exp_field`` for f^steps(x0) - 1.  ``trajectory`` holds only the
-    iterates actually computed, f^0(x0) onward: when the attracting-ball
-    lemma settles a converging orbit it ends at the iterate that entered
-    B_1, before step ``steps``.
+    ``norm_exp_field`` for f^steps(x0) - 1.  A caller who wants the
+    iterates passes ``orbit`` a ``Trajectory`` and reads its ``points``:
+    when the attracting-ball lemma settles a converging orbit they end at
+    the iterate that entered B_1, before step ``steps``.
     """
 
     status: OrbitStatus
@@ -76,7 +76,6 @@ class OrbitResult:
     final_norm_exp_to_1: tuple[int | str, bool] | None = None
     itinerary: Itinerary | None = None
     reason: str | None = None
-    trajectory: tuple[Padic, ...] = field(default=())
 
 
 @dataclass(frozen=True, eq=False)
@@ -177,8 +176,7 @@ def orbit(params: MapParams, x0, max_iter: int = DEFAULT_MAX_ITER,
     In regime B with an exact theta, an orbit that enters the attracting
     ball B_1 is settled there when ``_lemma_verdict`` proves its outcome.
     """
-    part = (build_partition(params) if classify_regime(params).tag in
-            (RegimeTag.B1, RegimeTag.B2) else None)
+    part = build_partition(params) if params.regime.expanding else None
     lemma = part is not None and params.theta.is_exact
     traj = _trajectory(params, x0)
     symbols: list[int] = []
@@ -191,8 +189,7 @@ def orbit(params: MapParams, x0, max_iter: int = DEFAULT_MAX_ITER,
         return OrbitResult(
             status, last if steps is None else steps,
             final if final is not None
-            else norm_exp_field(traj.to_1(last)),
-            trajectory=tuple(traj.points[:last + 1]), **fields)
+            else norm_exp_field(traj.to_1(last)), **fields)
 
     try:
         for t in range(max_iter + 1):
@@ -288,7 +285,7 @@ def basin_classify(params: MapParams, x0, depth: int) -> ClassifyResult:
     Julia candidate together with its itinerary, certified to this depth
     only.  In the contracting regime every point is basin outright.
     """
-    regime = classify_regime(params)
+    regime = params.regime
     traj = _trajectory(params, x0)
     if (traj[0] - params.pole).is_zero_like:
         raise ValueError("x0 is the pole; it lies outside the domain")
@@ -391,15 +388,14 @@ def cycle_multiplier(params: MapParams, x, period: int) -> Padic:
     return out
 
 
-def incidence_matrix(params: MapParams, samples_per_ball: int = 3,
-                     seed: int = 0) -> IncidenceMatrix:
+def incidence_matrix(params: MapParams, seed: int = 0) -> IncidenceMatrix:
     """Transition structure of the cover, verified rather than assumed.
 
     Entry (i, j) is set after checking, on the center of ball j plus
-    sampled points, that the branch through ball i sends the point into
-    ball i and that the forward map returns it exactly.  The theory makes
-    every entry 1; a failed check is raised loudly because it would
-    falsify that conclusion at these parameters.
+    INCIDENCE_SAMPLES sampled points, that the branch through ball i
+    sends the point into ball i and that the forward map returns it
+    exactly.  The theory makes every entry 1; a failed check is raised
+    loudly because it would falsify that conclusion at these parameters.
     """
     part = build_partition(params)
     kappa = part.kappa
@@ -409,7 +405,7 @@ def incidence_matrix(params: MapParams, samples_per_ball: int = 3,
         for j in range(1, kappa + 1):
             targets = [part.balls[j - 1].center] + [
                 s.realize(params)
-                for s in sampling.ball_samples(params, j, samples_per_ball,
+                for s in sampling.ball_samples(params, j, INCIDENCE_SAMPLES,
                                                seed, tag="incidence")
             ]
             for y in targets:
@@ -458,8 +454,7 @@ def norm_fraction(x: Padic) -> Fraction:
     return Fraction(1, x.prime**v) if v >= 0 else Fraction(x.prime**-v)
 
 
-def pole_preimage_tree(params: MapParams, depth: int,
-                       budget: int = POLE_TREE_BUDGET) -> list[list[Padic]]:
+def pole_preimage_tree(params: MapParams, depth: int) -> list[list[Padic]]:
     """Backward orbit of the pole, level by level.
 
     In the contracting regime the backward orbit is empty: the pole stays
@@ -467,19 +462,22 @@ def pole_preimage_tree(params: MapParams, depth: int,
     nothing ever maps onto it; the certified empty answer is returned
     without search.  In the expanding regime each level applies all kappa
     inverse branches and every point is verified by running it forward
-    into the pole.
+    into the pole.  A search of more than POLE_TREE_BUDGET points is
+    refused.  A preimage that lands on the pole before step n is a
+    falsification when it is exactly the pole, and a precision shortage
+    when it is only indistinguishable from it.
     """
-    regime = classify_regime(params)
+    regime = params.regime
     if regime.tag == RegimeTag.A:
         return []
     if regime.tag == RegimeTag.UNCLASSIFIED:
         raise ValueError(f"parameters are unclassified: {regime.detail}")
     part = build_partition(params)
     total = sum(part.kappa**n for n in range(1, depth + 1))
-    if total > budget:
+    if total > POLE_TREE_BUDGET:
         raise ValueError(
             f"kappa**depth sweep would visit {total} points; budget is "
-            f"{budget}"
+            f"{POLE_TREE_BUDGET}"
         )
     levels: list[list[Padic]] = []
     current = [params.pole]
@@ -493,6 +491,11 @@ def pole_preimage_tree(params: MapParams, depth: int,
             try:
                 z = Trajectory(params, x)[n]
             except PoleHit as exc:
+                if not exc.exact:
+                    raise PrecisionError(
+                        f"level-{n} preimage is indistinguishable from the "
+                        f"pole before step {n}; retry at higher precision"
+                    ) from exc
                 raise VerificationError(
                     f"level-{n} preimage hit the pole early"
                 ) from exc

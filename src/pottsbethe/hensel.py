@@ -221,7 +221,7 @@ def fixed_point_B1(params) -> Padic:
     """
     from . import mapping  # runtime import: mapping depends on this module
 
-    regime = mapping.classify_regime(params)
+    regime = params.regime
     if regime.tag != mapping.RegimeTag.B1:
         raise ValueError(f"parameters are in regime {regime.tag.value}, not B1")
     p, digits, t1 = params.p, params.digits, params.theta - 1

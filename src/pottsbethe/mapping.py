@@ -59,6 +59,11 @@ class Regime:
     kappa: int
     detail: str = ""
 
+    @property
+    def expanding(self) -> bool:
+        """Regime B (B1 or B2), where the cover and the pole tree exist."""
+        return self.tag in (RegimeTag.B1, RegimeTag.B2)
+
 
 _THETA_POWER_RE = re.compile(r"^1\+(?:(-?\d+)\*)?p\^(\d+)$")
 _THETA_RATIONAL_RE = re.compile(r"^(-?\d+)(?:/(-?\d+))?$")
@@ -177,6 +182,11 @@ class MapParams:
                 raise ValueError("value carries a different prime")
             return x
         return from_rational(Fraction(x), 1, prime=self.p, digits=self.digits)
+
+    @functools.cached_property
+    def regime(self) -> Regime:
+        """``classify_regime(self)``, decided once per instance."""
+        return classify_regime(self)
 
     @functools.cached_property
     def theta_key(self) -> str:
@@ -413,13 +423,12 @@ class Partition:
         return None
 
     def to_json_dict(self, params: MapParams) -> dict:
-        regime = classify_regime(params)
         return {
             "p": params.p,
             "k": params.k,
             "q": params.q,
             "theta": params.theta_key,
-            "regime": regime.tag.value,
+            "regime": params.regime.tag.value,
             "kappa": self.kappa,
             "radius_exp": self.radius_exp,
             "balls": [
@@ -446,8 +455,8 @@ def build_partition(params: MapParams) -> Partition:
     the pole and the attracting ball B_1 are asserted, not assumed.
     Cached: every MapParams of one configuration shares one Partition.
     """
-    regime = classify_regime(params)
-    if regime.tag not in (RegimeTag.B1, RegimeTag.B2):
+    regime = params.regime
+    if not regime.expanding:
         raise ValueError(
             f"partition exists in regime B only; these parameters are "
             f"{regime.tag.value} ({regime.detail})"

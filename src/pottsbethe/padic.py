@@ -394,12 +394,7 @@ class Padic:
             raise PrecisionError(
                 f"only {self.prec} digits known, {count} requested"
             )
-        u = self.unit % self.prime**count
-        out = []
-        for _ in range(count):
-            u, d = divmod(u, self.prime)
-            out.append(d)
-        return tuple(out)
+        return _int_digits(self.unit % self.prime**count, self.prime, count)
 
     def _digit_body(self, ds: tuple[int, ...]) -> str:
         p = self.prime
@@ -426,8 +421,7 @@ class Padic:
             n = 1
             while p**n <= u:
                 n += 1
-            body = self._digit_body(self.digits(n) if self.unit > 0 else
-                                    _int_digits(u, p, n))
+            body = self._digit_body(_int_digits(u, p, n))
             sign = "-" if self.unit < 0 else ""
             return f"{p}^{self.val} * {sign}({body})"
         body = self._digit_body(self.digits(int(self.prec)))

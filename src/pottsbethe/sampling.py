@@ -67,10 +67,10 @@ CATEGORY_DRAWS = {
 }
 
 
-def spanning_samples(params: MapParams, count: int, seed: int,
-                     tag: str = "sweep") -> list[Sample]:
+def spanning_samples(params: MapParams, count: int,
+                     seed: int) -> list[Sample]:
     """Points cycling through Z_p, the exponential domain, and |x|_p > 1."""
-    rng = rng_for(params, tag, seed)
+    rng = rng_for(params, "sweep", seed)
     cats = ("zp", "ep", "big")
     out = []
     for i in range(count):

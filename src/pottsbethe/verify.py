@@ -23,13 +23,15 @@ from .mapping import (
     VerificationError,
     build_partition,
     classify_fixed,
-    classify_regime,
     eval_f,
     multiplier,
 )
 from .padic import INF, Padic, PrecisionError
 
 RETRY_LADDER = (1, 2, 4)
+FIXED_POINT_DIGITS = 40  # digits the B1 fixed point must satisfy f(x) = x to
+PERIODIC_DIGITS = 30  # digits a periodic point must return to itself to
+MAX_PERIOD = 4  # longest period whose points julia-verify checks
 
 
 def canonical_json(obj) -> str:
@@ -46,7 +48,6 @@ class _Ladder:
 
     def __init__(self, params: MapParams, tree_depth: int = 0):
         self.params, self.tree_depth = params, tree_depth
-        self.regime = classify_regime(params)
         self.rungs: list[tuple] = []
 
     def rung(self, i: int) -> tuple:
@@ -55,8 +56,7 @@ class _Ladder:
             pd = (self.params if factor == 1
                   else self.params.at_digits(self.params.digits * factor))
             tree = (dynamics.pole_preimage_tree(pd, self.tree_depth)
-                    if self.tree_depth > 0 and self.regime.tag in
-                    (RegimeTag.B1, RegimeTag.B2) else [])
+                    if self.tree_depth > 0 and pd.regime.expanding else [])
             self.rungs.append((pd, tree))
         return self.rungs[i]
 
@@ -113,7 +113,7 @@ def classify_report(params: MapParams) -> dict:
 
 
 def _classify(params: MapParams) -> dict:
-    regime = classify_regime(params)
+    regime = params.regime
     lam = multiplier(params, 1)
     report = {
         "version": __version__,
@@ -129,9 +129,8 @@ def _classify(params: MapParams) -> dict:
             "class": classify_fixed(lam),
         },
     }
-    if regime.tag in (RegimeTag.B1, RegimeTag.B2):
-        part = build_partition(params)
-        report["partition"] = part.to_json_dict(params)
+    if regime.expanding:
+        report["partition"] = build_partition(params).to_json_dict(params)
     return report
 
 
@@ -170,7 +169,7 @@ def _check_consistency(params, traj: dynamics.Trajectory, cls,
     ball B_1, which maps into itself and misses the cover; a precision
     shortage before it is retried, not passed.
     """
-    if classify_regime(params).tag is RegimeTag.A:
+    if params.regime.tag is RegimeTag.A:
         return
     if cls.kind is ClassifyKind.BASIN:
         left = False
@@ -235,7 +234,7 @@ def sweep_report(params: MapParams, samples: int, seed: int,
                    "max_iter": max_iter, "tol": tol,
                    "classify_depth": classify_depth,
                    "pole_tree_depth": pole_tree_depth},
-        "regime": ladder.regime.tag.value,
+        "regime": params.regime.tag.value,
         "records": records,
         "histogram": dict(sorted(histogram.items())),
     }
@@ -258,7 +257,7 @@ def orbit_report(params: MapParams, x0: Fraction, max_iter: int,
         "command": "orbit",
         "config": {**params.config_dict(), "x0": str(x0),
                    "max_iter": max_iter, "tol": tol},
-        "regime": ladder.regime.tag.value,
+        "regime": params.regime.tag.value,
         "record": record,
     }
 
@@ -281,10 +280,7 @@ def _check(checks: list, name: str, passed: bool, detail) -> bool:
 
 
 def julia_report(params: MapParams, depth: int, seed: int = 0,
-                 pairs_per_ball: int = 50,
-                 fixed_point_digits: int = 40,
-                 periodic_digits: int = 30,
-                 max_period: int = 4) -> dict:
+                 pairs_per_ball: int = 50) -> dict:
     """Verify the expanding-regime structure up to ``depth``.
 
     Covers the partition geometry, the verified incidence matrix, word
@@ -297,18 +293,14 @@ def julia_report(params: MapParams, depth: int, seed: int = 0,
     them all, and its config names that rung's digits.
     """
     return _Ladder(params).first(lambda pd, _: _julia_checks(
-        pd, depth, seed, pairs_per_ball, fixed_point_digits,
-        periodic_digits, max_period))[1]
+        pd, depth, seed, pairs_per_ball))[1]
 
 
 def _julia_checks(params: MapParams, depth: int, seed: int,
-                  pairs_per_ball: int, fixed_point_digits: int,
-                  periodic_digits: int, max_period: int) -> dict:
-    regime = classify_regime(params)
+                  pairs_per_ball: int) -> dict:
+    regime = params.regime
     checks: list[dict] = []
-    ok = _check(checks, "regime_is_B", regime.tag in (RegimeTag.B1,
-                                                      RegimeTag.B2),
-                regime.tag.value)
+    ok = _check(checks, "regime_is_B", regime.expanding, regime.tag.value)
     report = {
         "version": __version__,
         "command": "julia-verify",
@@ -337,7 +329,7 @@ def _julia_checks(params: MapParams, depth: int, seed: int,
         resid = eval_f(params, x_star) - x_star
         bound, _ = dynamics.norm_exp_field(resid)
         _check(checks, "b1_fixed_point_residual",
-               _residual_vanishes(resid, fixed_point_digits), bound)
+               _residual_vanishes(resid, FIXED_POINT_DIGITS), bound)
         lam = multiplier(params, x_star)
         _check(checks, "b1_fixed_point_repelling",
                classify_fixed(lam) == "repelling", int(lam.valuation))
@@ -352,29 +344,27 @@ def _julia_checks(params: MapParams, depth: int, seed: int,
         matrix = None
 
     realized = 0
-    roundtrip_ok = True
     words_total = 0
+    pts = {}  # the cylinder point of each word of length depth
     for n in range(1, depth + 1):
         for word in itertools.product(range(1, part.kappa + 1), repeat=n):
             words_total += 1
             pt, _ = dynamics.cylinder_point(params, word)
-            back = dynamics.itinerary_of(params, pt, n)
-            if back.word == word:
+            if dynamics.itinerary_of(params, pt, n).word == word:
                 realized += 1
-            else:
-                roundtrip_ok = False
-    _check(checks, "words_realized_roundtrip",
-           roundtrip_ok and realized == words_total,
+            if n == depth:
+                pts[word] = pt
+    _check(checks, "words_realized_roundtrip", realized == words_total,
            {"realized": realized, "total": words_total})
 
     periodic_ok = True
     periodic_detail = []
-    for m in range(1, min(max_period, max(depth, 1)) + 1):
+    for m in range(1, min(MAX_PERIOD, max(depth, 1)) + 1):
         for word in itertools.product(range(1, part.kappa + 1), repeat=m):
             x = dynamics.periodic_point(params, word)
             traj = dynamics.Trajectory(params, x)
             drift = traj[m] - x
-            good = _residual_vanishes(drift, periodic_digits)
+            good = _residual_vanishes(drift, PERIODIC_DIGITS)
             lam = dynamics.cycle_multiplier(params, traj, m)
             tau_sum = sum(part.balls[s - 1].tau for s in word)
             good = good and lam.valuation == -tau_sum
@@ -386,30 +376,18 @@ def _julia_checks(params: MapParams, depth: int, seed: int,
                                     "multiplier_exp": int(lam.valuation)})
     _check(checks, "periodic_points", periodic_ok, periodic_detail[:8])
 
-    if depth >= 1:
-        pts = {}
-        for word in itertools.product(range(1, part.kappa + 1), repeat=depth):
-            pts[word], _ = dynamics.cylinder_point(params, word)
-        iso_ok = True
-        mism = 0
-        for wa, wb in itertools.combinations(pts, 2):
-            dist = dynamics.norm_fraction(pts[wa] - pts[wb])
-            metric = dynamics.df_metric(params, wa, wb)
-            if dist != metric:
-                iso_ok = False
-                mism += 1
-        _check(checks, "isometry_cylinder_vs_word_metric", iso_ok,
-               {"pairs": len(pts) * (len(pts) - 1) // 2, "mismatches": mism})
-    else:
-        _check(checks, "isometry_cylinder_vs_word_metric", True,
-               {"pairs": 0, "mismatches": 0})
+    mism = sum(dynamics.norm_fraction(pts[wa] - pts[wb])
+               != dynamics.df_metric(params, wa, wb)
+               for wa, wb in itertools.combinations(pts, 2))
+    _check(checks, "isometry_cylinder_vs_word_metric", mism == 0,
+           {"pairs": len(pts) * (len(pts) - 1) // 2, "mismatches": mism})
 
     expansion = expansion_law_report(params, pairs_per_ball, seed)
     _check(checks, "expansion_laws", expansion["pass"], expansion["detail"])
 
     if depth >= 2:
         word = tuple((t % part.kappa) + 1 for t in range(depth))
-        x, _ = dynamics.cylinder_point(params, word)
+        x = pts[word]
         full = dynamics.itinerary_of(params, x, depth)
         shifted = dynamics.itinerary_of(params, eval_f(params, x), depth - 1)
         _check(checks, "shift_equivariance",

@@ -98,6 +98,17 @@ class TestOrbitAndSweep:
         assert code == 3
         assert json.loads(out)["record"]["reason"] == "precision"
 
+    def test_inexact_pole_tree_hit_is_precision(self, capsys):
+        # at 12 digits a level-3 pole preimage is only indistinguishable
+        # from the pole before step 3: a precision shortage, not a
+        # falsification
+        code, out, err = run_cli(
+            ["sweep", "--p", "5", "--k", "2", "--q", "5", "--theta", "1+p^3",
+             "--samples", "200", "--depth", "30", "--seed", "5",
+             "--precision", "12", "--pole-tree-depth", "3"], capsys)
+        assert code == 3 and out == ""
+        assert "precision exhausted" in err
+
     def test_cancelled_contraction_is_retried(self, capsys):
         # at 32 digits f(x)-1 cancels inside the convergence ball, which
         # is a precision shortage, not a falsified contraction; the

@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from pottsbethe import dynamics
 from pottsbethe.dynamics import (
     ClassifyKind,
     Itinerary,
@@ -24,6 +25,7 @@ from pottsbethe.mapping import (
     MapParams,
     Partition,
     PoleHit,
+    VerificationError,
     build_partition,
     eval_f,
     inverse_branch,
@@ -57,11 +59,12 @@ class TestOrbit:
         assert res.status is OrbitStatus.CONVERGED_TO_1 and res.steps == 0
 
     def test_regime_a_from_five(self, regime_a):
-        res = orbit(regime_a, 5)
+        traj = Trajectory(regime_a, 5)
+        res = orbit(regime_a, traj)
         assert res.status is OrbitStatus.CONVERGED_TO_1
         # once inside K_1 = B_{|q+theta-1|}(1) each step contracts
         dists = []
-        for x in res.trajectory:
+        for x in traj.points:
             d = x - 1
             if not d.is_zero_like and d.val >= 2:
                 dists.append(d.val)
@@ -103,18 +106,22 @@ class TestOrbit:
     def test_lemma_settles_basin_orbit(self, regime_b1):
         # 7 leaves the cover at once; f(7) lies in B_1, where each step
         # brings the orbit closer to 1 by exactly p^-tau_one
-        res = orbit(regime_b1, 7)
+        traj = Trajectory(regime_b1, 7)
+        res = orbit(regime_b1, traj)
         assert res.status is OrbitStatus.CONVERGED_TO_1
-        assert len(res.trajectory) == 2 and res.steps == 10
+        # 2 iterates computed
+        assert len(traj.points) == 2 and res.steps == 10
         d = Trajectory(regime_b1, 7)[res.steps] - 1
         assert res.final_norm_exp_to_1 == (d.valuation, True) == (21, True)
 
     def test_inexact_theta_iterates(self):
         # the lemma's precision law needs an exact theta
         params = MapParams.make(5, 3, 5, "132/7")
-        res = orbit(params, 7)
+        traj = Trajectory(params, 7)
+        res = orbit(params, traj)
         assert res.status is OrbitStatus.CONVERGED_TO_1
-        assert len(res.trajectory) == res.steps + 1
+        # every step iterated, and one more for the contraction step
+        assert len(traj.points) == res.steps + 2
 
 
 class TestTrajectory:
@@ -162,12 +169,14 @@ class TestTrajectory:
                    periodic_point(regime_b2, (1, 2))):
             traj = Trajectory(regime_b2, x0)
             shared = orbit(regime_b2, traj, max_iter=12)
+            computed = len(traj.points)
             cls = basin_classify(regime_b2, traj, 12)
-            fresh = orbit(regime_b2, x0, max_iter=12)
+            fresh_traj = Trajectory(regime_b2, x0)
+            fresh = orbit(regime_b2, fresh_traj, max_iter=12)
             cls0 = basin_classify(regime_b2, x0, 12)
             assert (shared.status, shared.steps) == (fresh.status,
                                                      fresh.steps)
-            assert len(shared.trajectory) == len(fresh.trajectory)
+            assert computed == len(fresh_traj.points)
             assert (cls.kind, cls.step) == (cls0.kind, cls0.step)
 
     def test_other_params_rejected(self, regime_b1, regime_b2):
@@ -335,7 +344,23 @@ class TestPoleTree:
 
     def test_budget_guard(self, regime_b4):
         with pytest.raises(ValueError):
-            pole_preimage_tree(regime_b4, 10, budget=1000)
+            pole_preimage_tree(regime_b4, 10)
+
+    def test_inexact_pole_hit_is_a_precision_shortage(self):
+        # at 12 digits a level-3 preimage is only indistinguishable from
+        # the pole before step 3: more digits are needed, nothing is
+        # falsified
+        with pytest.raises(PrecisionError):
+            pole_preimage_tree(MapParams.make(5, 2, 5, "1+p^3", 12), 3)
+
+    @pytest.mark.parametrize("exact,error", [
+        (True, VerificationError), (False, PrecisionError)])
+    def test_early_pole_hit(self, regime_b2, monkeypatch, exact, error):
+        def hit(params, x):
+            raise PoleHit("injected", exact=exact)
+        monkeypatch.setattr(dynamics, "eval_f", hit)
+        with pytest.raises(error):
+            pole_preimage_tree(regime_b2, 1)
 
 
 class TestBasinTotality:

@@ -1,4 +1,5 @@
-"""Source hygiene: every imported name is used in the file importing it.
+"""Source hygiene: every imported name is used in the file importing it,
+and every function the benchmark's tracer patches still exists.
 
 No lint tool is assumed; the scan uses only the standard library.
 Package ``__init__.py`` files are exempt, since their imports are the
@@ -6,6 +7,8 @@ package's re-exports, and so is ``from __future__ import annotations``.
 """
 
 import ast
+import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
@@ -56,3 +59,27 @@ def test_no_unused_imports(path):
     unused = [f"{name} (line {line})" for name, line in imported_names(tree)
               if name not in used]
     assert not unused, f"unused imports in {path.name}: {', '.join(unused)}"
+
+
+def _bench_tracer():
+    """``bench/tracer.py``, imported without writing bytecode next to it."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_tracer", ROOT / "bench" / "tracer.py")
+    module = importlib.util.module_from_spec(spec)
+    dont_write, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = dont_write
+    return module
+
+
+def test_traced_targets_exist():
+    # a refactor that renames or moves a traced function breaks the traced
+    # benchmark runs, which the tier-1 suite does not run
+    tracer = _bench_tracer()
+    paths = [path for spans in tracer.SPANS.values() for path in spans]
+    for path in paths + list(tracer.PADIC_ARITH + tracer.POLY_EVALS):
+        assert callable(tracer.resolve(path)), path
+    # the tracer reads the partition cache's hit and miss counts
+    assert hasattr(tracer.resolve("mapping.build_partition"), "cache_info")

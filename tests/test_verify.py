@@ -9,21 +9,19 @@ from pottsbethe.dynamics import Trajectory, basin_classify, norm_exp_field
 from pottsbethe.mapping import (
     MapParams,
     PoleHit,
-    RegimeTag,
     build_partition,
     classify_regime,
 )
 from pottsbethe.padic import PrecisionError
 
 
-@pytest.fixture
-def eval_f_calls(monkeypatch):
-    """Counts calls to eval_f through every name the package binds it to."""
-    calls = [0]
-    original = mapping.eval_f
+def _calls_to(monkeypatch, original) -> list:
+    """The first argument of every call to ``original`` through every name
+    the package binds it to."""
+    calls = []
 
     def counted(*args, **kwargs):
-        calls[0] += 1
+        calls.append(args[0])
         return original(*args, **kwargs)
 
     for name, module in list(sys.modules.items()):
@@ -34,6 +32,11 @@ def eval_f_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def eval_f_calls(monkeypatch):
+    return _calls_to(monkeypatch, mapping.eval_f)
+
+
 def test_b1_sweep_iterates_each_orbit_once(eval_f_calls):
     params = MapParams.make(5, 3, 5, "1+p^3")
     rep = verify.sweep_report(params, samples=30, seed=7, classify_depth=50)
@@ -41,7 +44,7 @@ def test_b1_sweep_iterates_each_orbit_once(eval_f_calls):
     # 990 when orbit, basin_classify and the consistency check each
     # iterated the orbit from its start; 657 when the shared orbit was
     # iterated into B_1 and on until its distance to 1 cancelled
-    assert eval_f_calls[0] == 30
+    assert len(eval_f_calls) == 30
 
 
 def test_b2_pole_tree_is_built_once(eval_f_calls):
@@ -52,7 +55,27 @@ def test_b2_pole_tree_is_built_once(eval_f_calls):
                                                "pole_preimage": 14}
     # 797 when the pole tree was rebuilt for every tree record; 302 when
     # basin orbits were iterated on inside B_1
-    assert eval_f_calls[0] == 93
+    assert len(eval_f_calls) == 93
+
+
+def test_regime_is_decided_once_per_params(monkeypatch):
+    calls = _calls_to(monkeypatch, mapping.classify_regime)
+    params = MapParams.make(5, 3, 5, "1+p^3")
+    rep = verify.sweep_report(params, samples=30, seed=7, classify_depth=50)
+    assert all(r["retries"] == 0 for r in rep["records"])
+    # once more per record for each of orbit, basin_classify and the
+    # consistency check when each classified the parameters again
+    assert len(calls) == 1 and calls[0] is params
+
+
+def test_julia_report_builds_each_cylinder_point_once(monkeypatch):
+    calls = _calls_to(monkeypatch, dynamics.cylinder_point)
+    rep = verify.julia_report(MapParams.make(5, 2, 5, "1+p^3"), 3,
+                              pairs_per_ball=5)
+    assert rep["falsified"] is False
+    # the 2 + 4 + 8 words realised; 23 when the isometry and shift checks
+    # built their depth-3 points again
+    assert len(calls) == 14
 
 
 def test_retried_sweep_adds_one_partition_per_rung():
@@ -100,8 +123,8 @@ def _desk_check(params, x0, max_iter, tol, classify_step):
     lemma: (status, steps, final distance field).  A basin point's walk
     also runs on until its distance to 1 cancels, and must never re-enter
     the cover."""
-    part = (build_partition(params) if classify_regime(params).tag in
-            (RegimeTag.B1, RegimeTag.B2) else None)
+    part = (build_partition(params) if classify_regime(params).expanding
+            else None)
     traj = Trajectory(params, x0)
     if classify_step is not None and part is not None:
         left = False
