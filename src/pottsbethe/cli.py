@@ -182,10 +182,13 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, ZeroDivisionError) as exc:
         print(f"pottsbethe: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except PrecisionError as exc:
-        print(f"pottsbethe: precision exhausted: {exc}", file=sys.stderr)
-        return EXIT_PRECISION
-    except (VerificationError, PoleHit) as exc:
+    except (PrecisionError, PoleHit, VerificationError) as exc:
+        # a pole hit that is only indistinguishable from the pole at the
+        # working precision is a shortage of digits, not a falsification
+        if isinstance(exc, PrecisionError) or (isinstance(exc, PoleHit)
+                                               and not exc.exact):
+            print(f"pottsbethe: precision exhausted: {exc}", file=sys.stderr)
+            return EXIT_PRECISION
         print(f"pottsbethe: falsified: {exc}", file=sys.stderr)
         return EXIT_FALSIFIED
     return EXIT_USAGE

@@ -12,6 +12,9 @@ from __future__ import annotations
 
 import itertools
 import json
+import marshal
+import os
+import sys
 from fractions import Fraction
 
 from . import __version__
@@ -19,6 +22,7 @@ from . import dynamics, hensel, sampling
 from .dynamics import ClassifyKind, OrbitStatus
 from .mapping import (
     MapParams,
+    PoleHit,
     RegimeTag,
     VerificationError,
     build_partition,
@@ -32,6 +36,8 @@ RETRY_LADDER = (1, 2, 4)
 FIXED_POINT_DIGITS = 40  # digits the B1 fixed point must satisfy f(x) = x to
 PERIODIC_DIGITS = 30  # digits a periodic point must return to itself to
 MAX_PERIOD = 4  # longest period whose points julia-verify checks
+JULIA_PAIR_BUDGET = 10**6  # most word pairs julia-verify's isometry checks
+SPAN_MIN_RECORDS = 128  # fewest sweep records worth a forked process
 
 
 def canonical_json(obj) -> str:
@@ -44,7 +50,9 @@ class _Ladder:
     whole classify or julia-verify report, that runs out of precision is
     retried on its exact input at each RETRY_LADDER multiple of the
     digits.  Each rung (params, pole tree) is built once, on first use,
-    and shared by every record of the call."""
+    and shared by every record of the call.  A pole tree that runs out of
+    precision is kept as its PrecisionError, which ``_tree`` raises again
+    for every record that reads it."""
 
     def __init__(self, params: MapParams, tree_depth: int = 0):
         self.params, self.tree_depth = params, tree_depth
@@ -55,8 +63,12 @@ class _Ladder:
             factor = RETRY_LADDER[len(self.rungs)]
             pd = (self.params if factor == 1
                   else self.params.at_digits(self.params.digits * factor))
-            tree = (dynamics.pole_preimage_tree(pd, self.tree_depth)
-                    if self.tree_depth > 0 and pd.regime.expanding else [])
+            tree = []
+            if self.tree_depth > 0 and pd.regime.expanding:
+                try:
+                    tree = dynamics.pole_preimage_tree(pd, self.tree_depth)
+                except PrecisionError as exc:
+                    tree = exc
             self.rungs.append((pd, tree))
         return self.rungs[i]
 
@@ -80,6 +92,14 @@ class _Ladder:
                 record.update(classification="undecided",
                               classification_step=None)
         return {**record, "retries": retries}
+
+
+def _tree(tree):
+    """A rung's pole tree, or a fresh copy of the PrecisionError its build
+    raised."""
+    if isinstance(tree, PrecisionError):
+        raise PrecisionError(*tree.args)
+    return tree
 
 
 def _first_rung(attempt) -> tuple[int, object]:
@@ -207,24 +227,28 @@ def sweep_report(params: MapParams, samples: int, seed: int,
     plan: list = [(desc.category, str(desc.payload), desc) for desc
                   in descriptors]
     if pole_tree_depth > 0:
-        _, tree = ladder.rung(0)
+        _, tree = _first_rung(lambda i: _tree(ladder.rung(i)[1]))
         for n, level in enumerate(tree, start=1):
             for i in range(len(level)):
                 plan.append((f"pole_tree:{n}", f"level{n}#{i}", (n, i)))
-    records = []
-    histogram: dict[str, int] = {}
-    for idx, (category, label, desc) in enumerate(plan):
-        def attempt(pd: MapParams, tree: list) -> dict:
+
+    def record(idx: int) -> dict:
+        category, label, desc = plan[idx]
+
+        def attempt(pd: MapParams, tree) -> dict:
             if isinstance(desc, sampling.Sample):
                 x0 = desc.realize(pd)
             else:
                 n, i = desc
-                x0 = tree[n - 1][i]
+                x0 = _tree(tree)[n - 1][i]
             return _orbit_record(pd, x0, max_iter, tol, classify_depth)
 
-        rec = {"index": idx, "category": category, "input": label,
-               **ladder.run(attempt, classify_depth)}
-        records.append(rec)
+        return {"index": idx, "category": category, "input": label,
+                **ladder.run(attempt, classify_depth)}
+
+    records = _records_in_spans(record, len(plan))
+    histogram: dict[str, int] = {}
+    for rec in records:
         key = rec["status"]
         histogram[key] = histogram.get(key, 0) + 1
     report = {
@@ -245,6 +269,109 @@ def sweep_report(params: MapParams, samples: int, seed: int,
             chist[key] = chist.get(key, 0) + 1
         report["classification_histogram"] = dict(sorted(chist.items()))
     return report
+
+
+def _cpu_count() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without CPU affinity
+        return os.cpu_count() or 1
+
+
+def _span_count(count: int) -> int:
+    """How many spans to split a plan of ``count`` records into: one per
+    CPU, each of at least SPAN_MIN_RECORDS, and one alone where a fork is
+    missing or unsafe (another thread is running)."""
+    threading = sys.modules.get("threading")
+    if not hasattr(os, "fork") or (threading is not None
+                                   and threading.active_count() > 1):
+        return 1
+    return max(1, min(_cpu_count(), count // SPAN_MIN_RECORDS))
+
+
+def _records_in_spans(record, count: int) -> list:
+    """``[record(i) for i in range(count)]``, computed on every available
+    CPU when the plan is large enough to pay for a fork.
+
+    The plan is cut into contiguous spans.  The parent computes the first
+    span, and a forked child each other one, which it sends back over a
+    pipe in ``marshal`` form; the parent joins them in plan order.  Record
+    0 is computed before any fork, so that every process shares the
+    partition and rung it built.  The first error in plan order is
+    raised, as a serial run raises it, and no child outlives the call.
+    """
+    spans = _span_count(count)
+    if spans == 1:
+        return [record(i) for i in range(count)]
+    bounds = [count * j // spans for j in range(spans + 1)]
+    records = [record(0)]
+    children: list = []  # (pid, read end of its pipe), in plan order
+    done = False
+    try:
+        for lo, hi in zip(bounds[1:-1], bounds[2:]):
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read)
+                os.close(write)
+                raise
+            if pid == 0:
+                os.close(read)
+                for _, pipe in children:
+                    pipe.close()
+                _send_span(record, range(lo, hi), write)
+            os.close(write)
+            children.append((pid, os.fdopen(read, "rb")))
+        records += [record(i) for i in range(1, bounds[1])]
+        for pid, pipe in children:
+            records += _receive_span(pid, pipe.read())
+        done = True
+        return records
+    finally:
+        for pid, pipe in children:
+            if not done:
+                os.kill(pid, 9)  # SIGKILL
+            pipe.close()
+            os.waitpid(pid, 0)
+
+
+def _send_span(record, span: range, write: int) -> None:
+    """In a forked child: send ``record(i)`` for each i of ``span``, or
+    the first error, down the pipe ``write``, then end the process.
+    ``os._exit`` runs no exit hook and flushes no stdio buffer, which the
+    parent owns."""
+    status = 1
+    try:
+        try:
+            message = (True, [record(i) for i in span])
+        except Exception as exc:
+            message = (False, type(exc).__module__, type(exc).__qualname__,
+                       str(exc), getattr(exc, "exact", None))
+        with os.fdopen(write, "wb") as pipe:
+            pipe.write(marshal.dumps(message))
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _receive_span(pid: int, data: bytes) -> list:
+    """The records a child sent, or its error raised again here."""
+    try:
+        message = marshal.loads(data)
+    except (EOFError, ValueError, TypeError):
+        raise RuntimeError(f"sweep process {pid} ended without sending "
+                           "its records") from None
+    if message[0]:
+        return message[1]
+    module, name, text, exact = message[1:]
+    cls = getattr(sys.modules.get(module), name, None)
+    if cls is PoleHit:
+        raise PoleHit(text, exact)
+    if cls is None:  # a class the parent cannot name, e.g. a nested one
+        raise RuntimeError(f"{module}.{name}: {text}")
+    raise cls(text)
 
 
 def orbit_report(params: MapParams, x0: Fraction, max_iter: int,
@@ -313,6 +440,12 @@ def _julia_checks(params: MapParams, depth: int, seed: int,
     if not ok:
         report["falsified"] = True
         return report
+    words = regime.kappa**depth
+    if words * (words - 1) // 2 > JULIA_PAIR_BUDGET:
+        raise ValueError(
+            f"depth {depth} has {words} words, whose isometry check would "
+            f"compare {words * (words - 1) // 2} pairs; budget is "
+            f"{JULIA_PAIR_BUDGET}")
 
     part = build_partition(params)
     _check(checks, "taus_positive", all(t >= 1 for t in part.taus),

@@ -8,9 +8,10 @@ import sys
 
 import pytest
 
+from pottsbethe import verify
 from pottsbethe.cli import main
 from pottsbethe.dynamics import periodic_point
-from pottsbethe.mapping import MapParams
+from pottsbethe.mapping import MapParams, PoleHit
 
 
 def run_cli(args, capsys):
@@ -99,15 +100,34 @@ class TestOrbitAndSweep:
         assert json.loads(out)["record"]["reason"] == "precision"
 
     def test_inexact_pole_tree_hit_is_precision(self, capsys):
-        # at 12 digits a level-3 pole preimage is only indistinguishable
-        # from the pole before step 3: a precision shortage, not a
-        # falsification
+        # at 3, 6 and 12 digits a pole preimage is only indistinguishable
+        # from the pole before its level's step: a precision shortage on
+        # every rung, not a falsification
         code, out, err = run_cli(
             ["sweep", "--p", "5", "--k", "2", "--q", "5", "--theta", "1+p^3",
              "--samples", "200", "--depth", "30", "--seed", "5",
-             "--precision", "12", "--pole-tree-depth", "3"], capsys)
+             "--precision", "3", "--pole-tree-depth", "3"], capsys)
         assert code == 3 and out == ""
         assert "precision exhausted" in err
+
+    def test_pole_tree_shortage_is_retried(self, capsys):
+        # the 12-digit pole tree runs short at level 3; the tree records
+        # read the 24-digit rung's tree, as --precision 24 does
+        argv = ["sweep", "--p", "5", "--k", "2", "--q", "5", "--theta",
+                "1+p^3", "--samples", "200", "--depth", "30", "--seed", "5",
+                "--pole-tree-depth", "3", "--precision"]
+        code, out, _ = run_cli(argv + ["12"], capsys)
+        assert code == 0
+        tree_recs = [r for r in json.loads(out)["records"]
+                     if r["category"].startswith("pole_tree:")]
+        assert len(tree_recs) == 2 + 4 + 8
+        assert all(r["retries"] == 1 and r["classification"] ==
+                   "pole_preimage" for r in tree_recs)
+        code, out, _ = run_cli(argv + ["24"], capsys)
+        assert code == 0
+        assert [r for r in json.loads(out)["records"] if
+                r["category"].startswith("pole_tree:")] == [
+            {**r, "retries": 0} for r in tree_recs]
 
     def test_cancelled_contraction_is_retried(self, capsys):
         # at 32 digits f(x)-1 cancels inside the convergence ball, which
@@ -235,6 +255,18 @@ class TestJuliaVerify:
         assert exc.value.code == 2
         assert "at least one pair per ball, got 0" in capsys.readouterr().err
 
+    def test_word_budget_is_usage_error(self, capsys):
+        # 2**40 words would take 2**79 isometry pairs: refused before any
+        # word is built
+        code, out, err = run_cli(["julia-verify", *B2_ARGS, "--depth", "40"],
+                                 capsys)
+        assert code == 2 and out == ""
+        assert "1099511627776 words" in err and "budget" in err
+
+    def test_word_budget_admits_depth_10(self):
+        # depth 10 at kappa = 2 compares 523 776 pairs, and still runs
+        assert 2**10 * (2**10 - 1) // 2 <= verify.JULIA_PAIR_BUDGET
+
     def test_regime_a_is_falsifying_input(self, capsys):
         code, out, _ = run_cli(
             ["julia-verify", "--p", "3", "--k", "3", "--q", "3", "--theta",
@@ -262,6 +294,18 @@ def test_negative_counts_are_usage_errors(capsys, argv):
         main(argv)
     assert exc.value.code == 2
     assert "must be >= 0, got -1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("exact,code,message", [
+    (True, 1, "falsified"), (False, 3, "precision exhausted")])
+def test_pole_hit_exit_code(capsys, monkeypatch, exact, code, message):
+    # a pole hit is a falsification only when the point is exactly the
+    # pole; one only indistinguishable from it is a shortage of digits
+    def hit(params):
+        raise PoleHit("injected", exact=exact)
+    monkeypatch.setattr(verify, "classify_report", hit)
+    assert run_cli(["classify", *B2_ARGS], capsys) == (
+        code, "", f"pottsbethe: {message}: injected\n")
 
 
 def _run_module(args):

@@ -1,5 +1,6 @@
 """Source hygiene: every imported name is used in the file importing it,
-and every function the benchmark's tracer patches still exists.
+every function the benchmark's tracer patches still exists, and the
+command line imports no module it does not need.
 
 No lint tool is assumed; the scan uses only the standard library.
 Package ``__init__.py`` files are exempt, since their imports are the
@@ -8,6 +9,8 @@ package's re-exports, and so is ``from __future__ import annotations``.
 
 import ast
 import importlib.util
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -83,3 +86,16 @@ def test_traced_targets_exist():
         assert callable(tracer.resolve(path)), path
     # the tracer reads the partition cache's hit and miss counts
     assert hasattr(tracer.resolve("mapping.build_partition"), "cache_info")
+
+
+def test_cli_import_loads_no_process_pool_module():
+    # the CLI's set-up time is its import time: the forked sweep uses only
+    # os and marshal, and these heavier modules must stay unloaded
+    heavy = ("pickle", "multiprocessing", "concurrent.futures")
+    probe = ("import sys, pottsbethe.cli; "
+             f"print([m for m in {heavy!r} if m in sys.modules])")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, env={**os.environ,
+                                          "PYTHONPATH": str(ROOT / "src")})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

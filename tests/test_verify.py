@@ -191,3 +191,18 @@ def test_records_match_full_desk_check(config):
     params = MapParams.make(p, k, q, theta, digits)
     _assert_records_match_desk_check(params, samples, seed, tree_depth)
 
+
+
+def test_pole_tree_shortage_is_kept_per_rung(monkeypatch):
+    # the 12-digit tree runs short at level 3; its tree records are
+    # retried on the 24-digit rung, and no rung's tree is built twice
+    calls = _calls_to(monkeypatch, dynamics.pole_preimage_tree)
+    params = MapParams.make(5, 2, 5, "1+p^3", 12)
+    rep = verify.sweep_report(params, samples=20, seed=5, classify_depth=30,
+                              pole_tree_depth=3)
+    tree_recs = [r for r in rep["records"]
+                 if r["category"].startswith("pole_tree:")]
+    assert len(tree_recs) == 2 + 4 + 8
+    assert {r["retries"] for r in tree_recs} == {1}
+    digits = [pd.digits for pd in calls]
+    assert digits[:2] == [12, 24] and len(digits) == len(set(digits))
