@@ -7,11 +7,8 @@ questions raise instead of guessing.
 
 from pottsbethe import (
     Ball,
-    Padic,
     PrecisionError,
-    cmp_norm,
     from_rational,
-    in_ep,
 )
 
 p = 5
@@ -55,19 +52,22 @@ print()
 print("== norm comparison as a calculus ==")
 q = from_rational(5, 1, prime=p)
 t1 = from_rational(125, 1, prime=p)
-print("|q(theta-1)| vs |theta-1| with |q|<1:", cmp_norm(q * t1, t1).name)
+print(f"|q(theta-1)| = 5^-{(q * t1).norm_exp()} < |theta-1| = "
+      f"5^-{t1.norm_exp()}: compare exact exponents")
+try:
+    z.val_at_least(13)
+except PrecisionError as exc:
+    print("|a - a| <= 5^-13 is undecided:", exc)
 
 print()
 print("== the exponential domain ==")
 for n in (1, 6, 2):
     x = from_rational(n, 1, prime=p)
-    print(f"{n} in E_{p}?", in_ep(x))
+    # for p >= 3, x lies in E_p exactly when |x - 1|_p <= 1/p
+    print(f"{n} in E_{p}?", (x - 1).val_at_least(1))
 
 print()
-print("== both text encodings round-trip ==")
+print("== two text encodings ==")
 x = from_rational(-383, 2, prime=p, digits=6)
 print("digit form:  ", x.to_string())
-print("compact form:", x.to_compact())
-print("parse(digit) == parse(compact):",
-      Padic.parse(x.to_string(), p).to_compact()
-      == Padic.parse(x.to_compact(), p).to_compact())
+print("compact form:", x.to_compact(), "  <- v:u:N, as reports write values")

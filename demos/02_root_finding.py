@@ -1,30 +1,29 @@
-"""Root finding over Z_p: Newton lifting, principal roots, roots of unity.
+"""Root finding over Z_p: principal roots, roots of unity, Newton steps.
 
-Everything is certified: the lifting condition is checked up front, the
-returned precision is the provable one, and the count of roots of unity
-is exactly gcd(k, p-1).
+Everything is certified: the domain of the principal root is checked up
+front, the returned precision is the provable one, and the count of roots
+of unity is exactly gcd(k, p-1).
 """
 
 from pottsbethe import (
     PolyZp,
     from_rational,
-    hensel_lift,
-    in_ep,
     principal_kth_root,
     roots_of_unity,
 )
 
-print("== Hensel lifting: a square root of -2 in Z_3 ==")
-F = PolyZp.from_rationals([2, 0, 1], prime=3, digits=40)  # x^2 + 2
-x0 = from_rational(1, 1, prime=3, digits=40)
-root = hensel_lift(F, x0, 35)
+print("== a square root of -2 in Z_3: the principal root ==")
+a = from_rational(-2, 1, prime=3, digits=40)
+root = principal_kth_root(a, 2)
 print("root:", root.to_compact())
 print("residue mod 9:", (root.unit * 3**root.val) % 9, "(expected 4)")
-print("F(root) vanishes to:", F(root).val_lower_bound, "digits")
+print("root^2 + 2 vanishes to:", (root * root - a).val_lower_bound,
+      "digits")
 
 print()
-print("== quadratic convergence, watched step by step ==")
-x = x0
+print("== Newton's quadratic convergence on x^2 + 2, step by step ==")
+F = PolyZp.from_rationals([2, 0, 1], prime=3, digits=40)  # x^2 + 2
+x = from_rational(1, 1, prime=3, digits=40)
 for step in range(4):
     print(f"  step {step}: v(F(x)) = {F(x).norm_exp()}")
     x = x - F(x) / F.deriv_at(x)
@@ -35,11 +34,10 @@ p, q, k = 5, 5, 3
 a = from_rational(1 - q + q * q * 35, 1, prime=p, digits=64)
 r = principal_kth_root(a, k)
 print(f"a = 1 - q + O(q^2); its principal {k}rd root r satisfies:")
-print("  r in E_p:", in_ep(r))
+print("  r in E_p:", (r - 1).val_at_least(1))
 print("  r^k - a cancels to:", (r.pow_int(k) - a).val_lower_bound, "digits")
-print("  leading behavior r = 1 - q/k + ...:",
-      (r - (1 - from_rational(q, k, prime=p))).norm_exp(),
-      ">", 2 * 1, "(deeper than |q^2/k^2|)")
+print("  leading behavior r = 1 - q/k + O(q^2): v(r - (1 - q/k)) =",
+      (r - (1 - from_rational(q, k, prime=p))).norm_exp(), ">= v(q^2) = 2")
 
 print()
 print("== roots of unity ==")

@@ -12,17 +12,13 @@ from .padic import (
     Ball,
     DEFAULT_DIGITS,
     INF,
-    NormCmp,
     Padic,
     PrecisionError,
-    cmp_norm,
     from_rational,
-    in_ep,
 )
 from .hensel import (
     PolyZp,
     fixed_point_B1,
-    hensel_lift,
     principal_kth_root,
     roots_of_unity,
 )
@@ -51,6 +47,8 @@ from .dynamics import (
     OrbitStatus,
     Trajectory,
     basin_classify,
+    branch_tree,
+    certified,
     cycle_multiplier,
     cylinder_point,
     df_metric,

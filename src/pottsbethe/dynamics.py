@@ -2,9 +2,9 @@
 
 Forward iteration with convergence certificates, the exact basin /
 pole-preimage / Julia trichotomy up to a depth, itineraries against the
-invariant cover, cylinder and periodic points built from the inverse
-branches, the verified incidence matrix, the dynamical metric on words,
-and the backward tree of the pole.
+invariant cover, the tree of inverse branches over a point (over the
+pole, its backward tree), cylinder and periodic points, the verified
+incidence matrix, and the dynamical metric on words.
 
 Julia-set membership is an infinite intersection, so it is only ever
 certified to a finite depth here; the API says "candidate" and carries the
@@ -23,6 +23,7 @@ from .mapping import (
     RegimeTag,
     VerificationError,
     build_partition,
+    check_symbols,
     derivative_at,
     eval_f,
     inverse_branch,
@@ -323,33 +324,63 @@ def itinerary_of(params: MapParams, x0, n: int) -> Itinerary:
     return Itinerary(tuple(word))
 
 
-def cylinder_point(params: MapParams, word) -> tuple[Padic, Ball]:
-    """A point realizing the given word, with its shrinking-ball
-    certificate.
-
-    The point is the image of the canonical anchor (the first partition
-    center) under the inverse branches taken right to left; the returned
-    ball has radius exponent radius_exp + sum of the word's scaling
-    exponents, so its diameter is at most p**-(tau_w0 + ... ) times the
-    cover radius.
-    """
-    part = build_partition(params)
+def _word(word) -> tuple[int, ...]:
+    """A nonempty word, given as symbols or as an Itinerary, as a tuple."""
     word = tuple(word.word if isinstance(word, Itinerary) else word)
     if not word:
         raise ValueError("word must be nonempty")
-    for s in word:
-        if not 1 <= s <= part.kappa:
-            raise ValueError(f"symbol {s} out of range 1..{part.kappa}")
-    z = part.balls[0].center
+    return word
+
+
+def _fold(params: MapParams, word: tuple[int, ...], z: Padic) -> Padic:
+    """h_{w_0} o ... o h_{w_{n-1}}(z): the inverse branches of the word
+    applied right to left."""
     for s in reversed(word):
         z = inverse_branch(params, s, z)
+    return z
+
+
+def branch_tree(params: MapParams, root: Padic, depth: int):
+    """The tree of inverse branches over ``root``, one level per step.
+
+    Level n maps each word w of length n to h_{w_0}(node of w[1:]), the
+    node of the empty word being ``root``, so each node is ``_fold`` of
+    its word over root, the same Padic.  The children of one node are
+    listed together, in symbol order.  A generator: level n + 1 is built
+    only when it is asked for.
+    """
+    symbols = range(1, params.kappa + 1)
+    level = {(): root}
+    for _ in range(depth):
+        level = {(s,) + w: inverse_branch(params, s, z)
+                 for w, z in level.items() for s in symbols}
+        yield level
+
+
+def certified(params: MapParams, word: tuple[int, ...], z: Padic) -> Ball:
+    """The shrinking-ball certificate of z, the point of ``word``: radius
+    exponent radius_exp + sum of the word's scaling exponents.
+    PrecisionError when z is not known to that radius."""
+    part = build_partition(params)
     cert_exp = part.radius_exp + sum(part.balls[s - 1].tau for s in word)
     if z.abs_prec <= cert_exp:
         raise PrecisionError(
             f"certificate ball O(p^{cert_exp}) is below the working "
             f"precision O(p^{z.abs_prec}); retry with more digits"
         )
-    return z, Ball(z, cert_exp)
+    return Ball(z, cert_exp)
+
+
+def cylinder_point(params: MapParams, word) -> tuple[Padic, Ball]:
+    """A point realizing the given word, with its ``certified`` ball.
+
+    The point is the image of the canonical anchor (the first partition
+    center) under the inverse branches taken right to left, so the ball's
+    diameter is at most p**-(tau_w0 + ... ) times the cover radius.
+    """
+    word = _word(word)
+    z = _fold(params, word, build_partition(params).balls[0].center)
+    return z, certified(params, word, z)
 
 
 def periodic_point(params: MapParams, word) -> Padic:
@@ -358,15 +389,11 @@ def periodic_point(params: MapParams, word) -> Padic:
     Iterates the contraction h_{w_0} o ... o h_{w_m-1} from the anchor to
     its fixed point, then the forward map returns to it after m steps.
     """
-    word = tuple(word.word if isinstance(word, Itinerary) else word)
-    if not word:
-        raise ValueError("word must be nonempty")
+    word = _word(word)
     z = build_partition(params).balls[0].center
     prev = None
     for _ in range(params.digits + 8):
-        nxt = z
-        for s in reversed(word):
-            nxt = inverse_branch(params, s, nxt)
+        nxt = _fold(params, word, z)
         gap = nxt - z
         z = nxt
         if gap.is_zero_like:
@@ -429,8 +456,8 @@ def df_metric(params: MapParams, wx, wy) -> Fraction:
     is the exact exponent of the center distance, read from the
     partition's ``center_exps`` table."""
     part = build_partition(params)
-    ax = tuple(wx.word if isinstance(wx, Itinerary) else wx)
-    ay = tuple(wy.word if isinstance(wy, Itinerary) else wy)
+    ax, ay = _word(wx), _word(wy)
+    check_symbols(params, ax + ay)
     n = None
     for t, (a, b) in enumerate(zip(ax, ay)):
         if a != b:
@@ -480,14 +507,9 @@ def pole_preimage_tree(params: MapParams, depth: int) -> list[list[Padic]]:
             f"{POLE_TREE_BUDGET}"
         )
     levels: list[list[Padic]] = []
-    current = [params.pole]
-    for n in range(1, depth + 1):
-        nxt = []
-        for y in current:
-            for i in range(1, part.kappa + 1):
-                x = inverse_branch(params, i, y)
-                nxt.append(x)
-        for x in nxt:
+    for n, level in enumerate(branch_tree(params, params.pole, depth),
+                              start=1):
+        for x in level.values():
             try:
                 z = Trajectory(params, x)[n]
             except PoleHit as exc:
@@ -503,6 +525,5 @@ def pole_preimage_tree(params: MapParams, depth: int) -> list[list[Padic]]:
                 raise VerificationError(
                     f"level-{n} preimage failed to run forward into the pole"
                 )
-        levels.append(nxt)
-        current = nxt
+        levels.append(list(level.values()))
     return levels

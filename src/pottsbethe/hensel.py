@@ -1,10 +1,9 @@
 """Root-finding over the p-adic integers.
 
-Quadratic Newton refinement of polynomial roots under the classical
-lifting condition |F(x0)|_p < |F'(x0)|_p^2, the principal k-th root of
-elements close to 1 and the k-th roots of unity by integer Newton lifts
-that double their digits at each step, and the second fixed point of the
-map in the single-symbol repelling regime.
+The principal k-th root of elements close to 1 and the k-th roots of
+unity, by integer Newton lifts that double their digits at each step, and
+the second fixed point of the map in the single-symbol repelling regime.
+``PolyZp`` evaluates a polynomial over Z_p and its derivative.
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ from fractions import Fraction
 
 from .padic import (
     DEFAULT_DIGITS,
-    INF,
     Padic,
     PrecisionError,
     _inverse_mod,
@@ -23,8 +21,6 @@ from .padic import (
     _vp,
     from_rational,
 )
-
-_MAX_NEWTON = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,45 +69,6 @@ class PolyZp:
         for i in range(self.degree - 1, 0, -1):
             acc = acc * x + i * self.coeffs[i]
         return acc
-
-
-def hensel_lift(F: PolyZp, x0: Padic, target_prec: int | None = None) -> Padic:
-    """Newton-refine an approximate root of F until |F(x)|_p <= p**-target_prec.
-
-    Requires x0 in Z_p with |F(x0)|_p < |F'(x0)|_p^2; each step at least
-    doubles the number of correct digits.  Returns x with
-    |x - x0|_p <= |F(x0)/F'(x0)^2|_p.  With ``target_prec=None`` the
-    iteration runs until the value of F cancels entirely at the carried
-    precision, i.e. as deep as the inputs can certify.
-    """
-    if not x0.val_at_least(0):
-        raise ValueError("x0 must be a p-adic integer")
-    fpx = F.deriv_at(x0)
-    vd = fpx.norm_exp()  # PrecisionError if the derivative norm is unknown
-    if vd == INF:
-        raise ValueError("F'(x0) = 0: lifting condition cannot hold")
-    fx = F(x0)
-    if not fx.val_at_least(2 * vd + 1):
-        raise ValueError(
-            "lifting condition |F(x0)| < |F'(x0)|^2 fails "
-            f"(v(F) = {fx.val_lower_bound}, v(F') = {vd})"
-        )
-    x = x0
-    for _ in range(_MAX_NEWTON):
-        fx = F(x)
-        if fx.is_exact_zero:
-            return x
-        if fx.is_inexact_zero:
-            if target_prec is None or fx.val >= target_prec:
-                return x
-            raise PrecisionError(
-                f"F cancels at O(p^{fx.val}) before reaching "
-                f"target {target_prec}; retry at higher precision"
-            )
-        if target_prec is not None and fx.val >= target_prec:
-            return x
-        x = x - fx / F.deriv_at(x)
-    raise PrecisionError("Newton iteration did not reach the target")
 
 
 def _unit_root(r: int, m: int, y: int, n: int, p: int) -> int:

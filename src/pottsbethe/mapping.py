@@ -443,7 +443,10 @@ class Partition:
         }
 
 
-@functools.cache
+PARTITION_CACHE_SIZE = 64  # configurations whose partition stays cached
+
+
+@functools.lru_cache(maxsize=PARTITION_CACHE_SIZE)
 def build_partition(params: MapParams) -> Partition:
     """Centers and scaling exponents of the invariant cover (regime B).
 
@@ -453,7 +456,8 @@ def build_partition(params: MapParams) -> Partition:
     2 - q - theta + q(theta-1)/(1-xi) and scales by |k|/|q(theta-1)|.
     Disjointness, positivity of every exponent, and that the cover misses
     the pole and the attracting ball B_1 are asserted, not assumed.
-    Cached: every MapParams of one configuration shares one Partition.
+    Cached: every MapParams of one configuration shares one Partition,
+    for the PARTITION_CACHE_SIZE configurations used last.
     """
     regime = params.regime
     if not regime.expanding:
@@ -516,6 +520,13 @@ def attracting_ball(params: MapParams) -> Ball:
     return Ball(Padic.one(params.p, params.digits), params.v_q)
 
 
+def check_symbols(params: MapParams, word) -> None:
+    """ValueError unless each symbol of ``word`` names a ball: 1..kappa."""
+    for s in word:
+        if not 1 <= s <= params.kappa:
+            raise ValueError(f"symbol {s} out of range 1..{params.kappa}")
+
+
 def inverse_branch(params: MapParams, symbol: int, y) -> Padic:
     """The inverse branch through the ball of the given symbol:
     h_i(y) = ((q+theta-2) * xi_i * y**(1/k) - q + 1) / (theta - xi_i * y**(1/k))
@@ -525,8 +536,10 @@ def inverse_branch(params: MapParams, symbol: int, y) -> Padic:
     covers the invariant cover, its forward images, and the pole.  The
     image is guaranteed to lie in the ball of symbol i when y belongs to
     the ball of radius |q^2|_p around 1 - q (the cover and the pole both
-    do); f(h_i(y)) = y holds on the whole domain.
+    do); f(h_i(y)) = y holds on the whole domain.  A symbol outside
+    1..kappa is refused by ``check_symbols``.
     """
+    check_symbols(params, (symbol,))
     y = params.embed(y)
     if not (y - 1).val_at_least(params.v_k + 1):
         raise ValueError(

@@ -14,15 +14,16 @@ Three flavors of value arise:
 Every operation propagates the provable precision bound, and any predicate
 the carried precision cannot decide raises :class:`PrecisionError` instead
 of guessing.  Callers may rebuild their inputs at doubled precision and
-retry.  Values are immutable and safe to share across threads.
+retry.  Norms compare as exact exponents: ``norm_exp``, ``val_at_least``
+and ``val_at_most``.  Values print in a digit form and in the compact
+``v:u:N`` form that reports write; they are immutable and safe to share
+across threads.
 """
 
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 
 INF = math.inf
@@ -32,12 +33,6 @@ DEFAULT_DIGITS = 64
 
 class PrecisionError(ArithmeticError):
     """A predicate or operation is undecidable at the available precision."""
-
-
-class NormCmp(Enum):
-    LT = -1
-    EQ = 0
-    GT = 1
 
 
 def _vp(n: int, p: int) -> int:
@@ -87,9 +82,9 @@ def _check_prime(p: int) -> None:
 
 @dataclass(frozen=True, slots=True, eq=False)
 class Padic:
-    """One p-adic number at a known precision.  Use the factory functions
-    (:func:`from_rational`, :meth:`Padic.parse`) rather than the raw
-    constructor; the raw fields are assumed normalized.
+    """One p-adic number at a known precision.  Use the factories
+    (:func:`from_rational`, :meth:`Padic.from_residue`) rather than the
+    raw constructor; the raw fields are assumed normalized.
 
     ``cap`` is the working precision the value was created under; it bounds
     the precision of results when two exact values meet in a division that
@@ -409,8 +404,7 @@ class Padic:
         return " + ".join(terms)
 
     def to_string(self) -> str:
-        """Digit-expansion encoding, e.g. ``3^-1 * (2 + 1*3) + O(3^1)``.
-        Round-trips through :meth:`parse`."""
+        """Digit-expansion encoding, e.g. ``3^-1 * (2 + 1*3) + O(3^1)``."""
         p = self.prime
         if self.is_exact_zero:
             return "0"
@@ -435,18 +429,6 @@ class Padic:
             return f"{self.val}:0:0"
         n = "inf" if self.prec == INF else str(int(self.prec))
         return f"{self.val}:{self.unit}:{n}"
-
-    @classmethod
-    def parse(cls, text: str, prime: int | None = None,
-              cap: int | None = None) -> "Padic":
-        """Parse either encoding produced by :meth:`to_string` /
-        :meth:`to_compact`.  The compact form needs ``prime``."""
-        text = text.strip()
-        if ":" in text:
-            if prime is None:
-                raise ValueError("compact form needs an explicit prime")
-            return _parse_compact(text, prime, cap)
-        return _parse_string(text, prime, cap)
 
     def __repr__(self) -> str:
         return f"Padic({self.prime}, {self.to_compact()!r})"
@@ -489,51 +471,6 @@ def from_rational(num, den=1, *, prime: int, digits: int = DEFAULT_DIGITS) -> Pa
     return Padic._build(prime, vn - vd, unit, digits, digits)
 
 
-def cmp_norm(x: Padic, y: Padic) -> NormCmp:
-    """Exact comparison of |x|_p and |y|_p.
-
-    Raises :class:`PrecisionError` when an inexact zero leaves the order
-    undetermined.  ``cmp_norm(x, y) == LT`` is the computable form of the
-    small-o relation between x and y.
-    """
-    if x.prime != y.prime:
-        raise ValueError("mixed primes")
-    if x.is_exact_zero:
-        if y.is_exact_zero:
-            return NormCmp.EQ
-        if y.unit != 0:
-            return NormCmp.LT
-        raise PrecisionError("cannot order |0| against an inexact zero")
-    if x.unit != 0:
-        if y.is_exact_zero:
-            return NormCmp.GT
-        if y.unit != 0:
-            if x.val < y.val:
-                return NormCmp.GT
-            if x.val > y.val:
-                return NormCmp.LT
-            return NormCmp.EQ
-        if y.val > x.val:
-            return NormCmp.GT
-        raise PrecisionError(
-            f"|y| <= p^-{y.val} does not separate from |x| = p^-{x.val}"
-        )
-    # x is an inexact zero
-    if y.unit != 0 and x.val > y.val:
-        return NormCmp.LT
-    raise PrecisionError("inexact zero leaves the norm order undecided")
-
-
-def in_ep(x: Padic) -> bool:
-    """Membership in the exponential domain E_p = {|x-1|_p < p^(-1/(p-1))}.
-
-    For p >= 3 this is exactly |x-1|_p <= 1/p.  p = 2 is out of scope.
-    """
-    if x.prime < 3:
-        raise ValueError("E_p membership implemented for p >= 3 only")
-    return (x - 1).val_at_least(1)
-
-
 @dataclass(frozen=True, slots=True, eq=False)
 class Ball:
     """Open ball {x : |x - center|_p < p**-radius_exp}; membership is the
@@ -558,93 +495,3 @@ class Ball:
         # whether the centers are separated at the larger radius
         s = min(self.radius_exp, other.radius_exp)
         return (self.center - other.center).val_at_most(s)
-
-
-# -- parsing helpers -------------------------------------------------------
-
-_COMPACT_RE = re.compile(r"^(?P<v>-?\d+|inf):(?P<u>-?\d+):(?P<n>\d+|inf)$")
-_STRING_RE = re.compile(
-    r"^(?P<p>\d+)\^(?P<v>-?\d+)\s*\*\s*(?P<sign>-)?\((?P<body>[^()]*)\)"
-    r"(?:\s*\+?\s*O\(\s*(?P<p2>\d+)\^(?P<m>-?\d+)\s*\))?$"
-)
-_OZERO_RE = re.compile(r"^O\(\s*(?P<p>\d+)\^(?P<m>-?\d+)\s*\)$")
-_TERM_RE = re.compile(r"^(?P<d>\d+)(?:\*(?P<p>\d+)(?:\^(?P<j>\d+))?)?$")
-
-
-def _parse_compact(text: str, prime: int, cap: int | None) -> Padic:
-    m = _COMPACT_RE.match(text)
-    if not m:
-        raise ValueError(f"not a compact p-adic encoding: {text!r}")
-    v, u, n = m.group("v"), int(m.group("u")), m.group("n")
-    if v == "inf":
-        if u != 0 or n != "inf":
-            raise ValueError(f"malformed exact zero: {text!r}")
-        return Padic.zero(prime, cap or DEFAULT_DIGITS)
-    val = int(v)
-    if n == "inf":
-        if u == 0:
-            raise ValueError("exact zero must use 'inf:0:inf'")
-        if u % prime == 0:
-            raise ValueError("unit must be coprime to p")
-        return Padic._build(prime, val, u, INF, cap or DEFAULT_DIGITS)
-    prec = int(n)
-    if prec == 0:
-        if u != 0:
-            raise ValueError(f"inexact zero must have unit 0: {text!r}")
-        return Padic.inexact_zero(prime, val, cap or DEFAULT_DIGITS)
-    if u <= 0 or u >= prime**prec or u % prime == 0:
-        raise ValueError(f"unit {u} out of range for {prec} digits")
-    return Padic(prime, val, u, prec, cap or max(prec, DEFAULT_DIGITS))
-
-
-def _parse_string(text: str, prime: int | None, cap: int | None) -> Padic:
-    if text == "0":
-        if prime is None:
-            raise ValueError("the encoding '0' needs an explicit prime")
-        return Padic.zero(prime, cap or DEFAULT_DIGITS)
-    m = _OZERO_RE.match(text)
-    if m:
-        p = int(m.group("p"))
-        if prime is not None and prime != p:
-            raise ValueError(f"prime mismatch: expected {prime}, found {p}")
-        return Padic.inexact_zero(p, int(m.group("m")), cap or DEFAULT_DIGITS)
-    m = _STRING_RE.match(text)
-    if not m:
-        raise ValueError(f"not a p-adic digit encoding: {text!r}")
-    p = int(m.group("p"))
-    if prime is not None and prime != p:
-        raise ValueError(f"prime mismatch: expected {prime}, found {p}")
-    val = int(m.group("v"))
-    unit = 0
-    count = 0
-    for j, term in enumerate(t.strip() for t in m.group("body").split("+")):
-        tm = _TERM_RE.match(term)
-        if not tm:
-            raise ValueError(f"bad digit term {term!r} in {text!r}")
-        d = int(tm.group("d"))
-        if not 0 <= d < p:
-            raise ValueError(f"digit {d} out of range for base {p}")
-        if tm.group("p") is not None:
-            if int(tm.group("p")) != p:
-                raise ValueError(f"prime mismatch inside digits: {term!r}")
-            jj = int(tm.group("j")) if tm.group("j") else 1
-        else:
-            jj = 0
-        if jj != j:
-            raise ValueError(f"digit terms must ascend from p^0: {text!r}")
-        unit += d * p**j
-        count += 1
-    if m.group("m") is None:
-        if m.group("sign"):
-            unit = -unit
-        return Padic._build(p, val, unit, INF, cap or DEFAULT_DIGITS)
-    if m.group("sign"):
-        raise ValueError("inexact values carry complement digits, not a sign")
-    if int(m.group("p2")) != p:
-        raise ValueError("prime mismatch in the O(...) tail")
-    abs_prec = int(m.group("m"))
-    if abs_prec - val != count:
-        raise ValueError(
-            f"digit count {count} inconsistent with O({p}^{abs_prec})"
-        )
-    return Padic._build(p, val, unit, count, cap or max(count, DEFAULT_DIGITS))

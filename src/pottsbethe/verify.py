@@ -300,13 +300,15 @@ def _records_in_spans(record, count: int) -> list:
     0 is computed before any fork, so that every process shares the
     partition and rung it built.  The first error in plan order is
     raised, as a serial run raises it, and no child outlives the call.
+    A child that ends without sending its span has it computed here, so
+    the bytes are still those of a serial run.
     """
     spans = _span_count(count)
     if spans == 1:
         return [record(i) for i in range(count)]
     bounds = [count * j // spans for j in range(spans + 1)]
     records = [record(0)]
-    children: list = []  # (pid, read end of its pipe), in plan order
+    children: list = []  # (pid, read end of its pipe, span), in plan order
     done = False
     try:
         for lo, hi in zip(bounds[1:-1], bounds[2:]):
@@ -319,18 +321,18 @@ def _records_in_spans(record, count: int) -> list:
                 raise
             if pid == 0:
                 os.close(read)
-                for _, pipe in children:
+                for _, pipe, _ in children:
                     pipe.close()
                 _send_span(record, range(lo, hi), write)
             os.close(write)
-            children.append((pid, os.fdopen(read, "rb")))
+            children.append((pid, os.fdopen(read, "rb"), range(lo, hi)))
         records += [record(i) for i in range(1, bounds[1])]
-        for pid, pipe in children:
-            records += _receive_span(pid, pipe.read())
+        for _, pipe, span in children:
+            records += _receive_span(pipe.read(), record, span)
         done = True
         return records
     finally:
-        for pid, pipe in children:
+        for pid, pipe, _ in children:
             if not done:
                 os.kill(pid, 9)  # SIGKILL
             pipe.close()
@@ -356,13 +358,13 @@ def _send_span(record, span: range, write: int) -> None:
         os._exit(status)
 
 
-def _receive_span(pid: int, data: bytes) -> list:
-    """The records a child sent, or its error raised again here."""
+def _receive_span(data: bytes, record, span: range) -> list:
+    """The records a child sent for ``span``, or its error raised again
+    here; computed here when the child sent no complete message."""
     try:
         message = marshal.loads(data)
     except (EOFError, ValueError, TypeError):
-        raise RuntimeError(f"sweep process {pid} ended without sending "
-                           "its records") from None
+        return [record(i) for i in span]
     if message[0]:
         return message[1]
     module, name, text, exact = message[1:]
@@ -479,14 +481,13 @@ def _julia_checks(params: MapParams, depth: int, seed: int,
     realized = 0
     words_total = 0
     pts = {}  # the cylinder point of each word of length depth
-    for n in range(1, depth + 1):
-        for word in itertools.product(range(1, part.kappa + 1), repeat=n):
+    tree = dynamics.branch_tree(params, part.balls[0].center, depth)
+    for n, pts in enumerate(tree, start=1):
+        for word, pt in pts.items():
             words_total += 1
-            pt, _ = dynamics.cylinder_point(params, word)
+            dynamics.certified(params, word, pt)
             if dynamics.itinerary_of(params, pt, n).word == word:
                 realized += 1
-            if n == depth:
-                pts[word] = pt
     _check(checks, "words_realized_roundtrip", realized == words_total,
            {"realized": realized, "total": words_total})
 

@@ -11,6 +11,7 @@ from pottsbethe.dynamics import (
     OrbitStatus,
     Trajectory,
     basin_classify,
+    branch_tree,
     cycle_multiplier,
     cylinder_point,
     df_metric,
@@ -280,6 +281,87 @@ class TestCylinderPoints:
     def test_empty_word_rejected(self, regime_b2):
         with pytest.raises(ValueError):
             cylinder_point(regime_b2, ())
+
+
+def reference_tree(params, root, depth):
+    """The levels of inverse branches over root as the pole tree built
+    them before ``branch_tree``: each level applies every branch to each
+    point of the level before, in order."""
+    kappa = build_partition(params).kappa
+    levels, current = [], [root]
+    for _ in range(depth):
+        current = [inverse_branch(params, i, y)
+                   for y in current for i in range(1, kappa + 1)]
+        levels.append(current)
+    return levels
+
+
+def reference_fold(params, word, root):
+    """The point of one word as ``cylinder_point`` folded it, one word at
+    a time: the branches taken right to left."""
+    z = root
+    for s in reversed(word):
+        z = inverse_branch(params, s, z)
+    return z
+
+
+def fields(x):
+    return (x.val, x.unit, x.prec, x.cap)
+
+
+class TestBranchTree:
+    @pytest.mark.parametrize("args", [(5, 2, 5, "1+p^3"), (7, 3, 7, "1+p^3")],
+                             ids=["kappa2", "kappa3"])
+    def test_nodes_match_the_reference_loops(self, args):
+        params = MapParams.make(*args)
+        kappa = build_partition(params).kappa
+        anchor = build_partition(params).balls[0].center
+        for root in (params.pole, anchor):
+            levels = list(branch_tree(params, root, 4))
+            reference = reference_tree(params, root, 4)
+            assert [len(level) for level in levels] == \
+                [kappa**n for n in range(1, 5)]
+            for level, ref in zip(levels, reference):
+                assert [fields(x) for x in level.values()] == \
+                    [fields(x) for x in ref]
+                for word, x in level.items():
+                    assert fields(x) == \
+                        fields(reference_fold(params, word, root))
+
+    def test_levels_are_built_on_demand(self, regime_b2, monkeypatch):
+        calls = []
+
+        def counted(params, symbol, y):
+            calls.append(symbol)
+            return inverse_branch(params, symbol, y)
+
+        monkeypatch.setattr(dynamics, "inverse_branch", counted)
+        tree = branch_tree(regime_b2, regime_b2.pole, 3)
+        assert calls == []
+        next(tree)
+        assert calls == [1, 2]
+
+
+class TestSymbolRange:
+    """A symbol outside 1..kappa is refused, never read as another
+    ball's symbol."""
+
+    @pytest.mark.parametrize("symbol", [0, -1, 3])
+    def test_inverse_branch(self, regime_b2, symbol):
+        with pytest.raises(ValueError, match="out of range 1..2"):
+            inverse_branch(regime_b2, symbol, regime_b2.pole)
+
+    @pytest.mark.parametrize("word", [(0,), (1, 3), (-1, 2)])
+    def test_words(self, regime_b2, word):
+        with pytest.raises(ValueError, match="out of range 1..2"):
+            periodic_point(regime_b2, word)
+        with pytest.raises(ValueError, match="out of range 1..2"):
+            cylinder_point(regime_b2, word)
+
+    def test_word_metric(self, regime_b2):
+        for wx, wy in [((0, 1), (0, 2)), ((1, 2), (2, 3)), ((3,), (1,))]:
+            with pytest.raises(ValueError, match="out of range 1..2"):
+                df_metric(regime_b2, wx, wy)
 
 
 class TestIncidence:

@@ -1,4 +1,5 @@
 """Source hygiene: every imported name is used in the file importing it,
+every private module-level name of the package is read somewhere in it,
 every function the benchmark's tracer patches still exists, and the
 command line imports no module it does not need.
 
@@ -62,6 +63,62 @@ def test_no_unused_imports(path):
     unused = [f"{name} (line {line})" for name, line in imported_names(tree)
               if name not in used]
     assert not unused, f"unused imports in {path.name}: {', '.join(unused)}"
+
+
+def module_private_names(tree):
+    """(name, line) for every ``_private`` name a module binds at its top
+    level: a function, class or assignment target."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            targets = [node.name]
+        elif isinstance(node, ast.Assign):
+            targets = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target,
+                                                            ast.Name):
+            targets = [node.target.id]
+        else:
+            targets = []
+        for name in targets:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, node.lineno
+
+
+def read_names(tree):
+    """Every name the module reads: a loaded name, an attribute, or a
+    name imported from another module."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.ImportFrom):
+            yield from (alias.name for alias in node.names)
+
+
+def unread_private_names(folder):
+    """"file:line name" for each private module-level name of the .py
+    files under ``folder`` that no file there reads."""
+    trees = {path: ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(folder.rglob("*.py"))}
+    read = {name for tree in trees.values() for name in read_names(tree)}
+    return [f"{path.name}:{line} {name}" for path, tree in trees.items()
+            for name, line in module_private_names(tree) if name not in read]
+
+
+def test_private_names_are_read():
+    # a deletion that leaves a private helper or constant without a reader
+    # leaves dead code behind
+    unread = unread_private_names(ROOT / "src")
+    assert not unread, f"unread private names: {', '.join(unread)}"
+
+
+def test_unread_private_name_is_found(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        "import math\n_USED = 1\n_MAX_NEWTON = 64\n"
+        "def _helper():\n    return math.pi\n"
+        "def f():\n    return _USED + _helper()\n")
+    assert unread_private_names(tmp_path) == ["mod.py:3 _MAX_NEWTON"]
 
 
 def _bench_tracer():

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from pottsbethe import sampling
 from pottsbethe.mapping import (
+    PARTITION_CACHE_SIZE,
     MapParams,
     PoleHit,
     RegimeTag,
@@ -241,6 +242,18 @@ class TestPartition:
         for _ in range(100):
             build_partition(MapParams.make(5, 2, 5, "1+p^3", digits=48))
         assert build_partition.cache_info().currsize - before <= 1
+
+    def test_cache_keeps_the_last_configurations(self):
+        # a process over many theta or digit counts keeps a bounded number
+        # of partitions, the ones used last
+        bound = PARTITION_CACHE_SIZE
+        configs = [MapParams.make(5, 2, 5, "1+p^3", digits=8 + d)
+                   for d in range(bound + 10)]
+        parts = [build_partition(params) for params in configs]
+        info = build_partition.cache_info()
+        assert info.maxsize == bound and info.currsize == bound
+        assert build_partition(configs[-1]) is parts[-1]
+        assert build_partition(configs[-bound]) is parts[-bound]
 
     def test_regime_a_has_no_partition(self, regime_a):
         with pytest.raises(ValueError):

@@ -1,21 +1,20 @@
 """Core arithmetic: exact norms, precision tracking, balls, encodings."""
 
 import operator
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pottsbethe.mapping import MapParams
 from pottsbethe.padic import (
     INF,
     Ball,
-    NormCmp,
     Padic,
     PrecisionError,
     _inverse_mod,
-    cmp_norm,
     from_rational,
-    in_ep,
 )
 
 
@@ -125,6 +124,12 @@ class TestNormExp:
         assert Padic.zero(3).norm_exp() == INF
 
 
+def in_ep(x: Padic) -> bool:
+    """Membership in the exponential domain E_p: for p >= 3 exactly
+    |x - 1|_p <= 1/p, the test ``MapParams.make`` applies to theta."""
+    return (x - 1).val_at_least(1)
+
+
 class TestEp:
     def test_one(self):
         assert in_ep(from_rational(1, 1, prime=5))
@@ -145,34 +150,41 @@ class TestEp:
             in_ep(x)
 
     def test_p2_out_of_scope(self):
-        x = Padic.one(5).with_cap(8)
-        blocked = Padic(2, 0, 1, INF, 8)
-        with pytest.raises(ValueError):
-            in_ep(blocked)
-        assert in_ep(x)
+        # for p = 2, E_p is |x - 1|_2 < 1/2, not |x - 1|_p <= 1/p; the
+        # parameters refuse p = 2 before any membership test
+        with pytest.raises(ValueError, match="p >= 3"):
+            MapParams.make(2, 1, 2, 1)
+        assert in_ep(Padic.one(5).with_cap(8))
 
 
 class TestCmpNorm:
+    """Norm comparisons as exact exponents: |x| < |y| is
+    norm_exp(x) > norm_exp(y), and undecidable comparisons raise."""
+
     def test_p_vs_one(self):
-        assert cmp_norm(from_rational(5, 1, prime=5),
-                        from_rational(1, 1, prime=5)) is NormCmp.LT
+        assert from_rational(5, 1, prime=5).norm_exp() > \
+            from_rational(1, 1, prime=5).norm_exp()
 
     def test_ep_difference_vs_unit(self):
         # x in E_p, x != 1, k a unit: |x - 1| < |k|
         x = from_rational(1 + 5, 1, prime=5)
         k = from_rational(2, 1, prime=5)
-        assert cmp_norm(x - 1, k) is NormCmp.LT
+        assert (x - 1).val_at_least(k.norm_exp() + 1)
 
     def test_valuation_addition(self):
         # |q(theta-1)| < |theta-1| whenever |q| < 1
         q = from_rational(5, 1, prime=5)
         t1 = from_rational(125, 1, prime=5)
-        assert cmp_norm(q * t1, t1) is NormCmp.LT
+        assert (q * t1).norm_exp() > t1.norm_exp()
 
     def test_undecidable(self):
+        # an inexact zero O(5^12) against the exact zero: |a - a| = 0 is
+        # not decided, and neither is its exact norm
         a = from_rational(1, 7, prime=5, digits=12)
         with pytest.raises(PrecisionError):
-            cmp_norm(a - a, Padic.zero(5))
+            (a - a).val_at_least(13)
+        with pytest.raises(PrecisionError):
+            (a - a).norm_exp()
 
 
 class TestBalls:
@@ -243,7 +255,7 @@ class TestInvariants:
         if na == nb:
             return
         lead = k * (alpha - beta)
-        assert cmp_norm(alpha**k - beta**k - lead, lead) is NormCmp.LT
+        assert (alpha**k - beta**k - lead).val_at_least(lead.norm_exp() + 1)
 
     @given(primes, st.integers(-10**80, 10**80), st.integers(0, 300),
            st.integers(1, 256))
@@ -266,6 +278,7 @@ class TestInvariants:
     def test_ep_sum_is_unit(self, p, na, nb):
         a = from_rational(1 + p * na, 1, prime=p)
         b = from_rational(1 + p * nb, 1, prime=p)
+        assert in_ep(a) and in_ep(b)
         assert (a + b).norm_exp() == 0
 
 
@@ -343,38 +356,45 @@ class TestPrecisionSoundness:
                                      (_perturb(data, x), n))
 
 
+def decode(text: str, p: int) -> tuple:
+    """(val, unit, prec) read back from either encoding of a value with a
+    nonzero unit, by an independent reader of the documented grammar."""
+    if ":" in text:
+        v, u, n = text.split(":")
+        return int(v), int(u), INF if n == "inf" else int(n)
+    m = re.fullmatch(rf"{p}\^(-?\d+) \* (-?)\(([^()]*)\)"
+                     rf"(?: \+ O\({p}\^(-?\d+)\))?", text)
+    val, sign, body, abs_prec = m.groups()
+    digits = [int(term.split("*")[0]) for term in body.split(" + ")]
+    unit = sum(d * p**j for j, d in enumerate(digits))
+    if abs_prec is None:
+        return int(val), -unit if sign else unit, INF
+    assert int(abs_prec) - int(val) == len(digits)
+    return int(val), unit, len(digits)
+
+
 class TestEncodings:
     @pytest.mark.parametrize("num,den", [
         (1, 1), (-1, 1), (4, 121), (-383, 2), (0, 1), (75, 4), (7, 25),
     ])
     def test_round_trip_both_forms(self, num, den):
         x = from_rational(num, den, prime=5, digits=16)
+        if x.is_exact_zero:
+            assert (x.to_string(), x.to_compact()) == ("0", "inf:0:inf")
+            return
         for text in (x.to_string(), x.to_compact()):
-            y = Padic.parse(text, 5)
-            assert (y.val, y.unit, y.prec) == (x.val, x.unit, x.prec)
+            assert decode(text, 5) == (x.val, x.unit, x.prec)
 
     def test_inexact_zero_round_trip(self):
         z = Padic.inexact_zero(7, 9)
-        assert Padic.parse(z.to_string(), 7).val == 9
-        assert Padic.parse(z.to_compact(), 7).is_inexact_zero
+        assert z.to_string() == "O(7^9)"
+        assert z.to_compact() == "9:0:0"
 
     def test_string_form_shape(self):
         x = from_rational(7, 1, prime=5)
         assert x.to_string() == "5^0 * (2 + 1*5)"
         y = from_rational(1, 2, prime=5, digits=3)
         assert y.to_string() == "5^0 * (3 + 2*5 + 2*5^2) + O(5^3)"
-
-    def test_parse_rejects_garbage(self):
-        with pytest.raises(ValueError):
-            Padic.parse("5^0 * (7)", 5)  # digit out of range
-        with pytest.raises(ValueError):
-            Padic.parse("not a padic", 5)
-
-    def test_parse_rejects_bad_units(self):
-        with pytest.raises(ValueError):
-            Padic.parse("0:10:3", 5)  # divisible by p
-        with pytest.raises(ValueError):
-            Padic.parse("0:999:3", 5)  # exceeds p**3
 
 
 def test_mixed_primes_rejected():

@@ -69,13 +69,14 @@ def test_regime_is_decided_once_per_params(monkeypatch):
 
 
 def test_julia_report_builds_each_cylinder_point_once(monkeypatch):
-    calls = _calls_to(monkeypatch, dynamics.cylinder_point)
+    calls = _calls_to(monkeypatch, mapping.inverse_branch)
     rep = verify.julia_report(MapParams.make(5, 2, 5, "1+p^3"), 3,
                               pairs_per_ball=5)
     assert rep["falsified"] is False
-    # the 2 + 4 + 8 words realised; 23 when the isometry and shift checks
-    # built their depth-3 points again
-    assert len(calls) == 14
+    # 14 for the 2 + 4 + 8 words, one branch per tree node; the rest for
+    # the incidence matrix, the periodic points and the pole tree.  357
+    # when each word was folded from the anchor on its own
+    assert len(calls) == 337
 
 
 def test_retried_sweep_adds_one_partition_per_rung():
