@@ -97,10 +97,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _parse_x0(text: str) -> Fraction:
-    if "/" in text:
-        a, b = text.split("/", 1)
-        return Fraction(int(a), int(b))
-    return Fraction(int(text))
+    """The rational a or a/b that ``--x0`` gives; a ValueError naming
+    --x0 and the text when it is not one."""
+    num, slash, den = text.partition("/")
+    try:
+        a, b = int(num), (int(den) if slash else 1)
+    except ValueError:
+        raise ValueError(f"--x0: not a rational a or a/b: {text!r}") from None
+    if b == 0:
+        raise ValueError(f"--x0: zero denominator in {text!r}")
+    return Fraction(a, b)
 
 
 def _sweep_jsonl(report: dict) -> str:

@@ -481,7 +481,8 @@ def norm_fraction(x: Padic) -> Fraction:
     return Fraction(1, x.prime**v) if v >= 0 else Fraction(x.prime**-v)
 
 
-def pole_preimage_tree(params: MapParams, depth: int) -> list[list[Padic]]:
+def pole_preimage_tree(params: MapParams,
+                       depth: int) -> list[list[Trajectory]]:
     """Backward orbit of the pole, level by level.
 
     In the contracting regime the backward orbit is empty: the pole stays
@@ -489,10 +490,13 @@ def pole_preimage_tree(params: MapParams, depth: int) -> list[list[Padic]]:
     nothing ever maps onto it; the certified empty answer is returned
     without search.  In the expanding regime each level applies all kappa
     inverse branches and every point is verified by running it forward
-    into the pole.  A search of more than POLE_TREE_BUDGET points is
-    refused.  A preimage that lands on the pole before step n is a
-    falsification when it is exactly the pole, and a precision shortage
-    when it is only indistinguishable from it.
+    into the pole.  A level-n node is the Trajectory of that run: the
+    preimage is ``node[0]`` and the pole ``node[n]``, so a caller who
+    iterates the preimage again starts from the n iterates already made.
+    A search of more than POLE_TREE_BUDGET points is refused.  A preimage
+    that lands on the pole before step n is a falsification when it is
+    exactly the pole, and a precision shortage when it is only
+    indistinguishable from it.
     """
     regime = params.regime
     if regime.tag == RegimeTag.A:
@@ -506,12 +510,13 @@ def pole_preimage_tree(params: MapParams, depth: int) -> list[list[Padic]]:
             f"kappa**depth sweep would visit {total} points; budget is "
             f"{POLE_TREE_BUDGET}"
         )
-    levels: list[list[Padic]] = []
+    levels: list[list[Trajectory]] = []
     for n, level in enumerate(branch_tree(params, params.pole, depth),
                               start=1):
-        for x in level.values():
+        nodes = [Trajectory(params, x) for x in level.values()]
+        for node in nodes:
             try:
-                z = Trajectory(params, x)[n]
+                z = node[n]
             except PoleHit as exc:
                 if not exc.exact:
                     raise PrecisionError(
@@ -525,5 +530,5 @@ def pole_preimage_tree(params: MapParams, depth: int) -> list[list[Padic]]:
                 raise VerificationError(
                     f"level-{n} preimage failed to run forward into the pole"
                 )
-        levels.append(list(level.values()))
+        levels.append(nodes)
     return levels

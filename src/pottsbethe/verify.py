@@ -37,7 +37,7 @@ FIXED_POINT_DIGITS = 40  # digits the B1 fixed point must satisfy f(x) = x to
 PERIODIC_DIGITS = 30  # digits a periodic point must return to itself to
 MAX_PERIOD = 4  # longest period whose points julia-verify checks
 JULIA_PAIR_BUDGET = 10**6  # most word pairs julia-verify's isometry checks
-SPAN_MIN_RECORDS = 128  # fewest sweep records worth a forked process
+SPAN_MIN_RECORDS = 64  # fewest sweep records worth a forked process
 
 
 def canonical_json(obj) -> str:
@@ -50,7 +50,8 @@ class _Ladder:
     whole classify or julia-verify report, that runs out of precision is
     retried on its exact input at each RETRY_LADDER multiple of the
     digits.  Each rung (params, pole tree) is built once, on first use,
-    and shared by every record of the call.  A pole tree that runs out of
+    and shared by every record of the call; a tree record starts from the
+    Trajectory that verified its node.  A pole tree that runs out of
     precision is kept as its PrecisionError, which ``_tree`` raises again
     for every record that reads it."""
 
@@ -157,7 +158,7 @@ def _classify(params: MapParams) -> dict:
 def _orbit_record(params, x0, max_iter: int, tol: int,
                   classify_depth: int | None) -> dict:
     rec: dict = {}
-    traj = dynamics.Trajectory(params, x0)
+    traj = dynamics._trajectory(params, x0)
     res = dynamics.orbit(params, traj, max_iter=max_iter, tol=tol)
     if res.status is OrbitStatus.UNDECIDED and res.reason == "precision":
         raise PrecisionError("orbit undecided")
@@ -294,24 +295,25 @@ def _records_in_spans(record, count: int) -> list:
     """``[record(i) for i in range(count)]``, computed on every available
     CPU when the plan is large enough to pay for a fork.
 
-    The plan is cut into contiguous spans.  The parent computes the first
-    span, and a forked child each other one, which it sends back over a
-    pipe in ``marshal`` form; the parent joins them in plan order.  Record
-    0 is computed before any fork, so that every process shares the
-    partition and rung it built.  The first error in plan order is
-    raised, as a serial run raises it, and no child outlives the call.
-    A child that ends without sending its span has it computed here, so
-    the bytes are still those of a serial run.
+    Of S spans, span j holds the records j, j + S, j + 2S, ..., so every
+    span gets the same mix of sample categories and pole-tree levels.
+    The parent computes span 0, and a forked child each other one, which
+    it sends back over a pipe in ``marshal`` form; the parent puts each
+    record at its plan index.  Record 0 is computed before any fork, so
+    that every process shares the partition and rung it built.  Each
+    process stops at its first error and names its plan index; the error
+    of lowest index is raised, as a serial run raises it, and no child
+    outlives the call.  A child that ends without sending its span has it
+    computed here, so the bytes are still those of a serial run.
     """
     spans = _span_count(count)
     if spans == 1:
         return [record(i) for i in range(count)]
-    bounds = [count * j // spans for j in range(spans + 1)]
-    records = [record(0)]
-    children: list = []  # (pid, read end of its pipe, span), in plan order
-    done = False
+    first = record(0)
+    children: list = []  # (pid, read end of its pipe, span), in span order
     try:
-        for lo, hi in zip(bounds[1:-1], bounds[2:]):
+        for j in range(1, spans):
+            span = range(j, count, spans)
             read, write = os.pipe()
             try:
                 pid = os.fork()
@@ -323,34 +325,55 @@ def _records_in_spans(record, count: int) -> list:
                 os.close(read)
                 for _, pipe, _ in children:
                     pipe.close()
-                _send_span(record, range(lo, hi), write)
+                _send_span(record, span, write)
             os.close(write)
-            children.append((pid, os.fdopen(read, "rb"), range(lo, hi)))
-        records += [record(i) for i in range(1, bounds[1])]
-        for _, pipe, span in children:
-            records += _receive_span(pipe.read(), record, span)
-        done = True
-        return records
+            children.append((pid, os.fdopen(read, "rb"), span))
+        done, failure = _span_records(record, range(spans, count, spans))
+        results = [([first] + done, failure)]
+        results += [_receive_span(pipe.read(), record, span)
+                    for _, pipe, span in children]
     finally:
+        # a child that has sent its span has nothing left to do
         for pid, pipe, _ in children:
-            if not done:
-                os.kill(pid, 9)  # SIGKILL
+            os.kill(pid, 9)  # SIGKILL
             pipe.close()
             os.waitpid(pid, 0)
+    failures = [failure for _, failure in results if failure is not None]
+    if failures:
+        raise min(failures, key=lambda f: f[0])[1]
+    records = [None] * count
+    for j, (done, _) in enumerate(results):
+        records[j::spans] = done
+    return records
+
+
+def _span_records(record, span: range) -> tuple[list, tuple | None]:
+    """``record(i)`` for each i of ``span`` in turn, up to the first
+    error; with (i, error) for that error, else None."""
+    done = []
+    for i in span:
+        try:
+            done.append(record(i))
+        except Exception as exc:
+            return done, (i, exc)
+    return done, None
 
 
 def _send_span(record, span: range, write: int) -> None:
-    """In a forked child: send ``record(i)`` for each i of ``span``, or
-    the first error, down the pipe ``write``, then end the process.
-    ``os._exit`` runs no exit hook and flushes no stdio buffer, which the
-    parent owns."""
+    """In a forked child: send the records of ``span``, or the plan index
+    and kind of its first error, down the pipe ``write``, then end the
+    process.  ``os._exit`` runs no exit hook and flushes no stdio buffer,
+    which the parent owns."""
     status = 1
     try:
-        try:
-            message = (True, [record(i) for i in span])
-        except Exception as exc:
-            message = (False, type(exc).__module__, type(exc).__qualname__,
-                       str(exc), getattr(exc, "exact", None))
+        done, failure = _span_records(record, span)
+        if failure is None:
+            message = (True, done)
+        else:
+            i, exc = failure
+            message = (False, i, type(exc).__module__,
+                       type(exc).__qualname__, str(exc),
+                       getattr(exc, "exact", None))
         with os.fdopen(write, "wb") as pipe:
             pipe.write(marshal.dumps(message))
         status = 0
@@ -358,22 +381,26 @@ def _send_span(record, span: range, write: int) -> None:
         os._exit(status)
 
 
-def _receive_span(data: bytes, record, span: range) -> list:
-    """The records a child sent for ``span``, or its error raised again
-    here; computed here when the child sent no complete message."""
+def _receive_span(data: bytes, record,
+                  span: range) -> tuple[list, tuple | None]:
+    """``_span_records`` of ``span`` as a child sent them, with its error
+    made again here; computed here when the child sent no complete
+    message."""
     try:
         message = marshal.loads(data)
     except (EOFError, ValueError, TypeError):
-        return [record(i) for i in span]
+        return _span_records(record, span)
     if message[0]:
-        return message[1]
-    module, name, text, exact = message[1:]
+        return message[1], None
+    i, module, name, text, exact = message[1:]
     cls = getattr(sys.modules.get(module), name, None)
     if cls is PoleHit:
-        raise PoleHit(text, exact)
-    if cls is None:  # a class the parent cannot name, e.g. a nested one
-        raise RuntimeError(f"{module}.{name}: {text}")
-    raise cls(text)
+        exc = PoleHit(text, exact)
+    elif cls is None:  # a class the parent cannot name, e.g. a nested one
+        exc = RuntimeError(f"{module}.{name}: {text}")
+    else:
+        exc = cls(text)
+    return [], (i, exc)
 
 
 def orbit_report(params: MapParams, x0: Fraction, max_iter: int,

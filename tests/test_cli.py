@@ -296,6 +296,15 @@ def test_negative_counts_are_usage_errors(capsys, argv):
     assert "must be >= 0, got -1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("x0,message", [
+    ("1/0", "--x0: zero denominator in '1/0'"),
+    ("1/2/3", "--x0: not a rational a or a/b: '1/2/3'"),
+], ids=["zero-denominator", "two-slashes"])
+def test_malformed_x0_is_a_usage_error(capsys, x0, message):
+    assert run_cli(["orbit", *B2_ARGS, "--x0", x0], capsys) == \
+        (2, "", f"pottsbethe: error: {message}\n")
+
+
 @pytest.mark.parametrize("exact,code,message", [
     (True, 1, "falsified"), (False, 3, "precision exhausted")])
 def test_pole_hit_exit_code(capsys, monkeypatch, exact, code, message):

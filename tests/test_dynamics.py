@@ -415,14 +415,14 @@ class TestPoleTree:
     def test_level_one(self, regime_b2):
         levels = pole_preimage_tree(regime_b2, 1)
         assert len(levels[0]) == 2
-        for x in levels[0]:
-            assert (eval_f(regime_b2, x) - regime_b2.pole).is_zero_like
+        for node in levels[0]:
+            assert (eval_f(regime_b2, node[0]) - regime_b2.pole).is_zero_like
 
     def test_tree_property(self, regime_b2):
         levels = pole_preimage_tree(regime_b2, 2)
-        for x in levels[1]:
-            y = eval_f(regime_b2, x)
-            assert any((y - z).is_zero_like for z in levels[0])
+        for node in levels[1]:
+            y = eval_f(regime_b2, node[0])
+            assert any((y - z[0]).is_zero_like for z in levels[0])
 
     def test_budget_guard(self, regime_b4):
         with pytest.raises(ValueError):

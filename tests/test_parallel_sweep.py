@@ -50,7 +50,9 @@ def assert_no_child_left():
       "--precision", "16"], 3),
     (["sweep", *B2, "--samples", "300", "--depth", "30", "--seed", "2",
       "--pole-tree-depth", "3"], 2),
-], ids=["sweep-b1", "retried-16-digits", "pole-tree"])
+    (["sweep", *B2, "--precision", "256", "--pole-tree-depth", "4",
+      "--samples", "100", "--depth", "50", "--seed", "1"], 2),
+], ids=["sweep-b1", "retried-16-digits", "pole-tree", "poletree-b2"])
 @pytest.mark.parametrize("fmt", ["json", "jsonl", "csv"])
 def test_forked_sweep_is_byte_identical(capsys, monkeypatch, forks, argv,
                                         spans, fmt):
@@ -66,8 +68,10 @@ SWEEP = ["sweep", *B1, "--samples", "400", "--depth", "50", "--seed", "4"]
 
 def plant(monkeypatch, errors):
     """Make the sample record at each plan index of ``errors`` raise its
-    exception, in whichever process computes it.  With three spans the
-    parent computes records 0-132, the children 133-265 and 266-399."""
+    exception, in whichever process computes it.  With three spans, span
+    j holds the records j, j + 3, j + 6, ...: the parent computes the
+    indexes divisible by 3, the first child those of remainder 1 and the
+    second child those of remainder 2."""
     params = MapParams.make(5, 3, 5, "1+p^3")
     payloads = [s.payload for s in sampling.spanning_samples(params, 400, 4)]
     bad = {payloads[i]: exc for i, exc in errors.items()}
@@ -82,20 +86,25 @@ def plant(monkeypatch, errors):
     monkeypatch.setattr(sampling.Sample, "realize", planted)
 
 
-@pytest.mark.parametrize("errors,code,first", [
-    ({350: VerificationError("planted in the child")}, 1,
+@pytest.mark.parametrize("errors,spans,code,first", [
+    ({350: VerificationError("planted in the child")}, [2], 1,
      "falsified: planted in the child"),
-    ({350: PoleHit("exact hit", exact=True)}, 1, "falsified: exact hit"),
-    ({350: PoleHit("near hit", exact=False)}, 3,
+    ({350: PoleHit("exact hit", exact=True)}, [2], 1,
+     "falsified: exact hit"),
+    ({350: PoleHit("near hit", exact=False)}, [2], 3,
      "precision exhausted: near hit"),
-    ({200: ValueError("second span"), 350: VerificationError("third")}, 2,
-     "error: second span"),
-    ({20: VerificationError("parent"), 350: PoleHit("child", exact=True)},
-     1, "falsified: parent"),
+    ({199: ValueError("second span"), 350: VerificationError("third")},
+     [1, 2], 2, "error: second span"),
+    ({21: VerificationError("parent"), 350: PoleHit("child", exact=True)},
+     [0, 2], 1, "falsified: parent"),
+    ({300: VerificationError("parent"), 100: PoleHit("child", exact=False)},
+     [0, 1], 3, "precision exhausted: child"),
 ], ids=["verification", "exact-pole-hit", "inexact-pole-hit",
-        "first-child-wins", "parent-wins"])
+        "first-child-wins", "parent-wins", "earlier-child-beats-parent"])
 def test_error_in_a_span_is_the_serial_error(capsys, monkeypatch, forks,
-                                             errors, code, first):
+                                             errors, spans, code, first):
+    # the errors fall in the spans the case is named for
+    assert [i % 3 for i in errors] == spans
     plant(monkeypatch, errors)
     serial = run(SWEEP, capsys, monkeypatch, cpus=1)
     assert serial == (code, "", f"pottsbethe: {first}\n")

@@ -54,8 +54,23 @@ def test_b2_pole_tree_is_built_once(eval_f_calls):
     assert rep["classification_histogram"] == {"basin": 10,
                                                "pole_preimage": 14}
     # 797 when the pole tree was rebuilt for every tree record; 302 when
-    # basin orbits were iterated on inside B_1
-    assert len(eval_f_calls) == 93
+    # basin orbits were iterated on inside B_1; 93 when each tree record
+    # iterated its node again instead of starting from the tree's run
+    assert len(eval_f_calls) == 59
+
+
+def test_tree_records_start_from_the_trees_orbits(monkeypatch,
+                                                  eval_f_calls):
+    # poletree-b2 at seed 11, serial: the tree verifies each level-n node
+    # by n steps into the pole, and its record reads those n iterates
+    # instead of making them again, sum(n * 2**n for n in 1..4) = 98 calls
+    monkeypatch.setattr(verify, "_cpu_count", lambda: 1)
+    params = MapParams.make(5, 2, 5, "1+p^3", 256)
+    rep = verify.sweep_report(params, samples=100, seed=11,
+                              classify_depth=50, pole_tree_depth=4)
+    assert rep["classification_histogram"] == {"basin": 100,
+                                               "pole_preimage": 30}
+    assert len(eval_f_calls) == 327 - 98
 
 
 def test_regime_is_decided_once_per_params(monkeypatch):
@@ -172,7 +187,7 @@ def _assert_records_match_desk_check(params, samples, seed, tree_depth=0):
             x0 = desc.realize(pd)
         else:
             n, i = desc
-            x0 = dynamics.pole_preimage_tree(pd, tree_depth)[n - 1][i]
+            x0 = dynamics.pole_preimage_tree(pd, tree_depth)[n - 1][i][0]
         step = (rec["classification_step"]
                 if rec["classification"] == "basin" else None)
         got = (rec["status"], rec["steps"],
