@@ -57,7 +57,9 @@ print("== verified incidence matrix ==")
 m = incidence_matrix(params)
 for row in m.entries:
     print("  ", row)
-print("all ones:", m.all_ones, "| irreducible:", m.is_irreducible())
+# incidence_matrix raises VerificationError on any failed entry, so a
+# returned matrix is the all-ones matrix of the full shift
+print("all ones:", all(e == 1 for row in m.entries for e in row))
 
 print()
 print("== partition as JSON ==")

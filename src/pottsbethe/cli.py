@@ -40,13 +40,22 @@ def non_negative_int(text: str) -> int:
     return value
 
 
+def positive_int(text: str) -> int:
+    """A positive integer option value."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--p", type=int, required=True, help="prime, p >= 3")
     sub.add_argument("--k", type=int, required=True, help="tree order, k >= 1")
     sub.add_argument("--q", type=int, required=True,
                      help="state count, divisible by p")
     sub.add_argument("--theta", type=str, required=True, help=THETA_HELP)
-    sub.add_argument("--precision", type=int, default=DEFAULT_DIGITS,
+    sub.add_argument("--precision", type=positive_int,
+                     default=DEFAULT_DIGITS,
                      help="working base-p digits (default %(default)s)")
     sub.add_argument("--format", choices=("json", "jsonl", "csv"),
                      default="json")

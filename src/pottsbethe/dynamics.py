@@ -54,12 +54,6 @@ class Itinerary:
     def __len__(self) -> int:
         return len(self.word)
 
-    def is_admissible(self, matrix: "IncidenceMatrix") -> bool:
-        return all(
-            matrix.entries[a - 1][b - 1] == 1
-            for a, b in zip(self.word, self.word[1:])
-        )
-
 
 @dataclass(frozen=True, eq=False)
 class OrbitResult:
@@ -82,29 +76,6 @@ class OrbitResult:
 @dataclass(frozen=True, eq=False)
 class IncidenceMatrix:
     entries: tuple[tuple[int, ...], ...]
-
-    @property
-    def size(self) -> int:
-        return len(self.entries)
-
-    @property
-    def all_ones(self) -> bool:
-        return all(all(e == 1 for e in row) for row in self.entries)
-
-    def is_irreducible(self) -> bool:
-        n = self.size
-        for start in range(n):
-            seen = {start}
-            frontier = [start]
-            while frontier:
-                i = frontier.pop()
-                for j in range(n):
-                    if self.entries[i][j] and j not in seen:
-                        seen.add(j)
-                        frontier.append(j)
-            if len(seen) != n:
-                return False
-        return True
 
 
 class Trajectory:
@@ -422,7 +393,8 @@ def incidence_matrix(params: MapParams, seed: int = 0) -> IncidenceMatrix:
     INCIDENCE_SAMPLES sampled points, that the branch through ball i
     sends the point into ball i and that the forward map returns it
     exactly.  The theory makes every entry 1; a failed check is raised
-    loudly because it would falsify that conclusion at these parameters.
+    loudly because it would falsify that conclusion at these parameters,
+    so every entry of a returned matrix is 1.
     """
     part = build_partition(params)
     kappa = part.kappa

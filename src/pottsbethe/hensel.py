@@ -16,6 +16,7 @@ from .padic import (
     DEFAULT_DIGITS,
     Padic,
     PrecisionError,
+    _check_prime,
     _inverse_mod,
     _newton_precisions,
     _vp,
@@ -136,32 +137,31 @@ def principal_kth_root(a: Padic, k: int) -> Padic:
 def roots_of_unity(k: int, p: int, digits: int = DEFAULT_DIGITS) -> list[Padic]:
     """All k-th roots of unity in Q_p: exactly gcd(k, p-1) units.
 
-    Each residue c mod p with c**kappa = 1, kappa = gcd(k, p-1) prime to
-    p, is lifted by Newton on x**kappa - 1 to the unique root congruent to
-    c.  Results are sorted by residue mod p, which fixes the symbol order
-    used by the partition downstream.
+    The residues c mod p with c**kappa = 1, kappa = gcd(k, p-1) prime to
+    p, are the powers c**((p-1)/kappa) for c = 2, 3, ..., collected from
+    {1} until kappa are found: that map is onto them, so the search ends
+    without scanning every residue.  Each is lifted by Newton on
+    x**kappa - 1 to the unique root congruent to it.  Results are sorted
+    by residue mod p, which fixes the symbol order used by the partition
+    downstream.
     """
     if p < 3:
         raise ValueError("p >= 3 required")
+    _check_prime(p)  # else the search below may never end
     if k < 1:
         raise ValueError("k must be a positive integer")
     kappa = math.gcd(k, p - 1)
+    residues, c = {1}, 1
+    while len(residues) < kappa:
+        c += 1
+        residues.add(pow(c, (p - 1) // kappa, p))
     mod = p**digits
-    out = []
-    for c in range(1, p):
-        if pow(c, kappa, p) != 1:
-            continue
-        if c == 1:
-            out.append(Padic.one(p, digits))
-            continue
+    out = [Padic.one(p, digits)]
+    for c in sorted(residues)[1:]:
         x = _unit_root(1, kappa, c, digits, p)
         if pow(x, k, mod) != 1:
             raise ArithmeticError("lifted residue is not a k-th root of unity")
         out.append(Padic(p, 0, x, digits, digits))
-    if len(out) != kappa:
-        raise ArithmeticError(
-            f"expected gcd({k}, {p - 1}) = {kappa} roots, found {len(out)}"
-        )
     return out
 
 

@@ -78,12 +78,13 @@ def parse_theta(text: str, p: int) -> Fraction:
         c = int(m.group(1)) if m.group(1) else 1
         return Fraction(1 + c * p ** int(m.group(2)))
     m = _THETA_RATIONAL_RE.match(text)
-    if m:
-        den = int(m.group(2)) if m.group(2) else 1
-        return Fraction(int(m.group(1)), den)
-    raise ValueError(
-        f"cannot parse theta {text!r}: expected 'a/b' or '1+c*p^m'"
-    )
+    if not m:
+        raise ValueError(
+            f"cannot parse theta {text!r}: expected 'a/b' or '1+c*p^m'")
+    den = int(m.group(2)) if m.group(2) else 1
+    if den == 0:
+        raise ValueError(f"cannot parse theta {text!r}: zero denominator")
+    return Fraction(int(m.group(1)), den)
 
 
 @dataclass(frozen=True, eq=False)

@@ -42,10 +42,13 @@ class TestClassify:
         assert code == 2 and "p >= 3 required" in err
 
     def test_malformed_theta(self, capsys):
-        code, _, err = run_cli(
-            ["classify", "--p", "5", "--k", "2", "--q", "5",
-             "--theta", "one"], capsys)
-        assert code == 2 and "theta" in err
+        for theta, message in [
+            ("one", "'one': expected 'a/b' or '1+c*p^m'"),
+            ("1/0", "'1/0': zero denominator"),
+        ]:
+            assert run_cli(["classify", "--p", "5", "--k", "2", "--q", "5",
+                            "--theta", theta], capsys) == \
+                (2, "", f"pottsbethe: error: cannot parse theta {message}\n")
 
     def test_unclassified_gap_reports_inequality(self, capsys):
         code, out, _ = run_cli(
@@ -294,6 +297,15 @@ def test_negative_counts_are_usage_errors(capsys, argv):
         main(argv)
     assert exc.value.code == 2
     assert "must be >= 0, got -1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("precision", ["0", "-3"])
+def test_non_positive_precision_is_a_usage_error(capsys, precision):
+    with pytest.raises(SystemExit) as exc:
+        main(["classify", *B2_ARGS, "--precision", precision])
+    assert exc.value.code == 2
+    assert f"argument --precision: must be >= 1, got {precision}\n" in \
+        capsys.readouterr().err
 
 
 @pytest.mark.parametrize("x0,message", [

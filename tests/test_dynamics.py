@@ -7,7 +7,6 @@ import pytest
 from pottsbethe import dynamics
 from pottsbethe.dynamics import (
     ClassifyKind,
-    Itinerary,
     OrbitStatus,
     Trajectory,
     basin_classify,
@@ -237,10 +236,6 @@ class TestItineraries:
         with pytest.raises(ValueError):
             itinerary_of(regime_b2, 7, 3)
 
-    def test_admissibility_full_shift(self, regime_b2):
-        m = incidence_matrix(regime_b2)
-        assert Itinerary((1, 2, 2, 1)).is_admissible(m)
-
 
 class TestCylinderPoints:
     def test_single_symbol_lands_in_ball(self, regime_b2):
@@ -370,12 +365,10 @@ class TestIncidence:
         assert m.entries == ((1,),)
 
     def test_b2_all_ones(self, regime_b2):
-        m = incidence_matrix(regime_b2)
-        assert m.size == 2 and m.all_ones and m.is_irreducible()
+        assert incidence_matrix(regime_b2).entries == ((1, 1), (1, 1))
 
     def test_b4_all_ones(self, regime_b4):
-        m = incidence_matrix(regime_b4)
-        assert m.size == 4 and m.all_ones
+        assert incidence_matrix(regime_b4).entries == ((1,) * 4,) * 4
 
 
 class TestWordMetric:

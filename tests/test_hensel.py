@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -168,6 +169,29 @@ class TestRootsOfUnity:
                         if x % 5 and pow(x, 4, 5**m) == 1)
         got = sorted(residue(x, m) for x in roots_of_unity(4, 5, 30))
         assert got == oracle
+
+    def test_residues_match_the_scan(self):
+        # the residues c**((p-1)/kappa) are those of a scan of 1..p-1
+        for p in [n for n in range(3, 200) if all(n % d for d in
+                                                   range(2, n))]:
+            for k in range(1, 40):
+                scan = [c for c in range(1, p)
+                        if pow(c, math.gcd(k, p - 1), p) == 1]
+                assert [x.unit % p for x in roots_of_unity(k, p, 2)] == scan
+
+    def test_composite_p_is_rejected(self):
+        # c**(14/7) mod 15 takes 6 values, fewer than the 7 roots sought,
+        # so a search over c = 2, 3, ... would never end
+        with pytest.raises(ValueError, match="15 is not prime"):
+            roots_of_unity(7, 15, 4)
+
+    def test_large_prime_returns_at_once(self):
+        # scanning every residue of p ~ 10^9 took minutes
+        p = 1_000_000_007
+        start = time.perf_counter()
+        out = roots_of_unity(2, p, 16)
+        assert time.perf_counter() - start < 0.5
+        assert [x.unit % p for x in out] == [1, p - 1]
 
 
 def reference_kth_root(a: Padic, k: int) -> Padic:

@@ -1,5 +1,7 @@
 """Sweeps split over forked processes: the same bytes and the same errors
-as a serial run, and no child process left behind."""
+as a serial run, and no child process left behind.  Only the parent
+raises: a child sends the records before its first error, and the parent
+computes the rest, so it raises the error a serial run raises."""
 
 import os
 import threading
@@ -99,8 +101,11 @@ def plant(monkeypatch, errors):
      [0, 2], 1, "falsified: parent"),
     ({300: VerificationError("parent"), 100: PoleHit("child", exact=False)},
      [0, 1], 3, "precision exhausted: child"),
+    ({350: UnicodeDecodeError("utf-8", b"\xff", 0, 1, "planted")}, [2], 2,
+     "error: 'utf-8' codec can't decode byte 0xff in position 0: planted"),
 ], ids=["verification", "exact-pole-hit", "inexact-pole-hit",
-        "first-child-wins", "parent-wins", "earlier-child-beats-parent"])
+        "first-child-wins", "parent-wins", "earlier-child-beats-parent",
+        "unicode-decode-error"])
 def test_error_in_a_span_is_the_serial_error(capsys, monkeypatch, forks,
                                              errors, spans, code, first):
     # the errors fall in the spans the case is named for
@@ -114,8 +119,9 @@ def test_error_in_a_span_is_the_serial_error(capsys, monkeypatch, forks,
 
 def test_child_that_dies_is_an_error(monkeypatch, forks):
     # a child that ends without sending its span is an error of that
-    # process, not of the sweep: the parent computes the span itself, and
-    # the records are those of a serial run
+    # process, not of the sweep: only the parent raises, and it computes
+    # every record a child did not send, so the records are those of a
+    # serial run
     params = MapParams.make(5, 3, 5, "1+p^3")
     monkeypatch.setattr(verify, "_cpu_count", lambda: 1)
     serial = verify.canonical_json(verify.sweep_report(params, 300, 4))
