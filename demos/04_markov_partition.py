@@ -20,7 +20,7 @@ params = MapParams.make(5, 4, 5, "1+p^3")  # four symbols
 part = build_partition(params)
 
 print("== the cover ==")
-print(f"kappa = {part.kappa} balls, open radius 5^-{part.radius_exp}")
+print(f"kappa = {params.kappa} balls, open radius 5^-{part.radius_exp}")
 for b in part.balls:
     print(f"  symbol {b.symbol}: xi residue {b.xi.unit % 5}, "
           f"tau = {b.tau}, center = {b.center.to_compact()[:36]}...")
@@ -54,12 +54,12 @@ for b in part.balls:
 
 print()
 print("== verified incidence matrix ==")
-m = incidence_matrix(params)
-for row in m.entries:
+rows = incidence_matrix(params)
+for row in rows:
     print("  ", row)
 # incidence_matrix raises VerificationError on any failed entry, so a
 # returned matrix is the all-ones matrix of the full shift
-print("all ones:", all(e == 1 for row in m.entries for e in row))
+print("all ones:", all(e == 1 for row in rows for e in row))
 
 print()
 print("== partition as JSON ==")

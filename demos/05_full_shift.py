@@ -29,7 +29,7 @@ for word in [(1,), (2, 1), (1, 2, 2, 1), (2, 2, 1, 1, 2)]:
     x, cert = cylinder_point(params, word)
     back = itinerary_of(params, x, len(word))
     print(f"  word {word} -> point pinned inside a ball of radius "
-          f"5^-{cert.radius_exp}; itinerary reads back {back.word}")
+          f"5^-{cert.radius_exp}; itinerary reads back {back}")
 
 print()
 print("== the word metric is the p-adic metric ==")
@@ -60,7 +60,7 @@ print("== a depth-certified Julia candidate ==")
 x, _ = cylinder_point(params, (1, 2, 2, 1, 2, 1, 1, 2))
 res = basin_classify(params, x, 8)
 print("  classification:", res.kind.value, "with itinerary",
-      res.itinerary.word)
+      res.itinerary)
 
 print()
 print("== the backward tree of the pole ==")

@@ -41,8 +41,6 @@ from .mapping import (
 from .dynamics import (
     ClassifyKind,
     ClassifyResult,
-    IncidenceMatrix,
-    Itinerary,
     OrbitResult,
     OrbitStatus,
     Trajectory,

@@ -150,8 +150,11 @@ def _sweep_csv(report: dict) -> str:
 
 def _emit(text: str, out: str | None) -> None:
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValueError(f"--out: {exc}") from None
     else:
         sys.stdout.write(text)
 

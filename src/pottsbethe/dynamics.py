@@ -46,16 +46,6 @@ class OrbitStatus(Enum):
 
 
 @dataclass(frozen=True, eq=False)
-class Itinerary:
-    """Finite word over the symbols 1..kappa."""
-
-    word: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.word)
-
-
-@dataclass(frozen=True, eq=False)
 class OrbitResult:
     """The verdict of ``orbit``.
 
@@ -69,13 +59,8 @@ class OrbitResult:
     status: OrbitStatus
     steps: int | None = None
     final_norm_exp_to_1: tuple[int | str, bool] | None = None
-    itinerary: Itinerary | None = None
+    itinerary: tuple[int, ...] | None = None
     reason: str | None = None
-
-
-@dataclass(frozen=True, eq=False)
-class IncidenceMatrix:
-    entries: tuple[tuple[int, ...], ...]
 
 
 class Trajectory:
@@ -207,7 +192,7 @@ def orbit(params: MapParams, x0, max_iter: int = DEFAULT_MAX_ITER,
         return result(OrbitStatus.UNDECIDED, reason="precision")
     if always_in_x:
         return result(OrbitStatus.STAYED_IN_X,
-                      itinerary=Itinerary(tuple(symbols)))
+                      itinerary=tuple(symbols))
     return result(OrbitStatus.UNDECIDED, reason="budget")
 
 
@@ -244,7 +229,7 @@ class ClassifyResult:
     kind: ClassifyKind
     step: int | None = None
     depth: int | None = None
-    itinerary: Itinerary | None = None
+    itinerary: tuple[int, ...] | None = None
     reason: str | None = None
 
 
@@ -279,25 +264,24 @@ def basin_classify(params: MapParams, x0, depth: int) -> ClassifyResult:
         return ClassifyResult(ClassifyKind.UNDECIDED, step=len(symbols),
                               depth=depth, reason="precision")
     return ClassifyResult(ClassifyKind.JULIA_CANDIDATE, step=depth,
-                          depth=depth, itinerary=Itinerary(tuple(symbols)))
+                          depth=depth, itinerary=tuple(symbols))
 
 
-def itinerary_of(params: MapParams, x0, n: int) -> Itinerary:
+def itinerary_of(params: MapParams, x0, n: int) -> tuple[int, ...]:
     """Symbol word of the first n iterates; errors if the orbit escapes."""
-    part = build_partition(params)
     traj = _trajectory(params, x0)
     word = []
     for t in range(n):
-        sym = part.locate(traj[t])
+        sym = traj.symbol(t)
         if sym is None:
             raise ValueError(f"orbit leaves the cover at step {t}")
         word.append(sym)
-    return Itinerary(tuple(word))
+    return tuple(word)
 
 
 def _word(word) -> tuple[int, ...]:
-    """A nonempty word, given as symbols or as an Itinerary, as a tuple."""
-    word = tuple(word.word if isinstance(word, Itinerary) else word)
+    """A nonempty word of symbols as a tuple."""
+    word = tuple(word)
     if not word:
         raise ValueError("word must be nonempty")
     return word
@@ -386,7 +370,8 @@ def cycle_multiplier(params: MapParams, x, period: int) -> Padic:
     return out
 
 
-def incidence_matrix(params: MapParams, seed: int = 0) -> IncidenceMatrix:
+def incidence_matrix(params: MapParams,
+                     seed: int = 0) -> tuple[tuple[int, ...], ...]:
     """Transition structure of the cover, verified rather than assumed.
 
     Entry (i, j) is set after checking, on the center of ball j plus
@@ -394,14 +379,12 @@ def incidence_matrix(params: MapParams, seed: int = 0) -> IncidenceMatrix:
     sends the point into ball i and that the forward map returns it
     exactly.  The theory makes every entry 1; a failed check is raised
     loudly because it would falsify that conclusion at these parameters,
-    so every entry of a returned matrix is 1.
+    so every entry of the returned rows is 1.
     """
     part = build_partition(params)
-    kappa = part.kappa
-    rows = []
-    for i in range(1, kappa + 1):
-        row = []
-        for j in range(1, kappa + 1):
+    symbols = range(1, params.kappa + 1)
+    for i in symbols:
+        for j in symbols:
             targets = [part.balls[j - 1].center] + [
                 s.realize(params)
                 for s in sampling.ball_samples(params, j, INCIDENCE_SAMPLES,
@@ -417,9 +400,7 @@ def incidence_matrix(params: MapParams, seed: int = 0) -> IncidenceMatrix:
                     raise VerificationError(
                         f"f(h_{i}(y)) != y on a point of ball {j}"
                     )
-            row.append(1)
-        rows.append(tuple(row))
-    return IncidenceMatrix(tuple(rows))
+    return ((1,) * params.kappa,) * params.kappa
 
 
 def df_metric(params: MapParams, wx, wy) -> Fraction:
@@ -475,8 +456,7 @@ def pole_preimage_tree(params: MapParams,
         return []
     if regime.tag == RegimeTag.UNCLASSIFIED:
         raise ValueError(f"parameters are unclassified: {regime.detail}")
-    part = build_partition(params)
-    total = sum(part.kappa**n for n in range(1, depth + 1))
+    total = sum(params.kappa**n for n in range(1, depth + 1))
     if total > POLE_TREE_BUDGET:
         raise ValueError(
             f"kappa**depth sweep would visit {total} points; budget is "

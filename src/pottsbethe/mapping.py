@@ -56,7 +56,6 @@ class RegimeTag(str, Enum):
 @dataclass(frozen=True, eq=False)
 class Regime:
     tag: RegimeTag
-    kappa: int
     detail: str = ""
 
     @property
@@ -89,7 +88,8 @@ def parse_theta(text: str, p: int) -> Fraction:
 
 @dataclass(frozen=True, eq=False)
 class MapParams:
-    """Validated parameters (p, k, q, theta) with derived quantities.
+    """Validated parameters (p, k, q, theta) with derived quantities;
+    ``make`` takes theta as a rational or in the ``parse_theta`` grammar.
 
     Immutable after construction; all evaluation functions are pure, so a
     single instance can be shared freely across a parameter sweep.  Two
@@ -103,7 +103,7 @@ class MapParams:
     q: int
     theta: Padic
     digits: int
-    theta_frac: Fraction | None
+    theta_frac: Fraction
     pole: Padic
     v_k: int
     v_q: int
@@ -121,17 +121,9 @@ class MapParams:
             raise ValueError("k must be a positive integer")
         if not isinstance(q, int) or q == 0 or q % p != 0:
             raise ValueError(f"q must be a nonzero integer divisible by p={p}")
-        theta_frac: Fraction | None
-        if isinstance(theta, Padic):
-            if theta.prime != p:
-                raise ValueError("theta carries a different prime")
-            theta_p, theta_frac = theta.with_cap(digits), None
-        else:
-            if isinstance(theta, str):
-                theta_frac = parse_theta(theta, p)
-            else:
-                theta_frac = Fraction(theta)
-            theta_p = from_rational(theta_frac, 1, prime=p, digits=digits)
+        theta_frac = (parse_theta(theta, p) if isinstance(theta, str)
+                      else Fraction(theta))
+        theta_p = from_rational(theta_frac, 1, prime=p, digits=digits)
         t1 = theta_p - 1
         if not t1.val_at_least(1):
             raise ValueError("theta must lie in the exponential domain "
@@ -151,19 +143,8 @@ class MapParams:
         )
 
     def at_digits(self, digits: int) -> "MapParams":
-        """The same parameters rebuilt at a different working precision.
-        Needs a rational theta source; a raw inexact theta cannot gain
-        digits."""
-        if self.theta_frac is not None:
-            return MapParams.make(self.p, self.k, self.q, self.theta_frac,
-                                  digits)
-        if self.theta.is_exact or digits <= self.digits:
-            return MapParams.make(self.p, self.k, self.q,
-                                  self.theta.with_cap(digits), digits)
-        raise PrecisionError(
-            "theta was supplied as an inexact value; cannot rebuild at "
-            f"{digits} digits"
-        )
+        """The same parameters rebuilt at a different working precision."""
+        return MapParams.make(self.p, self.k, self.q, self.theta_frac, digits)
 
     @functools.cached_property
     def _key(self) -> tuple:
@@ -192,8 +173,7 @@ class MapParams:
     @functools.cached_property
     def theta_key(self) -> str:
         """theta as reports and sample seeds name it."""
-        return (str(self.theta_frac) if self.theta_frac is not None
-                else self.theta.to_compact())
+        return str(self.theta_frac)
 
     def config_dict(self) -> dict:
         return {
@@ -359,8 +339,8 @@ def classify_regime(params: MapParams) -> Regime:
     never guessed.
     """
     if params.v_k >= params.v_qtheta1:
-        return Regime(RegimeTag.A, params.kappa,
-                      f"v(k)={params.v_k} >= v(q+theta-1)={params.v_qtheta1}")
+        return Regime(RegimeTag.A, f"v(k)={params.v_k} >= "
+                      f"v(q+theta-1)={params.v_qtheta1}")
     if params.v_theta1 == INF:
         raise ValueError(
             "theta = 1 makes the map constant; the expanding regime needs "
@@ -368,11 +348,10 @@ def classify_regime(params: MapParams) -> Regime:
         )
     if params.v_theta1 >= 2 * params.v_q + 1:
         tag = RegimeTag.B1 if params.kappa == 1 else RegimeTag.B2
-        return Regime(tag, params.kappa,
-                      f"v(theta-1)={params.v_theta1} >= 2*v(q)+1="
+        return Regime(tag, f"v(theta-1)={params.v_theta1} >= 2*v(q)+1="
                       f"{2 * params.v_q + 1}, kappa={params.kappa}")
     return Regime(
-        RegimeTag.UNCLASSIFIED, params.kappa,
+        RegimeTag.UNCLASSIFIED,
         f"|k|_p > |q+theta-1|_p holds but |theta-1|_p >= |q^2|_p "
         f"(v(theta-1)={params.v_theta1} < {2 * params.v_q + 1}); outside "
         "the proven regimes",
@@ -398,10 +377,6 @@ class Partition:
     radius_exp: int
     balls: tuple[PartitionBall, ...]
     tau_one: int
-
-    @property
-    def kappa(self) -> int:
-        return len(self.balls)
 
     @property
     def taus(self) -> tuple[int, ...]:
@@ -430,7 +405,7 @@ class Partition:
             "q": params.q,
             "theta": params.theta_key,
             "regime": params.regime.tag.value,
-            "kappa": self.kappa,
+            "kappa": params.kappa,
             "radius_exp": self.radius_exp,
             "balls": [
                 {

@@ -68,16 +68,39 @@ def _inverse_mod(a: int, p: int, n: int) -> int:
     return x
 
 
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# no composite below this is a strong probable prime to all _SMALL_PRIMES
+_MILLER_RABIN_BOUND = 3317044064679887385961981
+
+
 def _check_prime(p: int) -> None:
+    """ValueError unless p is prime: trial division by _SMALL_PRIMES, then
+    the deterministic Miller-Rabin test on them as bases, exact below
+    _MILLER_RABIN_BOUND; a larger p is refused, never guessed."""
+    if p in _SMALL_PRIMES:
+        return
     if p < 2:
         raise ValueError(f"prime must be >= 2, got {p}")
-    if p % 2 == 0 and p != 2:
-        raise ValueError(f"{p} is not prime")
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
+    for b in _SMALL_PRIMES:
+        if p % b == 0:
             raise ValueError(f"{p} is not prime")
-        d += 2
+    if p < 43 * 43:  # no prime factor up to sqrt(p)
+        return
+    if p >= _MILLER_RABIN_BOUND:
+        raise ValueError(f"cannot decide whether {p} is prime: the "
+                         f"primality test is exact below {_MILLER_RABIN_BOUND}")
+    s = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = 2^s * d, d odd
+    d = (p - 1) >> s
+    for a in _SMALL_PRIMES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
+            raise ValueError(f"{p} is not prime")
 
 
 @dataclass(frozen=True, slots=True, eq=False)

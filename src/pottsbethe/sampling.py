@@ -61,7 +61,6 @@ def _outside_zp(rng: random.Random, p: int, digits: int) -> Fraction:
 
 CATEGORY_DRAWS = {
     "zp": _zp,
-    "zp_unit": _zp_unit,
     "ep": _ep,
     "big": _outside_zp,
 }

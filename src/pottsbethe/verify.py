@@ -141,7 +141,7 @@ def _classify(params: MapParams) -> dict:
         "config": params.config_dict(),
         "regime": regime.tag.value,
         "regime_detail": regime.detail,
-        "kappa": regime.kappa,
+        "kappa": params.kappa,
         "pole": params.pole.to_compact(),
         "multiplier_at_1": {
             "value": lam.to_compact(),
@@ -166,48 +166,36 @@ def _orbit_record(params, x0, max_iter: int, tol: int,
     rec["reason"] = res.reason
     rec["final_norm_exp_to_1"], rec["final_norm_exp_exact"] = \
         res.final_norm_exp_to_1
-    rec["itinerary"] = list(res.itinerary.word) if res.itinerary else None
+    rec["itinerary"] = list(res.itinerary) if res.itinerary else None
     if classify_depth is not None:
         cls = dynamics.basin_classify(params, traj, classify_depth)
         rec["classification"] = cls.kind.value
         rec["classification_step"] = cls.step
         if cls.itinerary is not None:
-            rec["classification_itinerary"] = list(cls.itinerary.word)
+            rec["classification_itinerary"] = list(cls.itinerary)
         _check_consistency(params, traj, cls, max_iter)
     return rec
 
 
 def _check_consistency(params, traj: dynamics.Trajectory, cls,
                        max_iter: int) -> None:
-    """Desk-scale coherence of a classification, on the iterates the
-    classification read.
+    """Desk-scale coherence of a basin classification, on the iterates
+    the classification read.
 
-    A basin point must never re-enter the cover after leaving it, and a
-    pole preimage must run forward into the pole at exactly the predicted
-    step.  Either failure would falsify the trichotomy and is raised
-    loudly.  The basin walk ends at the first iterate in the attracting
-    ball B_1, which maps into itself and misses the cover; a precision
+    A basin point must never re-enter the cover after leaving it at step
+    ``cls.step``; a re-entry would falsify the trichotomy and is raised
+    loudly.  The walk ends at the first iterate in the attracting ball
+    B_1, which maps into itself and misses the cover; a precision
     shortage before it is retried, not passed.
     """
-    if params.regime.tag is RegimeTag.A:
+    if params.regime.tag is RegimeTag.A or cls.kind is not ClassifyKind.BASIN:
         return
-    if cls.kind is ClassifyKind.BASIN:
-        left = False
-        for t in range(min(max_iter, cls.step + 40)):
-            if traj.to_1(t).val_at_least(params.v_q + 1):
-                return
-            if traj.symbol(t) is None:
-                left = True
-            elif left:
-                raise VerificationError(
-                    f"basin point re-entered the cover at step {t}"
-                )
-    elif cls.kind is ClassifyKind.POLE_PREIMAGE:
-        if not (traj[cls.step] - params.pole).is_zero_like:
+    for t in range(cls.step, min(max_iter, cls.step + 40)):
+        if traj.to_1(t).val_at_least(params.v_q + 1):
+            return
+        if traj.symbol(t) is not None:
             raise VerificationError(
-                "pole preimage did not run forward into the pole at the "
-                f"predicted step {cls.step}"
-            )
+                f"basin point re-entered the cover at step {t}")
 
 
 def sweep_report(params: MapParams, samples: int, seed: int,
@@ -439,13 +427,13 @@ def _julia_checks(params: MapParams, depth: int, seed: int,
         "config": {**params.config_dict(), "depth": depth, "seed": seed,
                    "pairs_per_ball": pairs_per_ball},
         "regime": regime.tag.value,
-        "kappa": regime.kappa,
+        "kappa": params.kappa,
         "checks": checks,
     }
     if not ok:
         report["falsified"] = True
         return report
-    words = regime.kappa**depth
+    words = params.kappa**depth
     if words * (words - 1) // 2 > JULIA_PAIR_BUDGET:
         raise ValueError(
             f"depth {depth} has {words} words, whose isometry check would "
@@ -475,7 +463,7 @@ def _julia_checks(params: MapParams, depth: int, seed: int,
     try:  # every entry is 1 once incidence_matrix returns
         matrix = dynamics.incidence_matrix(params, seed=seed)
         _check(checks, "incidence_all_ones", True,
-               [list(r) for r in matrix.entries])
+               [list(r) for r in matrix])
     except VerificationError as exc:
         _check(checks, "incidence_all_ones", False, str(exc))
 
@@ -487,7 +475,7 @@ def _julia_checks(params: MapParams, depth: int, seed: int,
         for word, pt in pts.items():
             words_total += 1
             dynamics.certified(params, word, pt)
-            if dynamics.itinerary_of(params, pt, n).word == word:
+            if dynamics.itinerary_of(params, pt, n) == word:
                 realized += 1
     _check(checks, "words_realized_roundtrip", realized == words_total,
            {"realized": realized, "total": words_total})
@@ -495,7 +483,7 @@ def _julia_checks(params: MapParams, depth: int, seed: int,
     periodic_ok = True
     periodic_detail = []
     for m in range(1, min(MAX_PERIOD, max(depth, 1)) + 1):
-        for word in itertools.product(range(1, part.kappa + 1), repeat=m):
+        for word in itertools.product(range(1, params.kappa + 1), repeat=m):
             x = dynamics.periodic_point(params, word)
             traj = dynamics.Trajectory(params, x)
             drift = traj[m] - x
@@ -521,20 +509,20 @@ def _julia_checks(params: MapParams, depth: int, seed: int,
     _check(checks, "expansion_laws", expansion["pass"], expansion["detail"])
 
     if depth >= 2:
-        word = tuple((t % part.kappa) + 1 for t in range(depth))
+        word = tuple((t % params.kappa) + 1 for t in range(depth))
         x = pts[word]
         full = dynamics.itinerary_of(params, x, depth)
         shifted = dynamics.itinerary_of(params, eval_f(params, x), depth - 1)
         _check(checks, "shift_equivariance",
-               shifted.word == full.word[1:], list(full.word))
+               shifted == full[1:], list(full))
     else:
         _check(checks, "shift_equivariance", True, None)
 
-    tree_depth = min(depth, 3) if part.kappa > 1 else min(depth, 5)
+    tree_depth = min(depth, 3) if params.kappa > 1 else min(depth, 5)
     levels = dynamics.pole_preimage_tree(params, tree_depth)
     _check(checks, "pole_tree_levels",
            [len(l) for l in levels] ==
-           [part.kappa**n for n in range(1, tree_depth + 1)],
+           [params.kappa**n for n in range(1, tree_depth + 1)],
            [len(l) for l in levels])
 
     report["falsified"] = not all(c["pass"] for c in checks)

@@ -5,6 +5,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -315,6 +316,27 @@ def test_non_positive_precision_is_a_usage_error(capsys, precision):
 def test_malformed_x0_is_a_usage_error(capsys, x0, message):
     assert run_cli(["orbit", *B2_ARGS, "--x0", x0], capsys) == \
         (2, "", f"pottsbethe: error: {message}\n")
+
+
+def test_unwritable_out_is_a_usage_error(capsys, tmp_path):
+    # a report that cannot be written is bad input, not a falsification
+    out = tmp_path / "missing" / "x.json"
+    code, stdout, err = run_cli(["classify", *B2_ARGS, "--out", str(out)],
+                                capsys)
+    assert (code, stdout) == (2, "")
+    assert err.startswith("pottsbethe: error: --out: ")
+    assert str(out) in err and not out.exists()
+
+
+def test_classify_at_a_prime_near_10_18(capsys):
+    # p = 10^18 + 3 is decided prime at once; trial division would take
+    # about a minute
+    p = str(10**18 + 3)
+    start = time.perf_counter()
+    code, out, _ = run_cli(["classify", "--p", p, "--k", "2", "--q", p,
+                            "--theta", "1+p^3"], capsys)
+    assert time.perf_counter() - start < 1
+    assert code == 0 and json.loads(out)["regime"] == "B2"
 
 
 @pytest.mark.parametrize("exact,code,message", [

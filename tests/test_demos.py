@@ -1,7 +1,9 @@
-"""The narrative demo scripts stay runnable."""
+"""The narrative demo scripts and the README's code blocks stay
+runnable."""
 
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -18,3 +20,17 @@ def test_demo_runs(script):
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()
+
+
+README_BLOCKS = re.findall(r"^```python\n(.*?)^```$",
+                           (ROOT / "README.md").read_text(), re.S | re.M)
+
+
+def test_readme_has_python_blocks():
+    assert README_BLOCKS
+
+
+@pytest.mark.parametrize("block", README_BLOCKS,
+                         ids=lambda b: b.splitlines()[0][:40])
+def test_readme_python_block_runs(block):
+    exec(compile(block, "README.md", "exec"), {})

@@ -1,7 +1,9 @@
 """Core arithmetic: exact norms, precision tracking, balls, encodings."""
 
+import math
 import operator
 import re
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,7 @@ from pottsbethe.padic import (
     Ball,
     Padic,
     PrecisionError,
+    _check_prime,
     _inverse_mod,
     from_rational,
 )
@@ -34,6 +37,44 @@ def base_digits(n: int, p: int, count: int):
         n, d = divmod(n, p)
         out.append(d)
     return tuple(out)
+
+
+def is_prime_by_trial_division(n: int) -> bool:
+    """Independent primality oracle."""
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+def check_prime_accepts(n: int) -> bool:
+    try:
+        _check_prime(n)
+    except ValueError:
+        return False
+    return True
+
+
+class TestCheckPrime:
+    def test_agrees_with_trial_division(self):
+        for n in range(-3, 200_000):
+            assert check_prime_accepts(n) == is_prime_by_trial_division(n), n
+
+    @pytest.mark.parametrize("n", [3_215_031_751,  # strong psp to 2, 3, 5, 7
+                                   # strong psp to every prime base to 23
+                                   3_825_123_056_546_413_051])
+    def test_strong_pseudoprimes_rejected(self, n):
+        with pytest.raises(ValueError, match=f"{n} is not prime"):
+            _check_prime(n)
+
+    def test_large_primes_accepted_at_once(self):
+        start = time.perf_counter()
+        for p in (10**14 + 31, 10**18 + 3, 2**61 - 1):
+            _check_prime(p)
+        assert time.perf_counter() - start < 0.1
+
+    def test_beyond_the_exact_bound_is_refused(self):
+        # 2^89 - 1 is prime, but above the bound the test is not exact
+        with pytest.raises(ValueError,
+                           match="exact below 3317044064679887385961981"):
+            _check_prime(2**89 - 1)
 
 
 class TestFromRational:

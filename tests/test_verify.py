@@ -134,6 +134,20 @@ def test_precision_shortage_before_b1_reaches_the_ladder():
     assert rec["retries"] == len(verify.RETRY_LADDER)
 
 
+def test_basin_point_that_re_enters_the_cover_is_falsified():
+    # a ball center leaves the cover at step 1; planting the center again
+    # as step 2 makes a basin orbit that re-enters the cover
+    params = MapParams.make(5, 2, 5, "1+p^3")
+    center = build_partition(params).balls[0].center
+    traj = Trajectory(params, center)
+    cls = basin_classify(params, traj, 50)
+    assert (cls.kind, cls.step) == (dynamics.ClassifyKind.BASIN, 1)
+    traj.points.append(center)
+    with pytest.raises(mapping.VerificationError,
+                       match="re-entered the cover at step 2"):
+        verify._check_consistency(params, traj, cls, 200)
+
+
 def _desk_check(params, x0, max_iter, tol, classify_step):
     """The orbit verdict by plain iteration, with no attracting-ball
     lemma: (status, steps, final distance field).  A basin point's walk
