@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import os
 import sys
 from fractions import Fraction
 
@@ -148,6 +149,26 @@ def _sweep_csv(report: dict) -> str:
     return buf.getvalue()
 
 
+def _check_out(out: str) -> None:
+    """ValueError unless ``out`` can be written: an existing target is a
+    writable non-directory, a new one is named in a writable directory.
+    Opens, creates and truncates nothing, so ``main`` checks the path
+    before it computes the report."""
+    try:
+        os.stat(out)
+    except FileNotFoundError as exc:
+        parent = os.path.dirname(out) or "."
+        if not os.path.isdir(parent):  # worded as open() words it
+            raise ValueError(f"--out: {exc}") from None
+        if not os.access(parent, os.W_OK | os.X_OK):
+            raise ValueError(f"--out: cannot create a file in {parent!r}")
+        return
+    except OSError as exc:
+        raise ValueError(f"--out: {exc}") from None
+    if os.path.isdir(out) or not os.access(out, os.W_OK):
+        raise ValueError(f"--out: cannot write {out!r}")
+
+
 def _emit(text: str, out: str | None) -> None:
     if out:
         try:
@@ -166,6 +187,8 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("julia-verify --samples: the expansion laws need at "
                      f"least one pair per ball, got {args.samples}")
     try:
+        if args.out:
+            _check_out(args.out)
         params = verify.make_params(args.p, args.k, args.q, args.theta,
                                     args.precision)
         if args.command == "classify":

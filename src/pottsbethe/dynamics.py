@@ -19,6 +19,7 @@ from fractions import Fraction
 
 from .mapping import (
     MapParams,
+    Partition,
     PoleHit,
     RegimeTag,
     VerificationError,
@@ -69,14 +70,20 @@ class Trajectory:
     and raised again for its index and every later one.  The distance
     f^t(x0) - 1 and the cover symbol of f^t(x0) are also computed once per
     index; a PrecisionError from ``Partition.locate`` is not a symbol, so
-    it is raised again on every read."""
+    it is raised again on every read.  The cover is looked up once, on
+    the first symbol read."""
 
     def __init__(self, params: MapParams, x0):
         self.params = params
-        self.points = [params.embed(x0)]
+        x0 = params.embed(x0)
+        self.points = [x0]
         self.error: PoleHit | PrecisionError | None = None
+        # the exact one that to_1 subtracts: an int 1 coerces to the cap
+        # of the iterate it meets, and no iterate's cap is above x0's
+        self._one = Padic(params.p, 0, 1, INF, x0.cap)
         self._to_1: dict[int, Padic] = {}
         self._symbols: dict[int, int | None] = {}
+        self._partition: Partition | None = None
 
     def __getitem__(self, t: int) -> Padic:
         while len(self.points) <= t:
@@ -92,14 +99,21 @@ class Trajectory:
     def to_1(self, t: int) -> Padic:
         """f^t(x0) - 1."""
         if t not in self._to_1:
-            self._to_1[t] = self[t] - 1
+            self._to_1[t] = self[t] - self._one
         return self._to_1[t]
+
+    @property
+    def partition(self) -> Partition:
+        """The cover the symbols name (regime B only)."""
+        if self._partition is None:
+            self._partition = build_partition(self.params)
+        return self._partition
 
     def symbol(self, t: int) -> int | None:
         """The symbol of the cover ball holding f^t(x0), None outside the
         cover (regime B only)."""
         if t not in self._symbols:
-            self._symbols[t] = build_partition(self.params).locate(self[t])
+            self._symbols[t] = self.partition.locate(self[t])
         return self._symbols[t]
 
 
@@ -133,9 +147,9 @@ def orbit(params: MapParams, x0, max_iter: int = DEFAULT_MAX_ITER,
     In regime B with an exact theta, an orbit that enters the attracting
     ball B_1 is settled there when ``_lemma_verdict`` proves its outcome.
     """
-    part = build_partition(params) if params.regime.expanding else None
-    lemma = part is not None and params.theta.is_exact
     traj = _trajectory(params, x0)
+    part = traj.partition if params.regime.expanding else None
+    lemma = part is not None and params.theta.prec == INF
     symbols: list[int] = []
     always_in_x = part is not None
     last = 0  # index of the last iterate read
@@ -150,19 +164,17 @@ def orbit(params: MapParams, x0, max_iter: int = DEFAULT_MAX_ITER,
 
     try:
         for t in range(max_iter + 1):
-            x = traj[t]
-            last = t
             d = traj.to_1(t)
-            if d.is_exact_zero:
-                return result(OrbitStatus.CONVERGED_TO_1)
-            if d.is_inexact_zero:
-                if d.val >= tol + 1:
+            x = traj.points[t]  # made by to_1(t)
+            last = t
+            if d.unit == 0:  # an exact zero, or cancelled to O(p^d.val)
+                if d.prec == INF or d.val >= tol + 1:
                     return result(OrbitStatus.CONVERGED_TO_1)
                 return result(OrbitStatus.UNDECIDED, reason="precision")
-            if (lemma and not x.is_exact and on_residue_kernel(params, x)
-                    and d.val_at_least(params.v_q + 1)):
-                verdict = _lemma_verdict(params, part, traj, t, max_iter,
-                                         tol)
+            if (lemma and x.prec != INF and d.val > params.v_q
+                    and on_residue_kernel(params, x)):
+                verdict = _lemma_verdict(params, part, x, d.val, t,
+                                         max_iter, tol)
                 if verdict is not None:
                     steps, w = verdict
                     return result(OrbitStatus.CONVERGED_TO_1, steps,
@@ -196,23 +208,24 @@ def orbit(params: MapParams, x0, max_iter: int = DEFAULT_MAX_ITER,
     return result(OrbitStatus.UNDECIDED, reason="budget")
 
 
-def _lemma_verdict(params: MapParams, part, traj: Trajectory, t: int,
-                   max_iter: int, tol: int) -> tuple[int, int] | None:
+def _lemma_verdict(params: MapParams, part: Partition, x: Padic, w: int,
+                   t: int, max_iter: int,
+                   tol: int) -> tuple[int, int] | None:
     """(steps, v(f^steps(x0) - 1)) of the converging orbit through the
-    inexact x = f^t(x0) = ``traj[t]`` of B_1 on the residue kernel, theta
-    exact; None when only iterating can decide.
+    inexact x = f^t(x0) of B_1 on the residue kernel, w = v(x - 1) and
+    theta exact; None when only iterating can decide.
 
-    With w = v(x-1) and A = abs_prec(x), ``attracting_ball``'s lemma gives
+    With A = abs_prec(x), ``attracting_ball``'s lemma gives
     v(f^j(x) - 1) = w + j*tau_one, and the residue kernel, where D and N
     both have valuation v(q), gives abs_prec(f^j(x)) = A - j*v(q).  So
     the orbit enters the convergence ball n = ceil((tol+1-w)/tau_one)
     steps on, and its contraction step is decided when
     w + (n+1)tau_one < A - (n+1)v(q): iterating reads the same values.
     """
-    w, tau, v_q = traj.to_1(t).val, part.tau_one, params.v_q
+    tau, v_q = part.tau_one, params.v_q
     n = max(0, -((w - tol - 1) // tau))
     if (t + n > max_iter
-            or w + (n + 1) * tau >= traj[t].abs_prec - (n + 1) * v_q):
+            or w + (n + 1) * tau >= x.val + x.prec - (n + 1) * v_q):
         return None
     return t + n, w + n * tau
 

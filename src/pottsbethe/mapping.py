@@ -24,9 +24,9 @@ from .padic import (
     Padic,
     PrecisionError,
     _check_prime,
+    _from_fraction,
     _inverse_mod,
     _vp,
-    from_rational,
 )
 
 
@@ -123,7 +123,9 @@ class MapParams:
             raise ValueError(f"q must be a nonzero integer divisible by p={p}")
         theta_frac = (parse_theta(theta, p) if isinstance(theta, str)
                       else Fraction(theta))
-        theta_p = from_rational(theta_frac, 1, prime=p, digits=digits)
+        if digits < 1:
+            raise ValueError("digits must be >= 1")
+        theta_p = _from_fraction(theta_frac, p, digits)
         t1 = theta_p - 1
         if not t1.val_at_least(1):
             raise ValueError("theta must lie in the exponential domain "
@@ -159,11 +161,16 @@ class MapParams:
         return hash(self._key)
 
     def embed(self, x) -> Padic:
+        """x as a Padic at these parameters' digits: a Padic of this prime
+        as it is, an int or a Fraction as it is, anything else through
+        ``Fraction(x)``.  ``make`` has checked the prime and the digits."""
         if isinstance(x, Padic):
             if x.prime != self.p:
                 raise ValueError("value carries a different prime")
             return x
-        return from_rational(Fraction(x), 1, prime=self.p, digits=self.digits)
+        if not isinstance(x, (int, Fraction)):
+            x = Fraction(x)
+        return _from_fraction(x, self.p, self.digits)
 
     @functools.cached_property
     def regime(self) -> Regime:
@@ -259,7 +266,8 @@ def _eval_f_residues(params: MapParams, x: Padic) -> Padic | None:
         if (r_d == 0 or r_n == 0 or max(abs(s), abs(r_d), abs(tx), abs(r_n))
                 .bit_length() > (cap + 24) * math.log2(p)):
             return None
-        c_d, c_n = _vp(r_d, p), _vp(r_n, p)
+        c_d = _vp(r_d, p) if r_d % p == 0 else 0
+        c_n = _vp(r_n, p) if r_n % p == 0 else 0
         u_d, u_n = r_d // p**c_d, r_n // p**c_n
         if u_n % u_d == 0:
             return None
@@ -270,12 +278,12 @@ def _eval_f_residues(params: MapParams, x: Padic) -> Padic | None:
     r_d = (ux + (theta.unit + q - 2) * shift) % p ** (a_d - m)
     if r_d == 0:
         return None
-    c = _vp(r_d, p)
+    c = _vp(r_d, p) if r_d % p == 0 else 0
     v_d, u_d, prec_d = m + c, r_d // p**c, a_d - m - c
     r_n = (theta.unit * ux + (q - 1) * shift) % p ** (a_n - m)
     if r_n == 0:
         return Padic.inexact_zero(p, k * (a_n - v_d), cap)
-    c = _vp(r_n, p)
+    c = _vp(r_n, p) if r_n % p == 0 else 0
     prec = min(a_n - m - c, prec_d)
     mod = p**prec
     unit = pow(r_n // p**c * _inverse_mod(u_d, p, prec), k, mod)

@@ -48,23 +48,23 @@ def _vp(n: int, p: int) -> int:
 
 def _newton_precisions(n: int) -> list[int]:
     """The digit counts a Newton lift from one correct digit passes through
-    up to n, each at most twice the one before (none for n <= 1)."""
-    out = []
-    while n > 1:
-        out.append(n)
-        n = (n + 1) >> 1
-    return out[::-1]
+    up to n, each at most twice the one before (none for n <= 1): the
+    ceilings ((n - 1) >> s) + 1 of n / 2**s, largest s first."""
+    m = max(n - 1, 0)
+    return [(m >> s) + 1 for s in range(m.bit_length() - 1, -1, -1)]
 
 
 def _inverse_mod(a: int, p: int, n: int) -> int:
     """The inverse of an integer a prime to p, modulo p**n for n >= 1, by
     Newton's iteration x <- x(2 - ax), which doubles the digits of x at
-    each step.  Same result as ``pow(a, -1, p**n)``, several times faster
-    for large n."""
+    each step through ``_newton_precisions(n)``, walked here without
+    building the list.  Same result as ``pow(a, -1, p**n)``, several
+    times faster for large n."""
     x = pow(a % p, -1, p)
-    for e in _newton_precisions(n):
-        m = p**e
-        x = x * (2 - a % m * x) % m
+    m = n - 1
+    for s in range(m.bit_length() - 1, -1, -1):
+        mod = p ** ((m >> s) + 1)
+        x = x * (2 - a % mod * x) % mod
     return x
 
 
@@ -103,7 +103,7 @@ def _check_prime(p: int) -> None:
             raise ValueError(f"{p} is not prime")
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, slots=True, eq=False, init=False)
 class Padic:
     """One p-adic number at a known precision.  Use the factories
     (:func:`from_rational`, :meth:`Padic.from_residue`) rather than the
@@ -119,6 +119,17 @@ class Padic:
     unit: int
     prec: int | float
     cap: int
+
+    def __init__(self, prime: int, val: int, unit: int, prec: int | float,
+                 cap: int):
+        # the __init__ of a frozen dataclass sets each field through
+        # object.__setattr__, which looks the name up again; the slots'
+        # own setters (_set_* below the class) take half the time
+        _set_prime(self, prime)
+        _set_val(self, val)
+        _set_unit(self, unit)
+        _set_prec(self, prec)
+        _set_cap(self, cap)
 
     # -- state predicates ------------------------------------------------
 
@@ -175,11 +186,9 @@ class Padic:
 
     def val_at_least(self, m: int) -> bool:
         """Decide ``|x|_p <= p**-m``; raises PrecisionError if undecidable."""
-        if self.is_exact_zero:
-            return True
         if self.unit != 0:
             return self.val >= m
-        if self.val >= m:
+        if self.prec == INF or self.val >= m:  # exact zero, or O(p^val >= m)
             return True
         raise PrecisionError(
             f"cannot decide valuation >= {m}: only >= {self.val} is known"
@@ -187,11 +196,9 @@ class Padic:
 
     def val_at_most(self, m: int) -> bool:
         """Decide ``|x|_p >= p**-m``; raises PrecisionError if undecidable."""
-        if self.is_exact_zero:
-            return False
         if self.unit != 0:
             return self.val <= m
-        if self.val > m:
+        if self.prec == INF or self.val > m:  # exact zero, or O(p^val > m)
             return False
         raise PrecisionError(
             f"cannot decide valuation <= {m}: only >= {self.val} is known"
@@ -206,8 +213,8 @@ class Padic:
             if prec == INF:
                 return Padic(prime, 0, 0, INF, cap)
             return Padic(prime, val, 0, 0, cap)
-        c = _vp(unit, prime)
-        if c:
+        if unit % prime == 0:
+            c = _vp(unit, prime)
             val += c
             unit //= prime**c
         if prec == INF:
@@ -245,7 +252,7 @@ class Padic:
         residue %= prime**abs_prec
         if residue == 0:
             return cls.inexact_zero(prime, abs_prec, cap or abs_prec)
-        v = _vp(residue, prime)
+        v = _vp(residue, prime) if residue % prime == 0 else 0
         return cls(prime, v, residue // prime**v, abs_prec - v, cap or abs_prec)
 
     def with_cap(self, cap: int) -> "Padic":
@@ -298,23 +305,34 @@ class Padic:
         bounds the modulus of the sum, so -o needs no complement form."""
         p = self.prime
         cap = min(self.cap, o.cap)
-        m = min(self.val, o.val)
-        s = self.unit * p ** (self.val - m) + sign * o.unit * p ** (o.val - m)
-        if self.prec == INF and o.prec == INF:
+        if self.val <= o.val:  # the sum is p**m * s
+            m = self.val
+            s = self.unit + sign * o.unit * p ** (o.val - m)
+        else:
+            m = o.val
+            s = self.unit * p ** (self.val - m) + sign * o.unit
+        # an exact zero term needs no case of its own below: the sum is the
+        # other term, reduced modulo its own absolute precision a
+        if o.prec != INF:
+            a = o.val + o.prec
+            if self.prec != INF:
+                a = min(a, self.val + self.prec)
+        elif self.prec != INF:
+            a = self.val + self.prec
+        else:
             if self.unit == 0:
                 return (o if sign > 0 else -o).with_cap(cap)
             if o.unit == 0:
                 return self.with_cap(cap)
             return Padic._build(p, m, s, INF, cap)
-        # an exact zero term needs no case of its own here: the sum is the
-        # other term, reduced modulo its own absolute precision
-        a = int(min(self.val + self.prec, o.val + o.prec))
         rel = a - m
         if rel <= 0:
             return Padic.inexact_zero(p, a, cap)
         s %= p**rel
         if s == 0:
             return Padic.inexact_zero(p, a, cap)
+        if s % p:
+            return Padic(p, m, s, rel, cap)
         c = _vp(s, p)
         return Padic(p, m + c, s // p**c, rel - c, cap)
 
@@ -460,6 +478,11 @@ class Padic:
         return self.to_string()
 
 
+_set_prime, _set_val, _set_unit, _set_prec, _set_cap = (
+    vars(Padic)[name].__set__ for name in ("prime", "val", "unit", "prec",
+                                           "cap"))
+
+
 def _int_digits(u: int, p: int, n: int) -> tuple[int, ...]:
     out = []
     for _ in range(n):
@@ -476,21 +499,29 @@ def from_rational(num, den=1, *, prime: int, digits: int = DEFAULT_DIGITS) -> Pa
 
     The valuation is exact; the unit is exact whenever the reduced
     denominator is a power of p, otherwise it is known modulo p**digits.
+    A Fraction or an int num over the default den is taken as it is.
     """
     _check_prime(prime)
     if digits < 1:
         raise ValueError("digits must be >= 1")
-    fr = Fraction(num, den)  # raises ZeroDivisionError for den == 0
-    if fr == 0:
+    if den != 1 or not isinstance(num, (int, Fraction)):
+        num = Fraction(num, den)  # raises ZeroDivisionError for den == 0
+    return _from_fraction(num, prime, digits)
+
+
+def _from_fraction(fr: int | Fraction, prime: int, digits: int) -> Padic:
+    """``from_rational(fr, prime=prime, digits=digits)`` for an int or a
+    Fraction, a prime and a digit count the caller has checked."""
+    n, d = fr.as_integer_ratio()
+    if n == 0:
         return Padic.zero(prime, digits)
-    n, d = fr.numerator, fr.denominator
     vn = _vp(n, prime) if n % prime == 0 else 0
     vd = _vp(d, prime) if d % prime == 0 else 0
     nu = n // prime**vn
     du = d // prime**vd
     if du == 1:
         return Padic._build(prime, vn - vd, nu, INF, digits)
-    unit = nu * pow(du, -1, prime**digits)
+    unit = nu * _inverse_mod(du, prime, digits)
     return Padic._build(prime, vn - vd, unit, digits, digits)
 
 
@@ -507,7 +538,7 @@ class Ball:
         return self.center.prime
 
     def contains(self, x: Padic) -> bool:
-        if x.prime != self.prime:
+        if x.prime != self.center.prime:
             raise ValueError("mixed primes")
         return (x - self.center).val_at_least(self.radius_exp + 1)
 

@@ -46,17 +46,17 @@ def _zp(rng: random.Random, p: int, digits: int) -> Fraction:
     return Fraction(rng.randrange(p**digits))
 
 
-def _zp_unit(rng: random.Random, p: int, digits: int) -> Fraction:
-    n = rng.randrange(p**digits)
-    return Fraction(n - n % p + rng.randrange(1, p))
-
-
 def _ep(rng: random.Random, p: int, digits: int) -> Fraction:
-    return 1 + p * Fraction(rng.randrange(p ** (digits - 1)))
+    return Fraction(1 + p * rng.randrange(p ** (digits - 1)))
 
 
 def _outside_zp(rng: random.Random, p: int, digits: int) -> Fraction:
-    return _zp_unit(rng, p, digits) / p ** rng.randrange(1, 6)
+    """A unit of Z_p over p**e, e in 1..5: the unit's digits drawn as
+    ``_zp`` draws them, with its units digit then drawn again from
+    1..p-1."""
+    n = rng.randrange(p**digits)
+    unit = n - n % p + rng.randrange(1, p)
+    return Fraction(unit, p ** rng.randrange(1, 6))
 
 
 CATEGORY_DRAWS = {

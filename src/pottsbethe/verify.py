@@ -75,14 +75,14 @@ class _Ladder:
     def first(self, attempt) -> tuple[int, object]:
         """``_first_rung`` of ``attempt(params, tree)``; building a rung
         counts as part of its attempt."""
-        return _first_rung(lambda i: attempt(*self.rung(i)))
+        return _first_rung(attempt, self.rung)
 
     def run(self, attempt, classify_depth: int | None = None) -> dict:
         """The record of ``attempt(params, tree)`` on the first rung that
         decides it, else the undecided record; either way with its
         ``retries`` count."""
         try:
-            retries, record = self.first(attempt)
+            retries, record = _first_rung(attempt, self.rung)
         except PrecisionError:
             retries = len(RETRY_LADDER)
             record = {"status": "undecided", "reason": "precision",
@@ -102,17 +102,17 @@ def _tree(tree):
     return tree
 
 
-def _first_rung(attempt) -> tuple[int, object]:
-    """(i, attempt(i)) for the first rung i of RETRY_LADDER where the
-    attempt raises no PrecisionError; the last rung's PrecisionError when
-    every rung raises one."""
+def _first_rung(attempt, rung) -> tuple[int, object]:
+    """(i, attempt(*rung(i))) for the first rung i of RETRY_LADDER where
+    the attempt raises no PrecisionError; the last rung's PrecisionError
+    when every rung raises one."""
     last = len(RETRY_LADDER) - 1
     for i in range(last):
         try:
-            return i, attempt(i)
+            return i, attempt(*rung(i))
         except PrecisionError:
             pass
-    return last, attempt(last)
+    return last, attempt(*rung(last))
 
 
 def make_params(p: int, k: int, q: int, theta, digits: int) -> MapParams:
@@ -120,7 +120,7 @@ def make_params(p: int, k: int, q: int, theta, digits: int) -> MapParams:
     where q + theta - 1 does not cancel.  The command line builds every
     command's parameters here, so a report names the digits they built
     at."""
-    return _first_rung(lambda i: MapParams.make(
+    return _first_rung(MapParams.make, lambda i: (
         p, k, q, theta, digits * RETRY_LADDER[i]))[1]
 
 
@@ -161,7 +161,9 @@ def _orbit_record(params, x0, max_iter: int, tol: int,
     res = dynamics.orbit(params, traj, max_iter=max_iter, tol=tol)
     if res.status is OrbitStatus.UNDECIDED and res.reason == "precision":
         raise PrecisionError("orbit undecided")
-    rec["status"] = res.status.value
+    # _value_ is the member's value as ``.value`` returns it, read
+    # without the descriptor calls
+    rec["status"] = res.status._value_
     rec["steps"] = res.steps
     rec["reason"] = res.reason
     rec["final_norm_exp_to_1"], rec["final_norm_exp_exact"] = \
@@ -169,7 +171,7 @@ def _orbit_record(params, x0, max_iter: int, tol: int,
     rec["itinerary"] = list(res.itinerary) if res.itinerary else None
     if classify_depth is not None:
         cls = dynamics.basin_classify(params, traj, classify_depth)
-        rec["classification"] = cls.kind.value
+        rec["classification"] = cls.kind._value_
         rec["classification_step"] = cls.step
         if cls.itinerary is not None:
             rec["classification_itinerary"] = list(cls.itinerary)
@@ -215,7 +217,7 @@ def sweep_report(params: MapParams, samples: int, seed: int,
     plan: list = [(desc.category, str(desc.payload), desc) for desc
                   in descriptors]
     if pole_tree_depth > 0:
-        _, tree = _first_rung(lambda i: _tree(ladder.rung(i)[1]))
+        _, tree = ladder.first(lambda pd, tree: _tree(tree))
         for n, level in enumerate(tree, start=1):
             for i in range(len(level)):
                 plan.append((f"pole_tree:{n}", f"level{n}#{i}", (n, i)))

@@ -13,6 +13,7 @@ from pottsbethe import verify
 from pottsbethe.cli import main
 from pottsbethe.dynamics import periodic_point
 from pottsbethe.mapping import MapParams, PoleHit
+from pottsbethe.padic import PrecisionError
 
 
 def run_cli(args, capsys):
@@ -318,14 +319,37 @@ def test_malformed_x0_is_a_usage_error(capsys, x0, message):
         (2, "", f"pottsbethe: error: {message}\n")
 
 
-def test_unwritable_out_is_a_usage_error(capsys, tmp_path):
-    # a report that cannot be written is bad input, not a falsification
+def test_unwritable_out_is_a_usage_error(capsys, monkeypatch, tmp_path):
+    # a report that cannot be written is bad input, not a falsification;
+    # the path is checked before the report (julia-verify at depth 8 takes
+    # about a second), in the words open() gives
+    calls = []
+    monkeypatch.setattr(verify, "julia_report",
+                        lambda *args, **kwargs: calls.append(args))
     out = tmp_path / "missing" / "x.json"
-    code, stdout, err = run_cli(["classify", *B2_ARGS, "--out", str(out)],
-                                capsys)
-    assert (code, stdout) == (2, "")
-    assert err.startswith("pottsbethe: error: --out: ")
-    assert str(out) in err and not out.exists()
+    assert run_cli(["julia-verify", *B2_ARGS, "--depth", "8",
+                    "--out", str(out)], capsys) == (
+        2, "", "pottsbethe: error: --out: [Errno 2] No such file or "
+               f"directory: '{out}'\n")
+    assert calls == [] and not out.exists()
+    code, stdout, err = run_cli(["classify", *B2_ARGS, "--out",
+                                 str(tmp_path)], capsys)
+    assert (code, stdout) == (2, "") and "--out: cannot write" in err
+
+
+def test_failed_run_leaves_out_as_it_was(capsys, monkeypatch, tmp_path):
+    # the check creates and truncates nothing, and a run that fails after
+    # it writes nothing
+    def short(params):
+        raise PrecisionError("injected")
+    monkeypatch.setattr(verify, "classify_report", short)
+    kept, new = tmp_path / "kept.json", tmp_path / "new.json"
+    kept.write_text("earlier report\n")
+    for out in (kept, new):
+        code, _, _ = run_cli(["classify", *B2_ARGS, "--out", str(out)],
+                             capsys)
+        assert code == 3
+    assert kept.read_text() == "earlier report\n" and not new.exists()
 
 
 def test_classify_at_a_prime_near_10_18(capsys):

@@ -140,6 +140,25 @@ class TestTrajectory:
             traj[5]
         assert again.value is first.value and len(traj.points) == 2
 
+    @pytest.mark.parametrize("x0", [
+        "7", "1", "exact-wide", "exact-narrow", "inexact-wide"])
+    def test_to_1_is_the_iterate_minus_one(self, regime_b2, x0):
+        # to_1 subtracts the trajectory's own exact one; the result must be
+        # the Padic that subtracting the int 1 gives, cap included, also
+        # for an x0 whose cap is above or below the parameters' digits
+        digits = regime_b2.digits
+        x0 = {"7": 7, "1": 1,
+              "exact-wide": from_rational(7, 3, prime=5, digits=2 * digits),
+              "exact-narrow": from_rational(-8, prime=5, digits=digits // 2),
+              "inexact-wide": Padic.from_residue(7 + 5**70, 100, 5),
+              }[x0]
+        traj = Trajectory(regime_b2, x0)
+        for t in range(3):
+            d, want = traj.to_1(t), traj[t] - 1
+            assert ((d.prime, d.val, d.unit, d.prec, d.cap)
+                    == (want.prime, want.val, want.unit, want.prec,
+                        want.cap))
+
     def test_distance_and_symbol_are_computed_once(self, regime_b2,
                                                    monkeypatch):
         located = []

@@ -107,6 +107,46 @@ class TestParamsValidation:
         assert d.valuation == regime_b2.v_qtheta1 >= 1
 
 
+@st.composite
+def embeddable_rationals(draw):
+    """(p, digits, fr): any integer numerator, 0 and negatives included,
+    over p**e times a denominator prime to p or not."""
+    p = draw(st.sampled_from([3, 5, 7, 1000003]))
+    digits = draw(st.integers(1, 80))
+    num = draw(st.one_of(st.just(0), st.integers(-10**40, 10**40)))
+    den = p ** draw(st.integers(0, 6)) * draw(st.integers(1, 10**6))
+    return p, digits, Fraction(num, den)
+
+
+class TestEmbed:
+    @settings(max_examples=300, deadline=None)
+    @given(embeddable_rationals())
+    def test_embed_is_from_rational(self, case):
+        # embed takes its Fraction as it is and skips the prime check
+        # that MapParams.make already ran; the value must not change
+        p, digits, fr = case
+        params = MapParams.make(p, 2, p, "1+p^3", digits)
+        got = params.embed(fr)
+        want = from_rational(fr.numerator, fr.denominator, prime=p,
+                             digits=digits)
+        assert ((got.val, got.unit, got.prec, got.cap)
+                == (want.val, want.unit, want.prec, want.cap))
+        # and an oracle: p**val * unit = n/d, the unit exact or solving
+        # unit * d' = n' modulo p**prec for the parts n', d' prime to p
+        n, d = fr.numerator, fr.denominator
+        if n == 0:
+            assert (got.unit, got.prec) == (0, math.inf)
+            return
+        vn = next(v for v in range(200) if n % p ** (v + 1))
+        vd = next(v for v in range(200) if d % p ** (v + 1))
+        nu, du = n // p**vn, d // p**vd
+        assert got.val == vn - vd
+        if got.prec == math.inf:
+            assert got.unit == nu
+        else:
+            assert (got.unit * du - nu) % p**got.prec == 0
+
+
 class TestEval:
     def test_fixed_point_one(self, regime_b2):
         assert (eval_f(regime_b2, 1) - 1).is_exact_zero

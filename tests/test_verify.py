@@ -1,10 +1,13 @@
 """Sweep and orbit reports: work done per record and the retry ladder."""
 
+import hashlib
+import os
 import sys
 
 import pytest
 
-from pottsbethe import dynamics, mapping, sampling, verify
+import pottsbethe
+from pottsbethe import dynamics, mapping, padic, sampling, verify
 from pottsbethe.dynamics import Trajectory, basin_classify, norm_exp_field
 from pottsbethe.mapping import (
     MapParams,
@@ -71,6 +74,70 @@ def test_tree_records_start_from_the_trees_orbits(monkeypatch,
     assert rep["classification_histogram"] == {"basin": 100,
                                                "pole_preimage": 30}
     assert len(eval_f_calls) == 327 - 98
+
+
+@pytest.mark.parametrize("config,seed,digest", [
+    ((5, 3, 5, "1+p^3", 64), 1,
+     "76172fa8ed0523393e6b949e4d16ee78a6322c36dc516fed8078b8308148a8d6"),
+    ((5, 3, 5, "1+p^3", 64), 11,
+     "fad4dabd14f2aeedbaa8cbb512dc5dcdf349248caa2bd2e89bc8670aa52dd26e"),
+    ((7, 2, 7, "1+p^3", 32), 1,
+     "f9bb0382dd34f68d174663c15e210123ef46104e51dfec48ededcbfb555342b7"),
+    ((7, 2, 7, "1+p^3", 32), 11,
+     "4086aab6a2e08f82085f44c01838eccd3e1c744ca883d037e6411e1d57eb5506"),
+])
+def test_spanning_samples_draw_the_recorded_points(config, seed, digest):
+    # the digests were recorded when each payload was built with Fraction
+    # arithmetic; drawing it as one Fraction must take the same points in
+    # the same order from the generator
+    samples = sampling.spanning_samples(MapParams.make(*config), 300, seed)
+    text = "\n".join(f"{s.category} {s.payload}" for s in samples)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_prime_is_checked_per_sweep_not_per_sample(monkeypatch):
+    # MapParams.make checks p; embedding a sample does not check it again
+    # (20 us a check at this p, once per sample before)
+    monkeypatch.setattr(verify, "_cpu_count", lambda: 1)
+    calls = _calls_to(monkeypatch, padic._check_prime)
+
+    def checks(samples: int) -> int:
+        del calls[:]
+        params = verify.make_params(1000003, 5, 1000003, "1+p^3", 16)
+        rep = verify.sweep_report(params, samples, seed=1, classify_depth=20)
+        assert rep["classification_histogram"] == {"basin": samples}
+        return len(calls)
+
+    checks(1)  # caches each rung's partition, whose roots check p too
+    assert checks(20) == checks(40) <= 2 * len(verify.RETRY_LADDER)
+
+
+def test_b1_sweep_stays_within_its_call_budget(monkeypatch):
+    # a serial 300-record B1 sweep, counted in Python calls into the
+    # package rather than in seconds, so the budget holds on a busy
+    # machine.  28 629 calls when each record coerced the int 1 for every
+    # distance to 1, rebuilt its Fraction payload and looked the partition
+    # up per symbol; 21 875 since, 2 424 of them Padic.__init__, which
+    # the package now defines; the budget is that count plus 10%
+    monkeypatch.setattr(verify, "_cpu_count", lambda: 1)
+    package = os.path.dirname(pottsbethe.__file__) + os.sep
+    params = MapParams.make(5, 3, 5, "1+p^3")
+    build_partition(params)  # outside the count, whether cached or not
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code.co_filename.startswith(package):
+            calls += 1
+
+    sys.setprofile(count)
+    try:
+        rep = verify.sweep_report(params, samples=300, seed=1,
+                                  classify_depth=50)
+    finally:
+        sys.setprofile(None)
+    assert rep["classification_histogram"] == {"basin": 300}
+    assert calls <= 24_063
 
 
 def test_regime_is_decided_once_per_params(monkeypatch):
