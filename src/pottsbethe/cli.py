@@ -58,8 +58,6 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--precision", type=positive_int,
                      default=DEFAULT_DIGITS,
                      help="working base-p digits (default %(default)s)")
-    sub.add_argument("--format", choices=("json", "jsonl", "csv"),
-                     default="json")
     sub.add_argument("--out", type=str, default=None,
                      help="output path (default stdout)")
 
@@ -94,11 +92,13 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--tol", type=non_negative_int, default=20)
     s.add_argument("--pole-tree-depth", type=non_negative_int, default=0,
                    help="append the backward tree of the pole as seeds")
+    s.add_argument("--format", choices=("json", "jsonl", "csv"),
+                   default="json")
 
     j = subs.add_parser("julia-verify",
                         help="verify the expanding-regime structure")
     _add_common(j)
-    j.add_argument("--depth", type=non_negative_int, default=6,
+    j.add_argument("--depth", type=positive_int, default=6,
                    help="word length to realize (default %(default)s)")
     j.add_argument("--seed", type=int, default=0)
     j.add_argument("--samples", type=non_negative_int, default=50,

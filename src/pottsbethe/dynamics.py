@@ -67,11 +67,10 @@ class OrbitResult:
 class Trajectory:
     """The forward orbit of x0: ``traj[t]`` is f^t(x0), computed once, on
     first use.  The PoleHit or PrecisionError that ended the orbit is kept
-    and raised again for its index and every later one.  The distance
-    f^t(x0) - 1 and the cover symbol of f^t(x0) are also computed once per
-    index; a PrecisionError from ``Partition.locate`` is not a symbol, so
-    it is raised again on every read.  The cover is looked up once, on
-    the first symbol read."""
+    and raised again for its index and every later one.  The cover symbol
+    of f^t(x0) is also computed once per index; a PrecisionError from
+    ``Partition.locate`` is not a symbol, so it is raised again on every
+    read.  The cover is looked up once, on the first symbol read."""
 
     def __init__(self, params: MapParams, x0):
         self.params = params
@@ -81,7 +80,6 @@ class Trajectory:
         # the exact one that to_1 subtracts: an int 1 coerces to the cap
         # of the iterate it meets, and no iterate's cap is above x0's
         self._one = Padic(params.p, 0, 1, INF, x0.cap)
-        self._to_1: dict[int, Padic] = {}
         self._symbols: dict[int, int | None] = {}
         self._partition: Partition | None = None
 
@@ -98,9 +96,7 @@ class Trajectory:
 
     def to_1(self, t: int) -> Padic:
         """f^t(x0) - 1."""
-        if t not in self._to_1:
-            self._to_1[t] = self[t] - self._one
-        return self._to_1[t]
+        return self[t] - self._one
 
     @property
     def partition(self) -> Partition:
@@ -139,34 +135,41 @@ def orbit(params: MapParams, x0, max_iter: int = DEFAULT_MAX_ITER,
 
     Convergence means entering the open ball of radius p**-tol around 1
     and, unless the distance vanished outright, one further verified
-    strictly-contracting step.  An orbit that stays inside the invariant
-    cover for the whole budget reports its symbol itinerary instead.
-    Precision exhaustion, including a contraction step that cancels at
-    the working precision, is reported, never guessed over.
+    strictly-contracting step; tol >= v(q+theta-1) keeps that ball inside
+    the attracting ball, where the map contracts.  Precision exhaustion,
+    including a contraction step that cancels at the working precision,
+    is reported, never guessed over.
 
-    In regime B with an exact theta, an orbit that enters the attracting
-    ball B_1 is settled there when ``_lemma_verdict`` proves its outcome.
+    In regime B the walk reads the cover symbol of each iterate outside
+    the attracting ball B_1, which misses the cover and holds every
+    converging step.  An orbit that stays inside the cover for the whole
+    budget reports its itinerary; one that re-enters it after leaving it
+    falsifies the trichotomy and raises VerificationError.  With an exact
+    theta, an orbit that enters B_1 is settled there when
+    ``_lemma_verdict`` proves its outcome.
     """
+    if tol < params.v_qtheta1:
+        raise ValueError(
+            f"tol={tol} is below v(q+theta-1)={params.v_qtheta1}: the "
+            "convergence ball would reach outside the attracting ball")
     traj = _trajectory(params, x0)
     part = traj.partition if params.regime.expanding else None
     lemma = part is not None and params.theta.prec == INF
     symbols: list[int] = []
-    always_in_x = part is not None
-    last = 0  # index of the last iterate read
+    inside = part is not None  # every symbol read so far was in the cover
+    last, d = 0, None  # index and distance to 1 of the last iterate read
 
     def result(status: OrbitStatus, steps: int | None = None,
                final: tuple[int, bool] | None = None,
                **fields) -> OrbitResult:
         return OrbitResult(
             status, last if steps is None else steps,
-            final if final is not None
-            else norm_exp_field(traj.to_1(last)), **fields)
+            final if final is not None else norm_exp_field(d), **fields)
 
     try:
         for t in range(max_iter + 1):
-            d = traj.to_1(t)
+            d, last = traj.to_1(t), t
             x = traj.points[t]  # made by to_1(t)
-            last = t
             if d.unit == 0:  # an exact zero, or cancelled to O(p^d.val)
                 if d.prec == INF or d.val >= tol + 1:
                     return result(OrbitStatus.CONVERGED_TO_1)
@@ -192,17 +195,22 @@ def orbit(params: MapParams, x0, max_iter: int = DEFAULT_MAX_ITER,
                     "no contraction inside the convergence ball: "
                     f"v(x-1)={d.val}, v(f(x)-1)>={d2.val_lower_bound}"
                 )
-            if always_in_x:
+            if part is not None and d.val <= params.v_q:  # outside B_1
                 sym = traj.symbol(t)
                 if sym is None:
-                    always_in_x = False
-                else:
+                    inside = False
+                elif inside:
                     symbols.append(sym)
+                else:
+                    raise VerificationError(
+                        f"basin point re-entered the cover at step {t}")
+            else:
+                inside = False
     except PoleHit:
         return result(OrbitStatus.POLE_HIT)
     except PrecisionError:
         return result(OrbitStatus.UNDECIDED, reason="precision")
-    if always_in_x:
+    if inside:
         return result(OrbitStatus.STAYED_IN_X,
                       itinerary=tuple(symbols))
     return result(OrbitStatus.UNDECIDED, reason="budget")

@@ -428,6 +428,7 @@ class Partition:
 
 
 PARTITION_CACHE_SIZE = 64  # configurations whose partition stays cached
+PAIR_BUDGET = 10**6  # most pairs a pairwise check compares
 
 
 @functools.lru_cache(maxsize=PARTITION_CACHE_SIZE)
@@ -439,7 +440,9 @@ def build_partition(params: MapParams) -> Partition:
     by |q|/|k(theta-1)|; the ball at xi != 1 is centered at
     2 - q - theta + q(theta-1)/(1-xi) and scales by |k|/|q(theta-1)|.
     Disjointness, positivity of every exponent, and that the cover misses
-    the pole and the attracting ball B_1 are asserted, not assumed.
+    the pole and the attracting ball B_1 are asserted, not assumed; a
+    cover whose disjointness check would compare more than PAIR_BUDGET
+    pairs of balls is refused.
     Cached: every MapParams of one configuration shares one Partition,
     for the PARTITION_CACHE_SIZE configurations used last.
     """
@@ -449,6 +452,11 @@ def build_partition(params: MapParams) -> Partition:
             f"partition exists in regime B only; these parameters are "
             f"{regime.tag.value} ({regime.detail})"
         )
+    pairs = params.kappa * (params.kappa - 1) // 2
+    if pairs > PAIR_BUDGET:
+        raise ValueError(
+            f"kappa={params.kappa} balls would take {pairs} disjointness "
+            f"checks; budget is {PAIR_BUDGET}")
     p, k, q = params.p, params.k, params.q
     t1 = params.theta - 1
     s = params.v_q + int(params.v_theta1)

@@ -19,8 +19,9 @@ from fractions import Fraction
 
 from . import __version__
 from . import dynamics, hensel, sampling
-from .dynamics import ClassifyKind, OrbitStatus
+from .dynamics import OrbitStatus
 from .mapping import (
+    PAIR_BUDGET,
     MapParams,
     RegimeTag,
     VerificationError,
@@ -35,7 +36,6 @@ RETRY_LADDER = (1, 2, 4)
 FIXED_POINT_DIGITS = 40  # digits the B1 fixed point must satisfy f(x) = x to
 PERIODIC_DIGITS = 30  # digits a periodic point must return to itself to
 MAX_PERIOD = 4  # longest period whose points julia-verify checks
-JULIA_PAIR_BUDGET = 10**6  # most word pairs julia-verify's isometry checks
 SPAN_MIN_RECORDS = 64  # fewest sweep records worth a forked process
 
 
@@ -175,29 +175,7 @@ def _orbit_record(params, x0, max_iter: int, tol: int,
         rec["classification_step"] = cls.step
         if cls.itinerary is not None:
             rec["classification_itinerary"] = list(cls.itinerary)
-        _check_consistency(params, traj, cls, max_iter)
     return rec
-
-
-def _check_consistency(params, traj: dynamics.Trajectory, cls,
-                       max_iter: int) -> None:
-    """Desk-scale coherence of a basin classification, on the iterates
-    the classification read.
-
-    A basin point must never re-enter the cover after leaving it at step
-    ``cls.step``; a re-entry would falsify the trichotomy and is raised
-    loudly.  The walk ends at the first iterate in the attracting ball
-    B_1, which maps into itself and misses the cover; a precision
-    shortage before it is retried, not passed.
-    """
-    if params.regime.tag is RegimeTag.A or cls.kind is not ClassifyKind.BASIN:
-        return
-    for t in range(cls.step, min(max_iter, cls.step + 40)):
-        if traj.to_1(t).val_at_least(params.v_q + 1):
-            return
-        if traj.symbol(t) is not None:
-            raise VerificationError(
-                f"basin point re-entered the cover at step {t}")
 
 
 def sweep_report(params: MapParams, samples: int, seed: int,
@@ -412,8 +390,11 @@ def julia_report(params: MapParams, depth: int, seed: int = 0,
     first levels of the pole tree.  ``falsified`` is true if any check
     fails.  A precision shortage reruns every check on the next
     ``_Ladder`` rung; the report is that of the first rung that decides
-    them all, and its config names that rung's digits.
+    them all, and its config names that rung's digits.  A depth below 1
+    realizes no word and is refused.
     """
+    if depth < 1:
+        raise ValueError(f"depth must be >= 1, got {depth}")
     return _Ladder(params).first(lambda pd, _: _julia_checks(
         pd, depth, seed, pairs_per_ball))[1]
 
@@ -436,11 +417,11 @@ def _julia_checks(params: MapParams, depth: int, seed: int,
         report["falsified"] = True
         return report
     words = params.kappa**depth
-    if words * (words - 1) // 2 > JULIA_PAIR_BUDGET:
+    if words * (words - 1) // 2 > PAIR_BUDGET:
         raise ValueError(
             f"depth {depth} has {words} words, whose isometry check would "
             f"compare {words * (words - 1) // 2} pairs; budget is "
-            f"{JULIA_PAIR_BUDGET}")
+            f"{PAIR_BUDGET}")
 
     part = build_partition(params)
     _check(checks, "taus_positive", all(t >= 1 for t in part.taus),

@@ -12,7 +12,7 @@ import pytest
 from pottsbethe import verify
 from pottsbethe.cli import main
 from pottsbethe.dynamics import periodic_point
-from pottsbethe.mapping import MapParams, PoleHit
+from pottsbethe.mapping import PAIR_BUDGET, MapParams, PoleHit
 from pottsbethe.padic import PrecisionError
 
 
@@ -246,12 +246,19 @@ class TestJuliaVerify:
         assert code == 0 and json.loads(out)["config"]["digits"] == 128
         assert run_cli(argv + ["128"], capsys) == (0, out, "")
 
-    def test_depth_zero_vacuous_pass(self, capsys):
-        code, out, _ = run_cli(
-            ["julia-verify", "--p", "5", "--k", "2", "--q", "5", "--theta",
-             "1+p^3", "--depth", "0", "--samples", "5"], capsys)
-        assert code == 0
-        assert json.loads(out)["falsified"] is False
+    @pytest.mark.parametrize("depth", ["0", "-1"])
+    def test_depth_below_one_is_a_usage_error(self, capsys, depth):
+        # depth 0 realizes no word, so every word check would pass on
+        # nothing
+        with pytest.raises(SystemExit) as exc:
+            main(["julia-verify", *B2_ARGS, "--depth", depth])
+        assert exc.value.code == 2
+        assert f"must be >= 1, got {depth}" in capsys.readouterr().err
+
+    def test_depth_zero_report_is_refused(self):
+        params = MapParams.make(5, 2, 5, "1+p^3")
+        with pytest.raises(ValueError, match="depth must be >= 1, got 0"):
+            verify.julia_report(params, 0, pairs_per_ball=5)
 
     def test_zero_pairs_is_usage_error(self, capsys):
         # an expansion-law check of no pairs would read as a falsification
@@ -270,7 +277,7 @@ class TestJuliaVerify:
 
     def test_word_budget_admits_depth_10(self):
         # depth 10 at kappa = 2 compares 523 776 pairs, and still runs
-        assert 2**10 * (2**10 - 1) // 2 <= verify.JULIA_PAIR_BUDGET
+        assert 2**10 * (2**10 - 1) // 2 <= PAIR_BUDGET
 
     def test_regime_a_is_falsifying_input(self, capsys):
         code, out, _ = run_cli(
@@ -291,7 +298,6 @@ B2_ARGS = ["--p", "5", "--k", "2", "--q", "5", "--theta", "1+p^3"]
     ["sweep", *B2_ARGS, "--samples", "3", "--pole-tree-depth", "-1"],
     ["orbit", *B2_ARGS, "--x0", "7", "--max-iter", "-1"],
     ["orbit", *B2_ARGS, "--x0", "7", "--tol", "-1"],
-    ["julia-verify", *B2_ARGS, "--depth", "-1"],
     ["julia-verify", *B2_ARGS, "--samples", "-1"],
 ], ids=lambda argv: argv[0] + argv[-2])
 def test_negative_counts_are_usage_errors(capsys, argv):
@@ -299,6 +305,51 @@ def test_negative_counts_are_usage_errors(capsys, argv):
         main(argv)
     assert exc.value.code == 2
     assert "must be >= 0, got -1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,bound", [
+    (["orbit", *B2_ARGS, "--x0", "-4"], 1),
+    (["sweep", *B2_ARGS, "--samples", "300", "--depth", "5"], 1),
+    (["orbit", "--p", "3", "--k", "3", "--q", "3", "--theta", "1+p^2",
+      "--x0", "5"], 1),  # regime A
+    (["orbit", "--p", "5", "--k", "2", "--q", "25", "--theta", "1+p^5",
+      "--x0", "7"], 2),
+], ids=["b2-orbit", "b2-sweep", "a-orbit", "b2-v2-orbit"])
+def test_tol_below_v_q_theta_1_is_a_usage_error(capsys, argv, bound):
+    # a convergence ball {v(x-1) >= tol+1} wider than the attracting ball
+    # {v(x-1) >= v(q+theta-1)+1} holds points where the map need not
+    # contract, and would read valid input as falsified
+    for tol in range(bound):
+        assert run_cli(argv + ["--tol", str(tol)], capsys) == (
+            2, "", f"pottsbethe: error: tol={tol} is below "
+                   f"v(q+theta-1)={bound}: the convergence ball would "
+                   "reach outside the attracting ball\n")
+    code, out, _ = run_cli(argv + ["--tol", str(bound)], capsys)
+    assert code == 0
+    report = json.loads(out)
+    records = report.get("records") or [report["record"]]
+    assert {r["status"] for r in records} == {"converged_to_1"}
+
+
+@pytest.mark.parametrize("command", [
+    ["classify"], ["orbit", "--x0", "7"], ["julia-verify"]])
+def test_format_is_a_sweep_option(capsys, command):
+    # only a sweep has records to write as CSV or JSON lines
+    with pytest.raises(SystemExit) as exc:
+        main(command[:1] + B2_ARGS + command[1:] + ["--format", "csv"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --format csv" in capsys.readouterr().err
+
+
+def test_cover_beyond_the_pair_budget_is_a_usage_error(capsys):
+    # kappa = 4000 balls take 7 998 000 disjointness checks, about a minute;
+    # refused before a root of unity is computed
+    start = time.perf_counter()
+    code, out, err = run_cli(["classify", "--p", "4001", "--k", "4000",
+                              "--q", "4001", "--theta", "1+p^3"], capsys)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert "kappa=4000 balls would take 7998000 disjointness checks" in err
 
 
 @pytest.mark.parametrize("precision", ["0", "-3"])

@@ -159,8 +159,7 @@ class TestTrajectory:
                     == (want.prime, want.val, want.unit, want.prec,
                         want.cap))
 
-    def test_distance_and_symbol_are_computed_once(self, regime_b2,
-                                                   monkeypatch):
+    def test_symbol_is_computed_once(self, regime_b2, monkeypatch):
         located = []
         locate = Partition.locate
 
@@ -169,8 +168,6 @@ class TestTrajectory:
             return locate(part, x)
         monkeypatch.setattr(Partition, "locate", counting_locate)
         traj = Trajectory(regime_b2, 7)
-        d = traj.to_1(2)
-        assert traj.to_1(2) is d and (d - (traj[2] - 1)).is_zero_like
         assert traj.symbol(0) is None and traj.symbol(0) is None
         assert len(located) == 1
         # membership of a point known only to the cover radius is

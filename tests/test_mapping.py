@@ -8,8 +8,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from pottsbethe import sampling
+from pottsbethe import hensel, sampling
 from pottsbethe.mapping import (
+    PAIR_BUDGET,
     PARTITION_CACHE_SIZE,
     MapParams,
     PoleHit,
@@ -300,6 +301,21 @@ class TestPartition:
         assert info.maxsize == bound and info.currsize == bound
         assert build_partition(configs[-1]) is parts[-1]
         assert build_partition(configs[-bound]) is parts[-bound]
+
+    @pytest.mark.parametrize("p,k,refused", [
+        (4243, 1414, False),  # 998 991 pairs, the largest kappa admitted
+        (4243, 4242, True),  # 8 995 161 pairs
+    ])
+    def test_pair_budget_is_checked_before_the_roots(self, monkeypatch, p,
+                                                     k, refused):
+        def roots_of_unity(*args):
+            raise LookupError("the budget admitted the cover")
+        monkeypatch.setattr(hensel, "roots_of_unity", roots_of_unity)
+        params = MapParams.make(p, k, p, "1+p^3")
+        assert (params.kappa * (params.kappa - 1) // 2 > PAIR_BUDGET) \
+            == refused
+        with pytest.raises(ValueError if refused else LookupError):
+            build_partition(params)
 
     def test_regime_a_has_no_partition(self, regime_a):
         with pytest.raises(ValueError):

@@ -8,14 +8,13 @@ import pytest
 
 import pottsbethe
 from pottsbethe import dynamics, mapping, padic, sampling, verify
-from pottsbethe.dynamics import Trajectory, basin_classify, norm_exp_field
+from pottsbethe.dynamics import Trajectory, norm_exp_field
 from pottsbethe.mapping import (
     MapParams,
     PoleHit,
     build_partition,
     classify_regime,
 )
-from pottsbethe.padic import PrecisionError
 
 
 def _calls_to(monkeypatch, original) -> list:
@@ -186,15 +185,16 @@ def test_expansion_laws_need_a_pair():
 
 
 def test_precision_shortage_before_b1_reaches_the_ladder():
-    # a shortage before the orbit enters B_1 is retried on every rung,
-    # never counted as a passed check
+    # a symbol undecidable at the working precision, read after the exit
+    # and before B_1, is retried on every rung, never counted as passed,
+    # although the orbit reaches 1 on the next step
     def attempt(pd, tree):
+        part = build_partition(pd)
         traj = Trajectory(pd, 0)  # outside the cover and outside B_1
-        traj.error = PrecisionError("injected at step 1")
-        cls = basin_classify(pd, traj, 50)
-        assert (cls.kind, cls.step) == (dynamics.ClassifyKind.BASIN, 0)
-        verify._check_consistency(pd, traj, cls, 200)
-        return {"status": "checked"}
+        traj.points += [part.balls[0].center
+                        + padic.Padic.inexact_zero(pd.p, part.radius_exp),
+                        pd.embed(1)]
+        return verify._orbit_record(pd, traj, 200, 20, None)
 
     rec = verify._Ladder(MapParams.make(5, 3, 5, "1+p^3")).run(attempt)
     assert rec["status"] == "undecided" and rec["reason"] == "precision"
@@ -203,16 +203,16 @@ def test_precision_shortage_before_b1_reaches_the_ladder():
 
 def test_basin_point_that_re_enters_the_cover_is_falsified():
     # a ball center leaves the cover at step 1; planting the center again
-    # as step 2 makes a basin orbit that re-enters the cover
+    # as step 2 makes a basin orbit that re-enters the cover, which the
+    # orbit's own walk raises, with no classification asked for
     params = MapParams.make(5, 2, 5, "1+p^3")
     center = build_partition(params).balls[0].center
     traj = Trajectory(params, center)
-    cls = basin_classify(params, traj, 50)
-    assert (cls.kind, cls.step) == (dynamics.ClassifyKind.BASIN, 1)
+    assert traj.symbol(0) == 1 and traj.symbol(1) is None
     traj.points.append(center)
     with pytest.raises(mapping.VerificationError,
                        match="re-entered the cover at step 2"):
-        verify._check_consistency(params, traj, cls, 200)
+        dynamics.orbit(params, traj)
 
 
 def _desk_check(params, x0, max_iter, tol, classify_step):
