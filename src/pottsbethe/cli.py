@@ -18,6 +18,7 @@ import sys
 from fractions import Fraction
 
 from . import __version__, verify
+from .dynamics import DEFAULT_MAX_ITER, DEFAULT_TOL
 from .mapping import PoleHit, VerificationError
 from .padic import DEFAULT_DIGITS, PrecisionError
 
@@ -78,18 +79,20 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(o)
     o.add_argument("--x0", type=str, required=True,
                    help="starting point, a rational a or a/b")
-    o.add_argument("--max-iter", type=non_negative_int, default=200)
-    o.add_argument("--tol", type=non_negative_int, default=20,
+    o.add_argument("--max-iter", type=non_negative_int,
+                   default=DEFAULT_MAX_ITER)
+    o.add_argument("--tol", type=non_negative_int, default=DEFAULT_TOL,
                    help="convergence ball exponent (default %(default)s)")
 
     s = subs.add_parser("sweep", help="seeded batch of orbits")
     _add_common(s)
     s.add_argument("--samples", type=non_negative_int, default=100)
     s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--depth", type=non_negative_int, default=None,
+    s.add_argument("--depth", type=positive_int, default=None,
                    help="also classify each seed to this depth")
-    s.add_argument("--max-iter", type=non_negative_int, default=200)
-    s.add_argument("--tol", type=non_negative_int, default=20)
+    s.add_argument("--max-iter", type=non_negative_int,
+                   default=DEFAULT_MAX_ITER)
+    s.add_argument("--tol", type=non_negative_int, default=DEFAULT_TOL)
     s.add_argument("--pole-tree-depth", type=non_negative_int, default=0,
                    help="append the backward tree of the pole as seeds")
     s.add_argument("--format", choices=("json", "jsonl", "csv"),
@@ -191,35 +194,29 @@ def main(argv: list[str] | None = None) -> int:
             _check_out(args.out)
         params = verify.make_params(args.p, args.k, args.q, args.theta,
                                     args.precision)
+        code = EXIT_PASS
         if args.command == "classify":
             report = verify.classify_report(params)
-            _emit(verify.canonical_json(report), args.out)
-            return EXIT_PASS
-        if args.command == "orbit":
+        elif args.command == "orbit":
             report = verify.orbit_report(params, _parse_x0(args.x0),
                                          args.max_iter, args.tol)
-            _emit(verify.canonical_json(report), args.out)
             if report["record"].get("reason") == "precision":
-                return EXIT_PRECISION
-            return EXIT_PASS
-        if args.command == "sweep":
+                code = EXIT_PRECISION
+        elif args.command == "sweep":
             report = verify.sweep_report(params, args.samples, args.seed,
                                          max_iter=args.max_iter,
                                          tol=args.tol,
                                          classify_depth=args.depth,
                                          pole_tree_depth=args.pole_tree_depth)
-            if args.format == "csv":
-                _emit(_sweep_csv(report), args.out)
-            elif args.format == "jsonl":
-                _emit(_sweep_jsonl(report), args.out)
-            else:
-                _emit(verify.canonical_json(report), args.out)
-            return EXIT_PASS
-        if args.command == "julia-verify":
+        else:
             report = verify.julia_report(params, args.depth, seed=args.seed,
                                          pairs_per_ball=args.samples)
-            _emit(verify.canonical_json(report), args.out)
-            return EXIT_FALSIFIED if report["falsified"] else EXIT_PASS
+            if report["falsified"]:
+                code = EXIT_FALSIFIED
+        encode = {"csv": _sweep_csv, "jsonl": _sweep_jsonl}.get(
+            getattr(args, "format", "json"), verify.canonical_json)
+        _emit(encode(report), args.out)
+        return code
     except (ValueError, ZeroDivisionError) as exc:
         print(f"pottsbethe: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -232,7 +229,6 @@ def main(argv: list[str] | None = None) -> int:
             return EXIT_PRECISION
         print(f"pottsbethe: falsified: {exc}", file=sys.stderr)
         return EXIT_FALSIFIED
-    return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -128,6 +128,14 @@ def norm_exp_field(x: Padic) -> tuple[int | str, bool]:
     return x.val, x.unit != 0
 
 
+def check_tol(params: MapParams, tol: int) -> None:
+    """Refuse a convergence ball wider than the attracting ball."""
+    if tol < params.v_qtheta1:
+        raise ValueError(
+            f"tol={tol} is below v(q+theta-1)={params.v_qtheta1}: the "
+            "convergence ball would reach outside the attracting ball")
+
+
 def orbit(params: MapParams, x0, max_iter: int = DEFAULT_MAX_ITER,
           tol: int = DEFAULT_TOL) -> OrbitResult:
     """Iterate the map from x0 (a point or a Trajectory), certifying the
@@ -148,10 +156,7 @@ def orbit(params: MapParams, x0, max_iter: int = DEFAULT_MAX_ITER,
     theta, an orbit that enters B_1 is settled there when
     ``_lemma_verdict`` proves its outcome.
     """
-    if tol < params.v_qtheta1:
-        raise ValueError(
-            f"tol={tol} is below v(q+theta-1)={params.v_qtheta1}: the "
-            "convergence ball would reach outside the attracting ball")
+    check_tol(params, tol)
     traj = _trajectory(params, x0)
     part = traj.partition if params.regime.expanding else None
     lemma = part is not None and params.theta.prec == INF
@@ -263,6 +268,8 @@ def basin_classify(params: MapParams, x0, depth: int) -> ClassifyResult:
     Julia candidate together with its itinerary, certified to this depth
     only.  In the contracting regime every point is basin outright.
     """
+    if depth < 1:
+        raise ValueError(f"depth must be >= 1, got {depth}")
     regime = params.regime
     traj = _trajectory(params, x0)
     if (traj[0] - params.pole).is_zero_like:

@@ -15,6 +15,7 @@ import json
 import marshal
 import os
 import sys
+from collections import Counter
 from fractions import Fraction
 
 from . import __version__
@@ -44,6 +45,18 @@ def canonical_json(obj) -> str:
                       ensure_ascii=True) + "\n"
 
 
+def _report(command: str, params: MapParams, **config) -> dict:
+    """The fields every report starts with: the library version, the
+    command, the configuration it ran with and the regime."""
+    return {"version": __version__, "command": command,
+            "config": {**params.config_dict(), **config},
+            "regime": params.regime.tag.value}
+
+
+def _histogram(keys) -> dict[str, int]:
+    return dict(sorted(Counter(keys).items()))
+
+
 class _Ladder:
     """The retry policy of one report call: a sweep or orbit record, or a
     whole classify or julia-verify report, that runs out of precision is
@@ -64,7 +77,7 @@ class _Ladder:
             pd = (self.params if factor == 1
                   else self.params.at_digits(self.params.digits * factor))
             tree = []
-            if self.tree_depth > 0 and pd.regime.expanding:
+            if self.tree_depth > 0:
                 try:
                     tree = dynamics.pole_preimage_tree(pd, self.tree_depth)
                 except PrecisionError as exc:
@@ -136,10 +149,7 @@ def _classify(params: MapParams) -> dict:
     regime = params.regime
     lam = multiplier(params, 1)
     report = {
-        "version": __version__,
-        "command": "classify",
-        "config": params.config_dict(),
-        "regime": regime.tag.value,
+        **_report("classify", params),
         "regime_detail": regime.detail,
         "kappa": params.kappa,
         "pole": params.pole.to_compact(),
@@ -187,9 +197,13 @@ def sweep_report(params: MapParams, samples: int, seed: int,
     per sample, assembled in sample order.
 
     ``pole_tree_depth > 0`` appends the backward tree of the pole to the
-    seed list (expanding regime only); those records come out as pole hits
-    at their predicted level.
+    seed list (empty in regime A); those records come out as pole hits at
+    their predicted level.  ``tol`` and ``classify_depth`` are checked
+    before any record, so a sweep of no records refuses them too.
     """
+    dynamics.check_tol(params, tol)
+    if classify_depth is not None and classify_depth < 1:
+        raise ValueError(f"depth must be >= 1, got {classify_depth}")
     ladder = _Ladder(params, pole_tree_depth)
     descriptors = sampling.spanning_samples(params, samples, seed)
     plan: list = [(desc.category, str(desc.payload), desc) for desc
@@ -215,27 +229,16 @@ def sweep_report(params: MapParams, samples: int, seed: int,
                 **ladder.run(attempt, classify_depth)}
 
     records = _records_in_spans(record, len(plan))
-    histogram: dict[str, int] = {}
-    for rec in records:
-        key = rec["status"]
-        histogram[key] = histogram.get(key, 0) + 1
     report = {
-        "version": __version__,
-        "command": "sweep",
-        "config": {**params.config_dict(), "samples": samples, "seed": seed,
-                   "max_iter": max_iter, "tol": tol,
-                   "classify_depth": classify_depth,
-                   "pole_tree_depth": pole_tree_depth},
-        "regime": params.regime.tag.value,
+        **_report("sweep", params, samples=samples, seed=seed,
+                  max_iter=max_iter, tol=tol, classify_depth=classify_depth,
+                  pole_tree_depth=pole_tree_depth),
         "records": records,
-        "histogram": dict(sorted(histogram.items())),
+        "histogram": _histogram(rec["status"] for rec in records),
     }
     if classify_depth is not None:
-        chist: dict[str, int] = {}
-        for rec in records:
-            key = rec.get("classification", "undecided")
-            chist[key] = chist.get(key, 0) + 1
-        report["classification_histogram"] = dict(sorted(chist.items()))
+        report["classification_histogram"] = _histogram(
+            rec.get("classification", "undecided") for rec in records)
     return report
 
 
@@ -265,14 +268,16 @@ def _records_in_spans(record, count: int) -> list:
     Of S spans, span j holds the records j, j + S, j + 2S, ..., so every
     span gets the same mix of sample categories and pole-tree levels.
     The parent computes span 0, and a forked child each other one, which
-    it sends back over a pipe in ``marshal`` form up to its first error;
+    it sends back over a pipe in ``marshal`` form, whole or not at all;
     the parent puts each record at its plan index.  Record 0 is computed
     before any fork, so that every process shares the partition and rung
-    it built.  Only the parent raises: it computes every record a child
-    did not send, so it raises a child's error as the exception a serial
-    run raises, and it computes the rest of a span whose child died.
-    Each span stops at its first error; the error of lowest plan index is
-    raised, as a serial run raises it, and no child outlives the call.
+    it built, and an error in it raises before any fork.  Whatever else
+    goes wrong (a record raises in any process, a child ends without a
+    whole message, ``os.fork`` raises) is settled by one rule: the parent
+    ends every child and computes records 1 ... count - 1 itself, in plan
+    order, so it returns the serial run's records or raises the serial
+    run's exception.  That error path costs up to one whole serial sweep
+    more.  No child outlives the call.
     """
     spans = _span_count(count)
     if spans == 1:
@@ -295,53 +300,31 @@ def _records_in_spans(record, count: int) -> list:
                 _send_span(record, range(j, count, spans), write)
             os.close(write)
             children.append((pid, os.fdopen(read, "rb")))
-        results = []
-        for j in range(spans):
-            try:  # the records of span j up to its first error
-                sent = (marshal.loads(children[j - 1][1].read()) if j
-                        else [first])
-            except (EOFError, ValueError, TypeError):  # no whole message
-                sent = []
-            span = range(j, count, spans)
-            done, failure = _span_records(record, span[len(sent):])
-            results.append((sent + done, failure))
+        records = [None] * count
+        records[::spans] = [first, *map(record, range(spans, count, spans))]
+        for j, (_, pipe) in enumerate(children, start=1):
+            records[j::spans] = marshal.loads(pipe.read())
+        return records
+    except Exception:
+        pass  # settled below, by the serial run
     finally:
-        # a child that has sent its span has nothing left to do
+        # a child has sent its span, or its span is no longer wanted
         for pid, pipe in children:
             os.kill(pid, 9)  # SIGKILL
             pipe.close()
             os.waitpid(pid, 0)
-    failures = [failure for _, failure in results if failure is not None]
-    if failures:
-        raise min(failures, key=lambda f: f[0])[1]
-    records = [None] * count
-    for j, (done, _) in enumerate(results):
-        records[j::spans] = done
-    return records
-
-
-def _span_records(record, span: range) -> tuple[list, tuple | None]:
-    """``record(i)`` for each i of ``span`` in turn, up to the first
-    error; with (i, error) for that error, else None."""
-    done = []
-    for i in span:
-        try:
-            done.append(record(i))
-        except Exception as exc:
-            return done, (i, exc)
-    return done, None
+    return [first, *map(record, range(1, count))]
 
 
 def _send_span(record, span: range, write: int) -> None:
-    """In a forked child: send the records of ``span`` that come before
-    its first error down the pipe ``write``, then end the process.
+    """In a forked child: send the records of ``span`` down the pipe
+    ``write``, or nothing if one raises, then end the process.
     ``os._exit`` runs no exit hook and flushes no stdio buffer, which the
     parent owns."""
     status = 1
     try:
-        done, _ = _span_records(record, span)
         with os.fdopen(write, "wb") as pipe:
-            pipe.write(marshal.dumps(done))
+            pipe.write(marshal.dumps([record(i) for i in span]))
         status = 0
     finally:
         os._exit(status)
@@ -352,14 +335,9 @@ def orbit_report(params: MapParams, x0: Fraction, max_iter: int,
     ladder = _Ladder(params)
     record = ladder.run(lambda pd, _: _orbit_record(
         pd, x0, max_iter, tol, None))
-    return {
-        "version": __version__,
-        "command": "orbit",
-        "config": {**params.config_dict(), "x0": str(x0),
-                   "max_iter": max_iter, "tol": tol},
-        "regime": params.regime.tag.value,
-        "record": record,
-    }
+    return {**_report("orbit", params, x0=str(x0), max_iter=max_iter,
+                      tol=tol),
+            "record": record}
 
 
 def _residual_vanishes(resid: Padic, digits: int) -> bool:
@@ -405,11 +383,8 @@ def _julia_checks(params: MapParams, depth: int, seed: int,
     checks: list[dict] = []
     ok = _check(checks, "regime_is_B", regime.expanding, regime.tag.value)
     report = {
-        "version": __version__,
-        "command": "julia-verify",
-        "config": {**params.config_dict(), "depth": depth, "seed": seed,
-                   "pairs_per_ball": pairs_per_ball},
-        "regime": regime.tag.value,
+        **_report("julia-verify", params, depth=depth, seed=seed,
+                  pairs_per_ball=pairs_per_ball),
         "kappa": params.kappa,
         "checks": checks,
     }

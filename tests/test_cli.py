@@ -10,8 +10,8 @@ import time
 import pytest
 
 from pottsbethe import verify
-from pottsbethe.cli import main
-from pottsbethe.dynamics import periodic_point
+from pottsbethe.cli import build_parser, main
+from pottsbethe.dynamics import DEFAULT_MAX_ITER, DEFAULT_TOL, periodic_point
 from pottsbethe.mapping import PAIR_BUDGET, MapParams, PoleHit
 from pottsbethe.padic import PrecisionError
 
@@ -291,7 +291,6 @@ B2_ARGS = ["--p", "5", "--k", "2", "--q", "5", "--theta", "1+p^3"]
 
 
 @pytest.mark.parametrize("argv", [
-    ["sweep", *B2_ARGS, "--samples", "3", "--seed", "1", "--depth", "-1"],
     ["sweep", *B2_ARGS, "--samples", "-1"],
     ["sweep", *B2_ARGS, "--samples", "3", "--max-iter", "-1"],
     ["sweep", *B2_ARGS, "--samples", "3", "--tol", "-1"],
@@ -307,6 +306,28 @@ def test_negative_counts_are_usage_errors(capsys, argv):
     assert "must be >= 0, got -1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("depth", ["0", "-1"])
+def test_sweep_depth_below_one_is_a_usage_error(capsys, depth):
+    # depth 0 follows no step, so every record would read both
+    # converged_to_1 and a Julia candidate with an empty itinerary
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", *B2_ARGS, "--samples", "3", "--seed", "1",
+              "--depth", depth])
+    assert exc.value.code == 2
+    assert f"argument --depth: must be >= 1, got {depth}" in \
+        capsys.readouterr().err
+    # the library refuses it before any record, so with no records too
+    params = MapParams.make(5, 2, 5, "1+p^3")
+    with pytest.raises(ValueError, match=f"depth must be >= 1, got {depth}"):
+        verify.sweep_report(params, 0, 1, classify_depth=int(depth))
+
+
+@pytest.mark.parametrize("command", [["orbit", "--x0", "7"], ["sweep"]])
+def test_iteration_defaults_are_the_library_defaults(command):
+    args = build_parser().parse_args(command[:1] + B2_ARGS + command[1:])
+    assert (args.max_iter, args.tol) == (DEFAULT_MAX_ITER, DEFAULT_TOL)
+
+
 @pytest.mark.parametrize("argv,bound", [
     (["orbit", *B2_ARGS, "--x0", "-4"], 1),
     (["sweep", *B2_ARGS, "--samples", "300", "--depth", "5"], 1),
@@ -314,11 +335,13 @@ def test_negative_counts_are_usage_errors(capsys, argv):
       "--x0", "5"], 1),  # regime A
     (["orbit", "--p", "5", "--k", "2", "--q", "25", "--theta", "1+p^5",
       "--x0", "7"], 2),
-], ids=["b2-orbit", "b2-sweep", "a-orbit", "b2-v2-orbit"])
+    (["sweep", *B2_ARGS, "--samples", "0"], 1),
+], ids=["b2-orbit", "b2-sweep", "a-orbit", "b2-v2-orbit", "b2-empty-sweep"])
 def test_tol_below_v_q_theta_1_is_a_usage_error(capsys, argv, bound):
     # a convergence ball {v(x-1) >= tol+1} wider than the attracting ball
     # {v(x-1) >= v(q+theta-1)+1} holds points where the map need not
-    # contract, and would read valid input as falsified
+    # contract, and would read valid input as falsified; a sweep refuses
+    # it even when it has no record to run
     for tol in range(bound):
         assert run_cli(argv + ["--tol", str(tol)], capsys) == (
             2, "", f"pottsbethe: error: tol={tol} is below "
@@ -327,8 +350,32 @@ def test_tol_below_v_q_theta_1_is_a_usage_error(capsys, argv, bound):
     code, out, _ = run_cli(argv + ["--tol", str(bound)], capsys)
     assert code == 0
     report = json.loads(out)
-    records = report.get("records") or [report["record"]]
-    assert {r["status"] for r in records} == {"converged_to_1"}
+    records = report["records"] if "records" in report else [report["record"]]
+    assert len(records) == report["config"].get("samples", 1)
+    assert {r["status"] for r in records} <= {"converged_to_1"}
+
+
+def test_unclassified_pole_tree_is_a_usage_error(capsys):
+    # the pole tree, like the classification, needs a known regime: a tree
+    # of unclassified parameters is refused, not quietly left empty
+    code, out, err = run_cli(
+        ["sweep", "--p", "5", "--k", "2", "--q", "5", "--theta", "1+p^1",
+         "--samples", "0", "--pole-tree-depth", "2"], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("pottsbethe: error: parameters are unclassified: ")
+
+
+def test_regime_a_pole_tree_is_certified_empty(capsys):
+    # in regime A nothing maps onto the pole: the tree adds no record
+    argv = ["sweep", "--p", "3", "--k", "3", "--q", "3", "--theta", "1+p^2",
+            "--samples", "2", "--depth", "2"]
+    code, out, _ = run_cli(argv + ["--pole-tree-depth", "2"], capsys)
+    assert code == 0
+    report = json.loads(out)
+    assert [r["category"] for r in report["records"]
+            if r["category"].startswith("pole_tree:")] == []
+    plain = json.loads(run_cli(argv, capsys)[1])
+    assert report["records"] == plain["records"]
 
 
 @pytest.mark.parametrize("command", [

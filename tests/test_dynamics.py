@@ -208,6 +208,15 @@ class TestBasinClassify:
     def test_regime_a_is_all_basin(self, regime_a):
         assert basin_classify(regime_a, 7, 10).kind is ClassifyKind.BASIN
 
+    @pytest.mark.parametrize("depth", [0, -1])
+    def test_depth_below_one_is_refused(self, regime_a, regime_b2, depth):
+        # depth 0 follows no step, so every point would be a Julia
+        # candidate with an empty itinerary (regime B) or basin at once
+        for params in (regime_a, regime_b2):
+            with pytest.raises(ValueError,
+                               match=f"depth must be >= 1, got {depth}"):
+                basin_classify(params, 7, depth)
+
     def test_far_from_one_minus_q(self, regime_b2):
         # |x - 1 + q| >= |q| certifies the basin; such x never lies in
         # the cover, so the exit step is zero

@@ -1,8 +1,11 @@
 """Sweeps split over forked processes: the same bytes and the same errors
-as a serial run, and no child process left behind.  Only the parent
-raises: a child sends the records before its first error, and the parent
-computes the rest, so it raises the error a serial run raises."""
+as a serial run, no child process left behind and no descriptor left
+open.  A child sends its whole span or nothing; when anything goes wrong
+(a record raises in any process, a child dies, a fork fails) the parent
+ends every child and computes the records itself as a serial run does,
+so it returns that run's records or raises its error."""
 
+import errno
 import os
 import threading
 
@@ -35,10 +38,21 @@ def forks(monkeypatch):
 def run(argv, capsys, monkeypatch, cpus):
     """(exit code, stdout, stderr) of the CLI with ``cpus`` CPUs."""
     monkeypatch.setattr(verify, "_cpu_count", lambda: cpus)
+    fds = open_fds()
     code = main(argv)
     out, err = capsys.readouterr()
     assert_no_child_left()
+    assert open_fds() == fds
     return code, out, err
+
+
+def open_fds():
+    """This process's open file descriptors, where the platform lists
+    them; None elsewhere."""
+    try:
+        return sorted(os.listdir("/proc/self/fd"))
+    except FileNotFoundError:
+        return None
 
 
 def assert_no_child_left():
@@ -119,9 +133,8 @@ def test_error_in_a_span_is_the_serial_error(capsys, monkeypatch, forks,
 
 def test_child_that_dies_is_an_error(monkeypatch, forks):
     # a child that ends without sending its span is an error of that
-    # process, not of the sweep: only the parent raises, and it computes
-    # every record a child did not send, so the records are those of a
-    # serial run
+    # process, not of the sweep: the parent ends every child and computes
+    # the records itself, so they are those of a serial run
     params = MapParams.make(5, 3, 5, "1+p^3")
     monkeypatch.setattr(verify, "_cpu_count", lambda: 1)
     serial = verify.canonical_json(verify.sweep_report(params, 300, 4))
@@ -139,6 +152,28 @@ def test_child_that_dies_is_an_error(monkeypatch, forks):
         serial
     assert len(forks) == 1
     assert_no_child_left()
+
+
+@pytest.mark.parametrize("cpus,failing", [(2, 1), (3, 2)],
+                         ids=["first-fork", "second-of-two"])
+def test_failed_fork_gives_the_serial_report(capsys, monkeypatch, forks,
+                                             cpus, failing):
+    # a fork refused for want of processes (EAGAIN) is not a falsified
+    # sweep: the parent ends the children it has and runs serially
+    serial = run(SWEEP, capsys, monkeypatch, cpus=1)
+    assert serial[0] == 0
+    calls = []
+    fork = os.fork
+
+    def refused():
+        calls.append(None)
+        if len(calls) == failing:
+            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+        return fork()
+
+    monkeypatch.setattr(os, "fork", refused)
+    assert run(SWEEP, capsys, monkeypatch, cpus=cpus) == serial
+    assert len(calls) == failing and len(forks) == failing - 1
 
 
 def test_small_sweeps_stay_serial(monkeypatch):
