@@ -129,7 +129,12 @@ def norm_exp_field(x: Padic) -> tuple[int | str, bool]:
 
 
 def check_tol(params: MapParams, tol: int) -> None:
-    """Refuse a convergence ball wider than the attracting ball."""
+    """Refuse parameters where the fixed point 1 does not attract, and a
+    convergence ball wider than the attracting ball."""
+    if params.tau_one < 1:
+        raise ValueError(
+            f"v(k)+v(theta-1)-v(q+theta-1)={params.tau_one} is below 1: "
+            "the fixed point 1 does not attract")
     if tol < params.v_qtheta1:
         raise ValueError(
             f"tol={tol} is below v(q+theta-1)={params.v_qtheta1}: the "
@@ -153,13 +158,13 @@ def orbit(params: MapParams, x0, max_iter: int = DEFAULT_MAX_ITER,
     converging step.  An orbit that stays inside the cover for the whole
     budget reports its itinerary; one that re-enters it after leaving it
     falsifies the trichotomy and raises VerificationError.  With an exact
-    theta, an orbit that enters B_1 is settled there when
-    ``_lemma_verdict`` proves its outcome.
+    theta != 1, in any regime, an orbit that enters B_1 is settled there
+    when ``_lemma_verdict`` proves its outcome.
     """
     check_tol(params, tol)
     traj = _trajectory(params, x0)
     part = traj.partition if params.regime.expanding else None
-    lemma = part is not None and params.theta.prec == INF
+    lemma = params.theta.prec == INF and params.tau_one != INF
     symbols: list[int] = []
     inside = part is not None  # every symbol read so far was in the cover
     last, d = 0, None  # index and distance to 1 of the last iterate read
@@ -179,10 +184,9 @@ def orbit(params: MapParams, x0, max_iter: int = DEFAULT_MAX_ITER,
                 if d.prec == INF or d.val >= tol + 1:
                     return result(OrbitStatus.CONVERGED_TO_1)
                 return result(OrbitStatus.UNDECIDED, reason="precision")
-            if (lemma and x.prec != INF and d.val > params.v_q
+            if (lemma and x.prec != INF and d.val > params.v_qtheta1
                     and on_residue_kernel(params, x)):
-                verdict = _lemma_verdict(params, part, x, d.val, t,
-                                         max_iter, tol)
+                verdict = _lemma_verdict(params, x, d.val, t, max_iter, tol)
                 if verdict is not None:
                     steps, w = verdict
                     return result(OrbitStatus.CONVERGED_TO_1, steps,
@@ -200,7 +204,7 @@ def orbit(params: MapParams, x0, max_iter: int = DEFAULT_MAX_ITER,
                     "no contraction inside the convergence ball: "
                     f"v(x-1)={d.val}, v(f(x)-1)>={d2.val_lower_bound}"
                 )
-            if part is not None and d.val <= params.v_q:  # outside B_1
+            if part is not None and d.val <= params.v_qtheta1:  # outside B_1
                 sym = traj.symbol(t)
                 if sym is None:
                     inside = False
@@ -221,24 +225,22 @@ def orbit(params: MapParams, x0, max_iter: int = DEFAULT_MAX_ITER,
     return result(OrbitStatus.UNDECIDED, reason="budget")
 
 
-def _lemma_verdict(params: MapParams, part: Partition, x: Padic, w: int,
-                   t: int, max_iter: int,
-                   tol: int) -> tuple[int, int] | None:
+def _lemma_verdict(params: MapParams, x: Padic, w: int, t: int,
+                   max_iter: int, tol: int) -> tuple[int, int] | None:
     """(steps, v(f^steps(x0) - 1)) of the converging orbit through the
     inexact x = f^t(x0) of B_1 on the residue kernel, w = v(x - 1) and
     theta exact; None when only iterating can decide.
 
-    With A = abs_prec(x), ``attracting_ball``'s lemma gives
-    v(f^j(x) - 1) = w + j*tau_one, and the residue kernel, where D and N
-    both have valuation v(q), gives abs_prec(f^j(x)) = A - j*v(q).  So
-    the orbit enters the convergence ball n = ceil((tol+1-w)/tau_one)
+    With A = abs_prec(x) and v = v(q+theta-1), ``attracting_ball``'s lemma
+    gives v(f^j(x) - 1) = w + j*tau_one and abs_prec(f^j(x)) = A - j*v.
+    So the orbit enters the convergence ball n = ceil((tol+1-w)/tau_one)
     steps on, and its contraction step is decided when
-    w + (n+1)tau_one < A - (n+1)v(q): iterating reads the same values.
+    w + (n+1)tau_one < A - (n+1)v: iterating reads the same values.
     """
-    tau, v_q = part.tau_one, params.v_q
+    tau, v = params.tau_one, params.v_qtheta1
     n = max(0, -((w - tol - 1) // tau))
     if (t + n > max_iter
-            or w + (n + 1) * tau >= x.val + x.prec - (n + 1) * v_q):
+            or w + (n + 1) * tau >= x.val + x.prec - (n + 1) * v):
         return None
     return t + n, w + n * tau
 
@@ -259,6 +261,13 @@ class ClassifyResult:
     reason: str | None = None
 
 
+def check_classified(params: MapParams) -> None:
+    """Refuse parameters outside the proven regimes, which classify none."""
+    regime = params.regime
+    if regime.tag == RegimeTag.UNCLASSIFIED:
+        raise ValueError(f"parameters are unclassified: {regime.detail}")
+
+
 def basin_classify(params: MapParams, x0, depth: int) -> ClassifyResult:
     """Exact trichotomy up to ``depth`` iterations of x0 (or a Trajectory).
 
@@ -270,14 +279,12 @@ def basin_classify(params: MapParams, x0, depth: int) -> ClassifyResult:
     """
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
-    regime = params.regime
     traj = _trajectory(params, x0)
     if (traj[0] - params.pole).is_zero_like:
         raise ValueError("x0 is the pole; it lies outside the domain")
-    if regime.tag == RegimeTag.A:
+    if params.regime.tag == RegimeTag.A:
         return ClassifyResult(ClassifyKind.BASIN, step=0, depth=depth)
-    if regime.tag == RegimeTag.UNCLASSIFIED:
-        raise ValueError(f"parameters are unclassified: {regime.detail}")
+    check_classified(params)
     symbols: list[int] = []
     try:
         for t in range(depth):
@@ -479,11 +486,9 @@ def pole_preimage_tree(params: MapParams,
     exactly the pole, and a precision shortage when it is only
     indistinguishable from it.
     """
-    regime = params.regime
-    if regime.tag == RegimeTag.A:
+    if params.regime.tag == RegimeTag.A:
         return []
-    if regime.tag == RegimeTag.UNCLASSIFIED:
-        raise ValueError(f"parameters are unclassified: {regime.detail}")
+    check_classified(params)
     total = sum(params.kappa**n for n in range(1, depth + 1))
     if total > POLE_TREE_BUDGET:
         raise ValueError(

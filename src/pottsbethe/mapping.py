@@ -24,6 +24,7 @@ from .padic import (
     Padic,
     PrecisionError,
     _check_prime,
+    _exact_bits,
     _from_fraction,
     _inverse_mod,
     _vp,
@@ -109,6 +110,7 @@ class MapParams:
     v_q: int
     v_theta1: int | float
     v_qtheta1: int
+    tau_one: int | float  # v(k)+v(theta-1)-v(q+theta-1), B_1's rate
     kappa: int
 
     @classmethod
@@ -135,13 +137,13 @@ class MapParams:
         if qt1.is_exact_zero:
             raise ValueError("q + theta - 1 = 0 puts the pole at the fixed "
                              "point 1; the map is degenerate")
-        v_qtheta1 = qt1.valuation
+        v_k, v_qtheta1 = _vp(k, p), qt1.valuation
         pole = 2 - q - theta_p
         return cls(
             p=p, k=k, q=q, theta=theta_p, digits=digits,
             theta_frac=theta_frac, pole=pole,
-            v_k=_vp(k, p), v_q=_vp(q, p), v_theta1=v_theta1,
-            v_qtheta1=v_qtheta1, kappa=math.gcd(k, p - 1),
+            v_k=v_k, v_q=_vp(q, p), v_theta1=v_theta1, v_qtheta1=v_qtheta1,
+            tau_one=v_k + v_theta1 - v_qtheta1, kappa=math.gcd(k, p - 1),
         )
 
     def at_digits(self, digits: int) -> "MapParams":
@@ -228,7 +230,7 @@ def on_residue_kernel(params: MapParams, x: Padic) -> bool:
     cap = min(x.cap, params.theta.cap)
     return (x.unit != 0 and (x.prec != INF or params.theta.prec == INF) and
             max(abs(params.q - 1), abs(params.q - 2)).bit_length()
-            <= (cap + 24) * math.log2(params.p))
+            <= _exact_bits(params.p, cap))
 
 
 def _eval_f_residues(params: MapParams, x: Padic) -> Padic | None:
@@ -264,7 +266,7 @@ def _eval_f_residues(params: MapParams, x: Padic) -> Padic | None:
         s = ux + theta.unit * shift
         r_d = s + (q - 2) * shift
         if (r_d == 0 or r_n == 0 or max(abs(s), abs(r_d), abs(tx), abs(r_n))
-                .bit_length() > (cap + 24) * math.log2(p)):
+                .bit_length() > _exact_bits(p, cap)):
             return None
         c_d = _vp(r_d, p) if r_d % p == 0 else 0
         c_n = _vp(r_n, p) if r_n % p == 0 else 0
@@ -378,13 +380,11 @@ class PartitionBall:
 @dataclass(frozen=True, eq=False)
 class Partition:
     """The invariant cover: kappa disjoint balls of radius |q(theta-1)|_p,
-    one per k-th root of unity, each carrying its scaling exponent tau.
-    ``tau_one`` = v(k)+v(theta-1)-v(q) is the exponent at the root 1, and
-    the contraction rate of the attracting ball B_1."""
+    one per k-th root of unity, each carrying its scaling exponent tau;
+    the ball at the root 1 scales by ``MapParams.tau_one``."""
 
     radius_exp: int
     balls: tuple[PartitionBall, ...]
-    tau_one: int
 
     @property
     def taus(self) -> tuple[int, ...]:
@@ -460,7 +460,6 @@ def build_partition(params: MapParams) -> Partition:
     p, k, q = params.p, params.k, params.q
     t1 = params.theta - 1
     s = params.v_q + int(params.v_theta1)
-    tau_one = params.v_k + int(params.v_theta1) - params.v_q
     tau_other = params.v_q + int(params.v_theta1) - params.v_k
     roots = hensel.roots_of_unity(k, p, params.digits)
     balls = []
@@ -470,7 +469,7 @@ def build_partition(params: MapParams) -> Partition:
                 1 - Fraction(q, 2) + Fraction((k - 2) * q * q, 6 * k)
             )
             center = params.embed(1 - q) + params.embed(coeff) * t1
-            tau = tau_one
+            tau = params.tau_one
         else:
             center = params.embed(2 - q) - params.theta + q * t1 / (1 - xi)
             tau = tau_other
@@ -493,23 +492,25 @@ def build_partition(params: MapParams) -> Partition:
             raise VerificationError(
                 f"partition ball {i + 1} meets the attracting ball B_1"
             )
-    return Partition(s, tuple(balls), tau_one)
+    return Partition(s, tuple(balls))
 
 
 def attracting_ball(params: MapParams) -> Ball:
-    """B_1 = {x : v(x-1) >= v(q)+1}, the attracting ball of the fixed
-    point 1 in regime B; ``contains`` decides membership.
+    """B_1 = {x : v(x-1) >= v(q+theta-1)+1}, the attracting ball of the
+    fixed point 1 when tau_one >= 1; ``contains`` decides membership.
 
-    For x = 1+h in B_1, g(x) - 1 = (theta-1)h/(q+theta-1+h) exactly, and
-    v(theta-1) >= 2v(q)+1 makes v(q+theta-1+h) = v(q), so
-    v(g(x)-1) = v(theta-1)+v(h)-v(q) >= 2; for odd p,
+    For x = 1+h in B_1, g(x) - 1 = (theta-1)h/(q+theta-1+h) exactly and
+    v(q+theta-1+h) = v(q+theta-1), so v(g(x)-1) >= 2; for odd p,
     v((1+u)^k - 1) = v(k)+v(u) when v(u) >= 1.  Hence
     v(f(x)-1) = v(x-1) + tau_one: B_1 maps into itself and each step
-    brings a point closer to 1 by exactly p^-tau_one.  Every cover center
-    lies at distance |q|_p from 1, so B_1 misses the cover, which
-    ``build_partition`` asserts.
+    brings a point closer to 1 by exactly p^-tau_one.  D = (q+theta-1)+h
+    and N = (q+theta-1)+theta*h both have valuation v(q+theta-1), so on
+    an inexact x of B_1 over an exact theta the residue kernel loses
+    exactly that many digits per step.  In regime B, v(q+theta-1) = v(q)
+    and every cover center lies at distance |q|_p from 1, so B_1 misses
+    the cover, which ``build_partition`` asserts.
     """
-    return Ball(Padic.one(params.p, params.digits), params.v_q)
+    return Ball(Padic.one(params.p, params.digits), params.v_qtheta1)
 
 
 def check_symbols(params: MapParams, word) -> None:

@@ -46,6 +46,13 @@ def _vp(n: int, p: int) -> int:
     return v
 
 
+def _exact_bits(prime: int, cap: int) -> float:
+    """The most bits an exact unit keeps at this cap; ``Padic._build``
+    truncates a longer one to the cap, and the residue kernel of
+    ``mapping.eval_f`` falls back wherever the composed path would."""
+    return (cap + 24) * math.log2(prime)
+
+
 def _newton_precisions(n: int) -> list[int]:
     """The digit counts a Newton lift from one correct digit passes through
     up to n, each at most twice the one before (none for n <= 1): the
@@ -220,7 +227,7 @@ class Padic:
         if prec == INF:
             # keep huge exact units from growing without bound; truncating
             # to the cap is always a sound inexact representation
-            if abs(unit).bit_length() > (cap + 24) * math.log2(prime):
+            if abs(unit).bit_length() > _exact_bits(prime, cap):
                 prec = cap
             else:
                 return Padic(prime, val, unit, INF, cap)

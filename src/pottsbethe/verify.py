@@ -198,9 +198,11 @@ def sweep_report(params: MapParams, samples: int, seed: int,
 
     ``pole_tree_depth > 0`` appends the backward tree of the pole to the
     seed list (empty in regime A); those records come out as pole hits at
-    their predicted level.  ``tol`` and ``classify_depth`` are checked
-    before any record, so a sweep of no records refuses them too.
+    their predicted level.  The regime, ``tol`` and ``classify_depth`` are
+    checked before any record, so a sweep of no records refuses them too.
     """
+    if classify_depth is not None or pole_tree_depth > 0:
+        dynamics.check_classified(params)
     dynamics.check_tol(params, tol)
     if classify_depth is not None and classify_depth < 1:
         raise ValueError(f"depth must be >= 1, got {classify_depth}")

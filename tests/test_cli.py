@@ -365,6 +365,36 @@ def test_unclassified_pole_tree_is_a_usage_error(capsys):
     assert err.startswith("pottsbethe: error: parameters are unclassified: ")
 
 
+@pytest.mark.parametrize("theta", ["1+p^1", "1+p^2"])
+def test_unclassified_classification_is_a_usage_error(capsys, theta):
+    # refused before any record, so a sweep of no records is refused too;
+    # at 1+p^1, where 1 does not attract either, this refusal comes first
+    for samples in ("0", "2"):
+        code, out, err = run_cli(
+            ["sweep", "--p", "5", "--k", "2", "--q", "5", "--theta", theta,
+             "--samples", samples, "--depth", "3"], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith(
+            "pottsbethe: error: parameters are unclassified: ")
+
+
+@pytest.mark.parametrize("command", [
+    ["orbit", "--x0", "476837158203126"],
+    ["sweep", "--samples", "2"],
+    ["sweep", "--samples", "0"],
+])
+def test_repelling_one_is_a_usage_error(capsys, command):
+    # v(k)+v(theta-1)-v(q+theta-1) = 0+1-1: the multiplier at 1 is a unit,
+    # so 1 attracts nothing and no orbit can be certified to converge;
+    # the orbit exited 1, "falsified", before
+    code, out, err = run_cli(
+        command[:1] + ["--p", "5", "--k", "2", "--q", "5", "--theta",
+                       "1+p^1"] + command[1:], capsys)
+    assert (code, out) == (2, "")
+    assert err == ("pottsbethe: error: v(k)+v(theta-1)-v(q+theta-1)=0 is "
+                   "below 1: the fixed point 1 does not attract\n")
+
+
 def test_regime_a_pole_tree_is_certified_empty(capsys):
     # in regime A nothing maps onto the pole: the tree adds no record
     argv = ["sweep", "--p", "3", "--k", "3", "--q", "3", "--theta", "1+p^2",

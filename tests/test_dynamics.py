@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from pottsbethe import dynamics
+from pottsbethe import dynamics, sampling
 from pottsbethe.dynamics import (
     ClassifyKind,
     OrbitStatus,
@@ -62,6 +62,8 @@ class TestOrbit:
         traj = Trajectory(regime_a, 5)
         res = orbit(regime_a, traj)
         assert res.status is OrbitStatus.CONVERGED_TO_1
+        # orbit settled the steps inside B_1 in closed form; walk them
+        traj[res.steps]
         # once inside K_1 = B_{|q+theta-1|}(1) each step contracts
         dists = []
         for x in traj.points:
@@ -122,6 +124,33 @@ class TestOrbit:
         assert res.status is OrbitStatus.CONVERGED_TO_1
         # every step iterated, and one more for the contraction step
         assert len(traj.points) == res.steps + 2
+
+    @pytest.mark.parametrize("config,tol", [
+        ((3, 3, 3, "1+p^2", 64), 20),  # A: acceptance criterion 1
+        ((5, 10, 5, "1+p^1", 12), 5),  # A; the digits rarely decide
+        ((3, 9, 3, "1+2*p^3", 16), 5),  # A
+        ((5, 3, 5, "1+p^3", 16), 8),  # B1
+        ((5, 2, 5, "1+p^3", 64), 20),  # B2
+        ((5, 2, 5, "1+p^2", 64), 20),  # unclassified, tau_one = 1
+    ], ids=["A", "A-12", "A-16", "B1-16", "B2", "unclassified"])
+    def test_lemma_reads_what_iterating_reads(self, monkeypatch, config,
+                                              tol):
+        # the closed form settles orbits in every regime with an exact
+        # theta; walking each orbit step by step gives the same verdicts
+        params = MapParams.make(*config)
+        seeds = [s.realize(params)
+                 for s in sampling.spanning_samples(params, 60, 3)]
+
+        def verdicts():
+            trajs = [Trajectory(params, x) for x in seeds]
+            results = [vars(orbit(params, traj, tol=tol)) for traj in trajs]
+            return results, sum(len(traj.points) for traj in trajs)
+
+        settled, settled_points = verdicts()
+        monkeypatch.setattr(dynamics, "_lemma_verdict", lambda *args: None)
+        walked, walked_points = verdicts()
+        assert settled == walked
+        assert settled_points < walked_points
 
 
 class TestTrajectory:

@@ -29,6 +29,8 @@ from pottsbethe.padic import (
     INF,
     Padic,
     PrecisionError,
+    _exact_bits,
+    _vp,
     from_rational,
 )
 
@@ -510,7 +512,7 @@ def exact_points(draw, params):
     if kind == "exact_quotient":
         d = draw(st.sampled_from([-1, 1])) * p ** draw(st.integers(0, 6))
         return params.embed(d + 2 - params.q) - params.theta
-    bits = int((digits + 24) * math.log2(p)) + draw(st.integers(-6, 6))
+    bits = int(_exact_bits(p, digits)) + draw(st.integers(-6, 6))
     u = draw(st.integers(2 ** (bits - 1), 2**bits - 1))
     pj = p ** draw(st.integers(1, 4))
     cancel = draw(st.sampled_from(["", "D", "N"]))
@@ -597,32 +599,53 @@ def regime_b_params(draw):
     return MapParams.make(p, k, q, Fraction(theta), digits)
 
 
+@st.composite
+def contracting_params(draw):
+    """Parameters with an exact theta != 1 and tau_one >= 1, in regime A,
+    B or unclassified: v(k) is drawn from max(0, w+1-v(theta-1)) to w+2,
+    w = v(q+theta-1) <= 8."""
+    p = draw(st.sampled_from([3, 5, 7, 11]))
+    prime_to_p = st.integers(1, 40).filter(lambda u: u % p)
+    q = draw(st.sampled_from([-1, 1])) * draw(prime_to_p) * p ** draw(
+        st.integers(1, 2))
+    e = draw(st.integers(1, 6))
+    theta = 1 + draw(st.sampled_from([-1, 1])) * draw(prime_to_p) * p**e
+    assume(q + theta - 1 != 0 and _vp(q + theta - 1, p) <= 8)
+    w = _vp(q + theta - 1, p)
+    v_k = draw(st.integers(max(0, w + 1 - _vp(theta - 1, p)), w + 2))
+    k = draw(prime_to_p) * p**v_k
+    digits = draw(st.sampled_from([24, 64]))
+    return MapParams.make(p, k, q, Fraction(theta), digits)
+
+
 class TestAttractingBall:
-    """In regime B, v(f(x)-1) = v(x-1) + tau_one on B_1 = {v(x-1) >=
-    v(q)+1}, and the residue kernel loses exactly v(q) digits there."""
+    """Wherever tau_one >= 1, in every regime, v(f(x)-1) = v(x-1) +
+    tau_one on B_1 = {v(x-1) >= v(q+theta-1)+1}, and the residue kernel
+    loses exactly v(q+theta-1) digits there."""
 
     @given(st.data())
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=600, deadline=None)
     def test_contraction_law(self, data):
-        params = data.draw(regime_b_params())
-        p, v_q = params.p, params.v_q
-        assert classify_regime(params).tag in (RegimeTag.B1, RegimeTag.B2)
-        part = build_partition(params)  # asserts the cover misses B_1
-        tau = params.v_k + params.v_theta1 - v_q
-        assert part.tau_one == tau == multiplier(params, 1).valuation
-        v_h = data.draw(st.integers(v_q + 1, v_q + 12))
+        params = data.draw(st.one_of(regime_b_params(), contracting_params()))
+        p, v = params.p, params.v_qtheta1
+        tau = params.v_k + params.v_theta1 - v
+        assert params.tau_one == tau == multiplier(params, 1).valuation >= 1
+        part = None
+        if params.regime.expanding:
+            part = build_partition(params)  # asserts the cover misses B_1
+        v_h = data.draw(st.integers(v + 1, v + 12))
         h = data.draw(st.integers(1, p**6).filter(lambda u: u % p)) * p**v_h
         a = data.draw(st.integers(v_h + 1, params.digits))
         inexact = Padic(p, 0, (1 + h) % p**a, a, params.digits)
         for x in (params.embed(1 + h), inexact):
             assert attracting_ball(params).contains(x)
-            assert part.locate(x) is None
+            assert part is None or part.locate(x) is None
             fx = eval_f(params, x)
             d = fx - 1
             assert d.val_lower_bound == min(v_h + tau, fx.abs_prec)
             assert d.is_zero_like == (v_h + tau >= fx.abs_prec)
             if x is inexact:
-                assert fx.abs_prec == a - v_q
+                assert fx.abs_prec == a - v
 
     def test_membership(self, regime_b1):
         ball_1 = attracting_ball(regime_b1)

@@ -49,6 +49,18 @@ def test_b1_sweep_iterates_each_orbit_once(eval_f_calls):
     assert len(eval_f_calls) == 30
 
 
+def test_regime_a_sweep_settles_orbits_in_b1(monkeypatch, eval_f_calls):
+    # acceptance criterion 1's sweep, serial: the attracting-ball lemma
+    # holds in regime A too, so orbit settles each orbit in closed form
+    # once it enters B_1; 11 081 calls when only regime B did (1 048 now)
+    monkeypatch.setattr(verify, "_cpu_count", lambda: 1)
+    params = MapParams.make(3, 3, 3, "1+p^2")
+    rep = verify.sweep_report(params, samples=1000, seed=20260808,
+                              classify_depth=50)
+    assert rep["histogram"] == {"converged_to_1": 1000}
+    assert len(eval_f_calls) <= 3 * 1000
+
+
 def test_b2_pole_tree_is_built_once(eval_f_calls):
     params = MapParams.make(5, 2, 5, "1+p^3")
     rep = verify.sweep_report(params, samples=10, seed=7, classify_depth=50,
