@@ -626,7 +626,12 @@ class TestAttractingBall:
     @given(st.data())
     @settings(max_examples=600, deadline=None)
     def test_contraction_law(self, data):
-        params = data.draw(st.one_of(regime_b_params(), contracting_params()))
+        regime_b = data.draw(st.booleans())
+        params = data.draw(regime_b_params() if regime_b
+                           else contracting_params())
+        if regime_b:
+            assert classify_regime(params).tag in (RegimeTag.B1,
+                                                   RegimeTag.B2)
         p, v = params.p, params.v_qtheta1
         tau = params.v_k + params.v_theta1 - v
         assert params.tau_one == tau == multiplier(params, 1).valuation >= 1
