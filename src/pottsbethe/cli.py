@@ -122,34 +122,66 @@ def _parse_x0(text: str) -> Fraction:
     return Fraction(a, b)
 
 
-def _sweep_jsonl(report: dict) -> str:
-    """One JSON line per record, then a summary line."""
-    lines = [verify.canonical_json(rec).rstrip("\n")
-             for rec in report["records"]]
-    summary = {k: v for k, v in report.items() if k != "records"}
-    lines.append(verify.canonical_json(summary).rstrip("\n"))
-    return "\n".join(lines) + "\n"
+_CSV_FIELDS = ("index", "category", "input", "status", "steps",
+               "final_norm_exp_to_1", "final_norm_exp_exact", "itinerary",
+               "classification", "classification_step", "reason", "retries")
 
 
-def _sweep_csv(report: dict) -> str:
+def _json_record(rec: dict) -> str:
+    """The record's canonical JSON text, with no line end."""
+    return verify.canonical_json(rec, end="")
+
+
+def _csv_row(values) -> str:
+    """``values`` as one CSV line, None as an empty field."""
     buf = io.StringIO()
-    fields = ["index", "category", "input", "status", "steps",
-              "final_norm_exp_to_1", "final_norm_exp_exact", "itinerary",
-              "classification", "classification_step", "reason", "retries"]
-    writer = csv.DictWriter(buf, fieldnames=fields, extrasaction="ignore",
-                            lineterminator="\n")
-    writer.writeheader()
-    for rec in report["records"]:
-        row = dict(rec)
-        if row.get("itinerary") is not None:
-            row["itinerary"] = "".join(str(s) for s in row["itinerary"])
-        writer.writerow(row)
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow([])
-    writer.writerow(["status", "count"])
-    for key, count in report["histogram"].items():
-        writer.writerow([key, count])
+    csv.writer(buf, lineterminator="\n").writerow(values)
     return buf.getvalue()
+
+
+def _csv_record(rec: dict) -> str:
+    """The record's CSV line: the _CSV_FIELDS it has, its itinerary as one
+    string of digits."""
+    itinerary = rec.get("itinerary")
+    if itinerary is not None:
+        rec = {**rec, "itinerary": "".join(map(str, itinerary))}
+    return _csv_row([rec.get(name) for name in _CSV_FIELDS])
+
+
+# each sweep format's record form, applied where the record is computed
+_RECORD_FORMS = {"json": _json_record, "jsonl": _json_record,
+                 "csv": _csv_record}
+
+
+def _sweep_pieces(report: dict, fmt: str):
+    """The text of a sweep report in ``fmt``, in pieces, from a report
+    whose records are already in ``_RECORD_FORMS[fmt]``.  JSON and JSONL
+    are canonical: JSON sorts ``records`` among the summary's keys, and
+    JSONL puts the summary on the last line.  CSV puts the status
+    histogram after the records."""
+    records = report.pop("records")
+    if fmt == "csv":
+        yield _csv_row(_CSV_FIELDS)
+        yield from records
+        yield _csv_row(())
+        yield _csv_row(("status", "count"))
+        yield from map(_csv_row, report["histogram"].items())
+    elif fmt == "jsonl":
+        for text in records:
+            yield text
+            yield "\n"
+        yield verify.canonical_json(report)
+    else:
+        # a string value cannot hold this text unescaped, so it marks
+        # where the records go
+        head, _, tail = verify.canonical_json(
+            {**report, "records": []}).partition('"records":[]')
+        yield head + '"records":['
+        for i, text in enumerate(records):
+            if i:
+                yield ","
+            yield text
+        yield "]" + tail
 
 
 def _check_out(out: str) -> None:
@@ -172,15 +204,16 @@ def _check_out(out: str) -> None:
         raise ValueError(f"--out: cannot write {out!r}")
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(pieces, out: str | None) -> None:
+    """Write the report, whose text is the concatenation of ``pieces``."""
     if out:
         try:
             with open(out, "w", encoding="utf-8") as fh:
-                fh.write(text)
+                fh.writelines(pieces)
         except OSError as exc:
             raise ValueError(f"--out: {exc}") from None
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -207,15 +240,15 @@ def main(argv: list[str] | None = None) -> int:
                                          max_iter=args.max_iter,
                                          tol=args.tol,
                                          classify_depth=args.depth,
-                                         pole_tree_depth=args.pole_tree_depth)
+                                         pole_tree_depth=args.pole_tree_depth,
+                                         form=_RECORD_FORMS[args.format])
         else:
             report = verify.julia_report(params, args.depth, seed=args.seed,
                                          pairs_per_ball=args.samples)
             if report["falsified"]:
                 code = EXIT_FALSIFIED
-        encode = {"csv": _sweep_csv, "jsonl": _sweep_jsonl}.get(
-            getattr(args, "format", "json"), verify.canonical_json)
-        _emit(encode(report), args.out)
+        _emit(_sweep_pieces(report, args.format) if args.command == "sweep"
+              else [verify.canonical_json(report)], args.out)
         return code
     except (ValueError, ZeroDivisionError) as exc:
         print(f"pottsbethe: error: {exc}", file=sys.stderr)

@@ -13,7 +13,6 @@ depth, never more.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
@@ -23,6 +22,7 @@ from .mapping import (
     PoleHit,
     RegimeTag,
     VerificationError,
+    branch_root,
     build_partition,
     check_symbols,
     derivative_at,
@@ -30,7 +30,7 @@ from .mapping import (
     inverse_branch,
     on_residue_kernel,
 )
-from .padic import INF, Ball, Padic, PrecisionError
+from .padic import INF, Ball, Padic, PrecisionError, _Frozen, _setters
 from . import sampling
 
 DEFAULT_MAX_ITER = 200
@@ -46,8 +46,7 @@ class OrbitStatus(Enum):
     UNDECIDED = "undecided"
 
 
-@dataclass(frozen=True, eq=False)
-class OrbitResult:
+class OrbitResult(_Frozen):
     """The verdict of ``orbit``.
 
     ``final_norm_exp_to_1`` is the (bound, exact) pair of
@@ -57,11 +56,22 @@ class OrbitResult:
     the iterate that entered B_1, before step ``steps``.
     """
 
-    status: OrbitStatus
-    steps: int | None = None
-    final_norm_exp_to_1: tuple[int | str, bool] | None = None
-    itinerary: tuple[int, ...] | None = None
-    reason: str | None = None
+    __slots__ = ("status", "steps", "final_norm_exp_to_1", "itinerary",
+                 "reason")
+
+    def __init__(self, status: OrbitStatus, steps: int | None = None,
+                 final_norm_exp_to_1: tuple[int | str, bool] | None = None,
+                 itinerary: tuple[int, ...] | None = None,
+                 reason: str | None = None):
+        _set_status(self, status)
+        _set_steps(self, steps)
+        _set_final_norm_exp_to_1(self, final_norm_exp_to_1)
+        _set_orbit_itinerary(self, itinerary)
+        _set_orbit_reason(self, reason)
+
+
+(_set_status, _set_steps, _set_final_norm_exp_to_1, _set_orbit_itinerary,
+ _set_orbit_reason) = _setters(OrbitResult)
 
 
 class Trajectory:
@@ -252,13 +262,24 @@ class ClassifyKind(Enum):
     UNDECIDED = "undecided"
 
 
-@dataclass(frozen=True, eq=False)
-class ClassifyResult:
-    kind: ClassifyKind
-    step: int | None = None
-    depth: int | None = None
-    itinerary: tuple[int, ...] | None = None
-    reason: str | None = None
+class ClassifyResult(_Frozen):
+    """The verdict of ``basin_classify``."""
+
+    __slots__ = ("kind", "step", "depth", "itinerary", "reason")
+
+    def __init__(self, kind: ClassifyKind, step: int | None = None,
+                 depth: int | None = None,
+                 itinerary: tuple[int, ...] | None = None,
+                 reason: str | None = None):
+        _set_kind(self, kind)
+        _set_step(self, step)
+        _set_depth(self, depth)
+        _set_classify_itinerary(self, itinerary)
+        _set_classify_reason(self, reason)
+
+
+(_set_kind, _set_step, _set_depth, _set_classify_itinerary,
+ _set_classify_reason) = _setters(ClassifyResult)
 
 
 def check_classified(params: MapParams) -> None:
@@ -336,14 +357,18 @@ def branch_tree(params: MapParams, root: Padic, depth: int):
     Level n maps each word w of length n to h_{w_0}(node of w[1:]), the
     node of the empty word being ``root``, so each node is ``_fold`` of
     its word over root, the same Padic.  The children of one node are
-    listed together, in symbol order.  A generator: level n + 1 is built
-    only when it is asked for.
+    listed together, in symbol order, and share the node's k-th root.
+    A generator: level n + 1 is built only when it is asked for.
     """
     symbols = range(1, params.kappa + 1)
     level = {(): root}
     for _ in range(depth):
-        level = {(s,) + w: inverse_branch(params, s, z)
-                 for w, z in level.items() for s in symbols}
+        children = {}
+        for w, z in level.items():
+            z_root = branch_root(params, z)
+            for s in symbols:
+                children[(s,) + w] = inverse_branch(params, s, z, z_root)
+        level = children
         yield level
 
 

@@ -112,6 +112,7 @@ class MapParams:
     v_qtheta1: int
     tau_one: int | float  # v(k)+v(theta-1)-v(q+theta-1), B_1's rate
     kappa: int
+    q_bits: int  # bits of the larger of |q-1| and |q-2|
 
     @classmethod
     def make(cls, p: int, k: int, q: int, theta,
@@ -144,6 +145,7 @@ class MapParams:
             theta_frac=theta_frac, pole=pole,
             v_k=v_k, v_q=_vp(q, p), v_theta1=v_theta1, v_qtheta1=v_qtheta1,
             tau_one=v_k + v_theta1 - v_qtheta1, kappa=math.gcd(k, p - 1),
+            q_bits=max(abs(q - 1), abs(q - 2)).bit_length(),
         )
 
     def at_digits(self, digits: int) -> "MapParams":
@@ -229,8 +231,7 @@ def on_residue_kernel(params: MapParams, x: Padic) -> bool:
     kernel may still fall back to eval_g; see ``_eval_f_residues``.)"""
     cap = min(x.cap, params.theta.cap)
     return (x.unit != 0 and (x.prec != INF or params.theta.prec == INF) and
-            max(abs(params.q - 1), abs(params.q - 2)).bit_length()
-            <= _exact_bits(params.p, cap))
+            params.q_bits <= _exact_bits(params.p, cap))
 
 
 def _eval_f_residues(params: MapParams, x: Padic) -> Padic | None:
@@ -479,20 +480,73 @@ def build_partition(params: MapParams) -> Partition:
                 "would not be expanding"
             )
         balls.append(PartitionBall(i, xi, center, Ball(center, s), tau))
-    ball_1 = attracting_ball(params)
-    for i in range(len(balls)):
-        for j in range(i + 1, len(balls)):
-            if not balls[i].ball.is_disjoint(balls[j].ball):
-                raise VerificationError(
-                    f"partition balls {i + 1} and {j + 1} are not disjoint"
-                )
-        if balls[i].ball.contains(params.pole):
-            raise VerificationError("the pole fell inside the cover")
-        if not balls[i].ball.is_disjoint(ball_1):
-            raise VerificationError(
-                f"partition ball {i + 1} meets the attracting ball B_1"
-            )
+    _check_cover([b.ball for b in balls], params.pole,
+                 attracting_ball(params))
     return Partition(s, tuple(balls))
+
+
+def _check_cover(balls: list[Ball], pole: Padic, ball_1: Ball) -> None:
+    """Raise the first failure of these checks, in this order, for each
+    ball i of a cover of balls of one radius: i is disjoint from every
+    later ball, misses the pole and is disjoint from B_1.  A check that
+    the precision cannot decide raises its PrecisionError in its turn.
+    The pairs are decided by ``_first_overlap``'s one sort, not pair by
+    pair."""
+    overlap = _first_overlap([b.center for b in balls],
+                             balls[0].radius_exp if balls else 0)
+    for i, ball in enumerate(balls):
+        if overlap is not None and overlap[0] == i:
+            j = overlap[1]
+            if not ball.is_disjoint(balls[j]):  # or PrecisionError
+                raise VerificationError(
+                    f"partition balls {i + 1} and {j + 1} are not disjoint")
+        if ball.contains(pole):
+            raise VerificationError("the pole fell inside the cover")
+        if not ball.is_disjoint(ball_1):
+            raise VerificationError(
+                f"partition ball {i + 1} meets the attracting ball B_1")
+
+
+def _first_overlap(centers: list[Padic],
+                   radius_exp: int) -> tuple[int, int] | None:
+    """The least pair (i, j), i < j, of balls of radius ``radius_exp``
+    around ``centers`` that ``Ball.is_disjoint`` does not find disjoint,
+    or None.
+
+    Two such balls pass unless their centers agree modulo p^m, with m the
+    least of radius_exp + 1 and the centers' absolute precisions: at
+    m = radius_exp + 1 the balls meet, below it ``is_disjoint`` cannot
+    decide.  Each center's key lists its residues modulo p^l for every
+    level l (a distinct such m) up to its own, so a pair fails exactly
+    when one key is a prefix of the other.  Sorted, the keys that extend
+    a key follow it together; one scan, keeping the chain of keys that
+    prefix the current one, marks every center of a failing pair.  The
+    least pair is the least marked center and its least partner.  (For
+    tuples a and b, a[:len(b)] == b[:len(a)] says that one is a prefix of
+    the other.)
+    """
+    known = [min(radius_exp + 1, c.abs_prec) for c in centers]
+    levels = sorted(set(known))
+    shift = min(0, min((c.val for c in centers), default=0))
+    keys = []
+    for c, m in zip(centers, known):
+        n = c.unit * c.prime ** (c.val - shift)
+        keys.append(tuple(n % c.prime ** (l - shift)
+                          for l in levels if l <= m))
+    marked: set[int] = set()
+    chain: list[int] = []
+    for i in sorted(range(len(keys)), key=keys.__getitem__):
+        key = keys[i]
+        while chain and keys[chain[-1]] != key[:len(keys[chain[-1]])]:
+            chain.pop()
+        if chain:
+            marked.update((chain[0], i))
+        chain.append(i)
+    if not marked:
+        return None
+    i = min(marked)
+    return i, next(j for j in range(i + 1, len(keys))
+                   if keys[i][:len(keys[j])] == keys[j][:len(keys[i])])
 
 
 def attracting_ball(params: MapParams) -> Ball:
@@ -520,7 +574,23 @@ def check_symbols(params: MapParams, word) -> None:
             raise ValueError(f"symbol {s} out of range 1..{params.kappa}")
 
 
-def inverse_branch(params: MapParams, symbol: int, y) -> Padic:
+def branch_root(params: MapParams, y) -> Padic:
+    """y**(1/k), the principal k-th root every inverse branch at y takes.
+
+    Defined where |y - 1|_p < |k|_p, the domain of the inverse branches;
+    ValueError outside it.
+    """
+    y = params.embed(y)
+    if not (y - 1).val_at_least(params.v_k + 1):
+        raise ValueError(
+            "y is outside the domain of the inverse branches "
+            "(|y - 1|_p >= |k|_p leaves no principal root)"
+        )
+    return hensel.principal_kth_root(y, params.k)
+
+
+def inverse_branch(params: MapParams, symbol: int, y,
+                   root: Padic | None = None) -> Padic:
     """The inverse branch through the ball of the given symbol:
     h_i(y) = ((q+theta-2) * xi_i * y**(1/k) - q + 1) / (theta - xi_i * y**(1/k))
     using the principal k-th root.
@@ -530,17 +600,14 @@ def inverse_branch(params: MapParams, symbol: int, y) -> Padic:
     image is guaranteed to lie in the ball of symbol i when y belongs to
     the ball of radius |q^2|_p around 1 - q (the cover and the pole both
     do); f(h_i(y)) = y holds on the whole domain.  A symbol outside
-    1..kappa is refused by ``check_symbols``.
+    1..kappa is refused by ``check_symbols``.  A caller that takes every
+    branch at one y passes ``root``, its ``branch_root``, so the root is
+    taken once.
     """
     check_symbols(params, (symbol,))
-    y = params.embed(y)
-    if not (y - 1).val_at_least(params.v_k + 1):
-        raise ValueError(
-            "y is outside the domain of the inverse branches "
-            "(|y - 1|_p >= |k|_p leaves no principal root)"
-        )
+    if root is None:
+        root = branch_root(params, y)
     entry = build_partition(params).balls[symbol - 1]
-    root = hensel.principal_kth_root(y, params.k)
     xr = entry.xi * root
     num = (params.theta + (params.q - 2)) * xr - (params.q - 1)
     den = params.theta - xr

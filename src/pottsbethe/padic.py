@@ -35,6 +35,37 @@ class PrecisionError(ArithmeticError):
     """A predicate or operation is undecidable at the available precision."""
 
 
+class _Frozen:
+    """Base of a small immutable record.  A subclass names its fields in
+    ``__slots__`` and sets each once, in ``__init__``, through the setter
+    ``_setters`` gives it; any later assignment or deletion raises
+    AttributeError.  ``__init__`` takes the fields in slot order, which
+    ``__repr__`` and ``__reduce__`` (copy, pickle) rely on."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name)
+                                 for name in self.__slots__)
+
+
+def _setters(cls) -> tuple:
+    """The setters of the slots of a ``_Frozen`` subclass, in slot order,
+    which reach past its ``__setattr__``."""
+    return tuple(vars(cls)[name].__set__ for name in cls.__slots__)
+
+
 def _vp(n: int, p: int) -> int:
     """Exponent of p in a nonzero integer."""
     if n == 0:

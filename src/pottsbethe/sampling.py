@@ -11,19 +11,21 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .mapping import MapParams, build_partition
-from .padic import Padic
+from .padic import Padic, _Frozen, _setters
 
 
-@dataclass(frozen=True)
-class Sample:
-    """An exact sample descriptor: category plus rational payload."""
+class Sample(_Frozen):
+    """An exact sample descriptor: category plus rational payload, an int
+    or a Fraction."""
 
-    category: str
-    payload: Fraction
+    __slots__ = ("category", "payload")
+
+    def __init__(self, category: str, payload: int | Fraction):
+        _set_category(self, category)
+        _set_payload(self, payload)
 
     def realize(self, params: MapParams) -> Padic:
         if self.category.startswith("ball:"):
@@ -35,6 +37,9 @@ class Sample:
         return params.embed(self.payload)
 
 
+_set_category, _set_payload = _setters(Sample)
+
+
 def rng_for(params: MapParams, tag: str, seed: int) -> random.Random:
     material = (f"{params.p}|{params.q}|{params.k}|{params.theta_key}|"
                 f"{tag}|{seed}")
@@ -42,12 +47,12 @@ def rng_for(params: MapParams, tag: str, seed: int) -> random.Random:
     return random.Random(int.from_bytes(digest[:8], "big"))
 
 
-def _zp(rng: random.Random, p: int, digits: int) -> Fraction:
-    return Fraction(rng.randrange(p**digits))
+def _zp(rng: random.Random, p: int, digits: int) -> int:
+    return rng.randrange(p**digits)
 
 
-def _ep(rng: random.Random, p: int, digits: int) -> Fraction:
-    return Fraction(1 + p * rng.randrange(p ** (digits - 1)))
+def _ep(rng: random.Random, p: int, digits: int) -> int:
+    return 1 + p * rng.randrange(p ** (digits - 1))
 
 
 def _outside_zp(rng: random.Random, p: int, digits: int) -> Fraction:

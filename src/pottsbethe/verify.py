@@ -40,9 +40,14 @@ MAX_PERIOD = 4  # longest period whose points julia-verify checks
 SPAN_MIN_RECORDS = 64  # fewest sweep records worth a forked process
 
 
-def canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"),
-                      ensure_ascii=True) + "\n"
+# sorted keys, no spaces, ASCII only: the same data, the same bytes
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
+                              ensure_ascii=True)
+
+
+def canonical_json(obj, end: str = "\n") -> str:
+    """``obj`` in the canonical encoding, then ``end``."""
+    return _CANONICAL.encode(obj) + end
 
 
 def _report(command: str, params: MapParams, **config) -> dict:
@@ -192,7 +197,7 @@ def sweep_report(params: MapParams, samples: int, seed: int,
                  max_iter: int = dynamics.DEFAULT_MAX_ITER,
                  tol: int = dynamics.DEFAULT_TOL,
                  classify_depth: int | None = None,
-                 pole_tree_depth: int = 0) -> dict:
+                 pole_tree_depth: int = 0, form=None) -> dict:
     """Seeded batch of orbits (and optionally classifications), one record
     per sample, assembled in sample order.
 
@@ -200,6 +205,11 @@ def sweep_report(params: MapParams, samples: int, seed: int,
     seed list (empty in regime A); those records come out as pole hits at
     their predicted level.  The regime, ``tol`` and ``classify_depth`` are
     checked before any record, so a sweep of no records refuses them too.
+
+    ``form``, when given, turns each record dict into the form the report
+    keeps, such as its encoded text, in the process that computed the
+    record; ``records`` then holds those forms in plan order, and no
+    process keeps a record dict past its own record.
     """
     if classify_depth is not None or pole_tree_depth > 0:
         dynamics.check_classified(params)
@@ -227,20 +237,22 @@ def sweep_report(params: MapParams, samples: int, seed: int,
                 x0 = _tree(tree)[n - 1][i]
             return _orbit_record(pd, x0, max_iter, tol, classify_depth)
 
-        return {"index": idx, "category": category, "input": label,
-                **ladder.run(attempt, classify_depth)}
+        rec = {"index": idx, "category": category, "input": label,
+               **ladder.run(attempt, classify_depth)}
+        return (rec["status"], rec.get("classification", "undecided"),
+                rec if form is None else form(rec))
 
-    records = _records_in_spans(record, len(plan))
+    rows = _records_in_spans(record, len(plan))
     report = {
         **_report("sweep", params, samples=samples, seed=seed,
                   max_iter=max_iter, tol=tol, classify_depth=classify_depth,
                   pole_tree_depth=pole_tree_depth),
-        "records": records,
-        "histogram": _histogram(rec["status"] for rec in records),
+        "records": [row[2] for row in rows],
+        "histogram": _histogram([row[0] for row in rows]),
     }
     if classify_depth is not None:
         report["classification_histogram"] = _histogram(
-            rec.get("classification", "undecided") for rec in records)
+            [row[1] for row in rows])
     return report
 
 

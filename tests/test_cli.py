@@ -6,6 +6,7 @@ import pathlib
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import pytest
 
@@ -478,6 +479,26 @@ def test_failed_run_leaves_out_as_it_was(capsys, monkeypatch, tmp_path):
                              capsys)
         assert code == 3
     assert kept.read_text() == "earlier report\n" and not new.exists()
+
+
+def test_sweep_memory_follows_its_output(capsys, monkeypatch, tmp_path):
+    # each record is kept as its text, not its dict, and the report is
+    # written in pieces, never joined: a serial 2 000-record JSON sweep
+    # peaks at ~2.6 times its output in traced Python memory, against
+    # ~9.4 times when the records were dicts encoded at once
+    monkeypatch.setattr(verify, "_cpu_count", lambda: 1)
+    out = tmp_path / "sweep.json"
+    argv = ["sweep", "--p", "5", "--k", "3", "--q", "5", "--theta", "1+p^3",
+            "--depth", "50", "--seed", "3", "--out", str(out)]
+    assert main(argv + ["--samples", "3"]) == 0  # caches the partition
+    tracemalloc.start()
+    try:
+        assert main(argv + ["--samples", "2000"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(json.loads(out.read_text())["records"]) == 2000
+    assert peak < 4 * out.stat().st_size
 
 
 def test_classify_at_a_prime_near_10_18(capsys):

@@ -1,12 +1,15 @@
 """Orbits, the basin trichotomy, and the symbolic dynamics."""
 
+import copy
 import itertools
 
 import pytest
 
-from pottsbethe import dynamics, sampling
+from pottsbethe import dynamics, hensel, sampling
 from pottsbethe.dynamics import (
     ClassifyKind,
+    ClassifyResult,
+    OrbitResult,
     OrbitStatus,
     Trajectory,
     basin_classify,
@@ -143,7 +146,8 @@ class TestOrbit:
 
         def verdicts():
             trajs = [Trajectory(params, x) for x in seeds]
-            results = [vars(orbit(params, traj, tol=tol)) for traj in trajs]
+            results = [fields_of(orbit(params, traj, tol=tol))
+                       for traj in trajs]
             return results, sum(len(traj.points) for traj in trajs)
 
         settled, settled_points = verdicts()
@@ -151,6 +155,11 @@ class TestOrbit:
         walked, walked_points = verdicts()
         assert settled == walked
         assert settled_points < walked_points
+
+
+def fields_of(result):
+    """A result's fields by name."""
+    return {name: getattr(result, name) for name in result.__slots__}
 
 
 class TestTrajectory:
@@ -380,15 +389,54 @@ class TestBranchTree:
     def test_levels_are_built_on_demand(self, regime_b2, monkeypatch):
         calls = []
 
-        def counted(params, symbol, y):
+        def counted(params, symbol, y, root=None):
             calls.append(symbol)
-            return inverse_branch(params, symbol, y)
+            return inverse_branch(params, symbol, y, root)
 
         monkeypatch.setattr(dynamics, "inverse_branch", counted)
         tree = branch_tree(regime_b2, regime_b2.pole, 3)
         assert calls == []
         next(tree)
         assert calls == [1, 2]
+
+
+    def test_one_root_per_node(self, regime_b2, monkeypatch):
+        # the 15 nodes of levels 0..3 each take one k-th root, which their
+        # two children share; every child is still one inverse_branch call
+        roots, branches = [], []
+        root = hensel.principal_kth_root
+
+        def counted_root(y, k):
+            roots.append(y)
+            return root(y, k)
+
+        def counted_branch(params, symbol, y, root=None):
+            branches.append(symbol)
+            return inverse_branch(params, symbol, y, root)
+
+        monkeypatch.setattr(hensel, "principal_kth_root", counted_root)
+        monkeypatch.setattr(dynamics, "inverse_branch", counted_branch)
+        levels = list(branch_tree(regime_b2, regime_b2.pole, 4))
+        assert len(roots) == 1 + 2 + 4 + 8
+        assert len(branches) == sum(len(level) for level in levels) == 30
+
+
+@pytest.mark.parametrize("result", [
+    OrbitResult(OrbitStatus.STAYED_IN_X, 3, (2, True), (1, 2, 1)),
+    ClassifyResult(ClassifyKind.BASIN, step=0, depth=5),
+    sampling.Sample("zp", 7),
+], ids=["orbit", "classify", "sample"])
+def test_results_are_immutable(result):
+    name = result.__slots__[0]
+    value = getattr(result, name)
+    with pytest.raises(AttributeError, match="is immutable"):
+        setattr(result, name, None)
+    with pytest.raises(AttributeError, match="is immutable"):
+        delattr(result, name)
+    with pytest.raises(AttributeError):
+        result.extra = 1
+    assert getattr(result, name) is value
+    assert repr(copy.copy(result)) == repr(result)
 
 
 class TestSymbolRange:

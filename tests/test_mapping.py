@@ -15,6 +15,8 @@ from pottsbethe.mapping import (
     MapParams,
     PoleHit,
     RegimeTag,
+    VerificationError,
+    _check_cover,
     attracting_ball,
     build_partition,
     classify_fixed,
@@ -27,6 +29,7 @@ from pottsbethe.mapping import (
 )
 from pottsbethe.padic import (
     INF,
+    Ball,
     Padic,
     PrecisionError,
     _exact_bits,
@@ -329,6 +332,115 @@ class TestPartition:
                           "radius_exp", "balls"}
         assert d["kappa"] == 2 and len(d["balls"]) == 2
         assert set(d["balls"][0]) == {"symbol", "xi", "center", "tau"}
+
+
+def pairwise_cover_check(balls, pole, ball_1):
+    """The cover check as ``build_partition`` made it pair by pair: for
+    each ball i, every later ball, then the pole, then B_1."""
+    for i in range(len(balls)):
+        for j in range(i + 1, len(balls)):
+            if not balls[i].is_disjoint(balls[j]):
+                raise VerificationError(
+                    f"partition balls {i + 1} and {j + 1} are not disjoint")
+        if balls[i].contains(pole):
+            raise VerificationError("the pole fell inside the cover")
+        if not balls[i].is_disjoint(ball_1):
+            raise VerificationError(
+                f"partition ball {i + 1} meets the attracting ball B_1")
+
+
+def failure(check, *args):
+    """The class and message of what ``check(*args)`` raises; None when it
+    raises nothing."""
+    try:
+        check(*args)
+    except (VerificationError, PrecisionError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@st.composite
+def near_padics(draw, p, values):
+    """One of ``values`` plus p^e times a small integer, over p^d: exact,
+    or known to an absolute precision that may fall below the digits
+    that set it apart."""
+    n = (draw(st.sampled_from(values))
+         + p ** draw(st.integers(0, 7)) * draw(st.integers(0, p**2)))
+    d = draw(st.sampled_from([0, 0, 0, 1, 2]))
+    scale = from_rational(Fraction(1, p**d), prime=p, digits=24)
+    if draw(st.booleans()):
+        return from_rational(n, prime=p, digits=24) * scale
+    known = draw(st.integers(1, 9))  # digits known, before the scale
+    return Padic.from_residue(n, known, p, 24) * scale
+
+
+class TestCoverCheck:
+    """``build_partition`` decides the disjointness of its balls by one
+    sort of their centers' residues; it raises what the pairwise loop
+    raised, in the same order."""
+
+    @given(st.data())
+    @settings(max_examples=600, deadline=None)
+    def test_matches_the_pairwise_loop(self, data):
+        p = data.draw(st.sampled_from([3, 5, 7]))
+        # few base values, so that centers often share their low digits
+        values = data.draw(st.lists(st.integers(0, p**8), min_size=1,
+                                    max_size=3))
+        radius = data.draw(st.integers(0, 6))
+        centers = data.draw(st.lists(near_padics(p, values), max_size=9))
+        balls = [Ball(c, radius) for c in centers]
+        pole = data.draw(near_padics(p, values))
+        ball_1 = Ball(data.draw(near_padics(p, values)),
+                      data.draw(st.integers(0, 6)))
+        assert failure(_check_cover, balls, pole, ball_1) == \
+            failure(pairwise_cover_check, balls, pole, ball_1)
+
+    @pytest.mark.parametrize("centers,error", [
+        ([3, 5, 3 + 5**4, 8], (VerificationError,
+                               "partition balls 1 and 3 are not disjoint")),
+        ([1, 3, 5, 3 + 5**4, 1 + 5**5],
+         (VerificationError, "partition balls 1 and 5 are not disjoint")),
+        ([1, 2, (2, 2)], (PrecisionError, "cannot decide valuation <= 3: "
+                                          "only >= 2 is known")),
+        ([(7, 3), 2, 2 + 5**6, (7, 2)],
+         (PrecisionError, "cannot decide valuation <= 3: only >= 2 is "
+                          "known")),
+        ([2, 3, 3 + 5**4], (VerificationError,
+                            "the pole fell inside the cover")),
+        ([2, 2 + 5**5, 9], (VerificationError,
+                            "partition balls 1 and 2 are not disjoint")),
+    ], ids=["pair", "first-ball-last-partner", "precision",
+            "precision-of-a-later-pair", "pole-before-a-later-pair",
+            "pair-before-the-pole"])
+    def test_planted_failures(self, centers, error):
+        # radius 3 around integers, or around (residue, digits known); the
+        # pole 2 + 5^4 lies in the ball of any center that is 2 mod 5^4
+        def center(c):
+            if isinstance(c, tuple):
+                return Padic.from_residue(c[0], c[1], 5, 24)
+            return from_rational(c, prime=5, digits=24)
+
+        balls = [Ball(center(c), 3) for c in centers]
+        pole = from_rational(2 + 5**4, prime=5, digits=24)
+        ball_1 = Ball(from_rational(5**6, prime=5, digits=24), 5)
+        assert failure(pairwise_cover_check, balls, pole, ball_1) == error
+        assert failure(_check_cover, balls, pole, ball_1) == error
+
+    def test_pairs_are_not_compared_one_by_one(self, monkeypatch):
+        # 100 balls: one disjointness test each, against B_1, where the
+        # pairwise loop made 4 950 more
+        calls = []
+        is_disjoint = Ball.is_disjoint
+
+        def counted(ball, other):
+            calls.append(other)
+            return is_disjoint(ball, other)
+
+        monkeypatch.setattr(Ball, "is_disjoint", counted)
+        params = MapParams.make(101, 100, 101, "1+p^3")
+        assert params.kappa == 100
+        build_partition(params)
+        assert len(calls) == 100
 
 
 class TestInverseBranch:

@@ -6,6 +6,7 @@ ends every child and computes the records itself as a serial run does,
 so it returns that run's records or raises its error."""
 
 import errno
+import hashlib
 import os
 import threading
 
@@ -77,6 +78,44 @@ def test_forked_sweep_is_byte_identical(capsys, monkeypatch, forks, argv,
     assert serial[0] == 0 and forks == []
     assert run(argv, capsys, monkeypatch, cpus=spans) == serial
     assert len(forks) == spans - 1
+
+
+A = ["--p", "3", "--k", "3", "--q", "3", "--theta", "1+p^2"]
+SWEEP_B1 = ["sweep", *B1, "--samples", "1000", "--depth", "50", "--seed",
+            "11"]
+POLETREE_B2 = ["sweep", *B2, "--precision", "256", "--pole-tree-depth", "4",
+               "--samples", "100", "--depth", "50", "--seed", "11"]
+
+
+@pytest.mark.parametrize("argv,digest", [
+    (SWEEP_B1 + ["--format", "json"],
+     "1de5ee7945c209bfd0d3bc6a224812ee21e50244c35e4eab71df3a1fb1dac040"),
+    (SWEEP_B1 + ["--format", "jsonl"],
+     "f9b8ce19eb6ec3edea025922f3172b03bbf70c958f8e6b9e7eebd92d6162f498"),
+    (SWEEP_B1 + ["--format", "csv"],
+     "891b0af7587c14d5e3922e4a345bcf26733d91eff0d1c225d40f044a11a699b4"),
+    (POLETREE_B2 + ["--format", "json"],
+     "8cae577d0959835d8de564e8acc4008932bce8040b4a8ecd8f6bba804f36fc92"),
+    (POLETREE_B2 + ["--format", "jsonl"],
+     "eecfe5d7b18dbafea51418be561f15a0e342d889c16d4e5d6e28b3766d75ab44"),
+    (POLETREE_B2 + ["--format", "csv"],
+     "71be7804523addc1119c9a6c49a492e5b33635e33d5169aec2ee08e93359c9df"),
+    (["sweep", *A, "--samples", "300", "--depth", "20", "--seed", "11",
+      "--format", "jsonl"],
+     "b9e4fe785bffa72ae6d0ba73209f87cd55ca38a60a081888c83caf928fc76f09"),
+    (["sweep", *B2, "--samples", "300", "--depth", "30", "--seed", "11",
+      "--pole-tree-depth", "3", "--format", "csv"],
+     "7cdb6c2867c09ee251e86404d45c70c61ff3907538cccfa36cd14d3ec3170488"),
+], ids=["sweep-b1-json", "sweep-b1-jsonl", "sweep-b1-csv",
+        "poletree-b2-json", "poletree-b2-jsonl", "poletree-b2-csv",
+        "regime-a-jsonl", "b2-pole-tree-csv"])
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_sweep_bytes_are_pinned(capsys, monkeypatch, argv, digest, cpus):
+    # recorded when each record was kept as a dict and the whole report
+    # encoded at once, after the last record
+    code, out, err = run(argv, capsys, monkeypatch, cpus=cpus)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 SWEEP = ["sweep", *B1, "--samples", "400", "--depth", "50", "--seed", "4"]
