@@ -1,8 +1,9 @@
 """The conjugacy to the full shift, made computational.
 
 Every word is realized by a point, itineraries round-trip, word distances
-equal p-adic distances exactly, periodic words give repelling cycles, and
-the pole's backward tree branches kappa ways per level.
+equal p-adic distances exactly (both as integer exponents e, the distance
+being 5^-e), periodic words give repelling cycles, and the pole's backward
+tree branches kappa ways per level.
 """
 
 import itertools
@@ -16,7 +17,6 @@ from pottsbethe import (
     df_metric,
     eval_f,
     itinerary_of,
-    norm_fraction,
     periodic_point,
     pole_preimage_tree,
 )
@@ -36,11 +36,14 @@ print("== the word metric is the p-adic metric ==")
 words = list(itertools.product((1, 2), repeat=4))
 pts = {w: cylinder_point(params, w)[0] for w in words}
 agree = sum(
-    norm_fraction(pts[a] - pts[b]) == df_metric(params, a, b)
+    (pts[a] - pts[b]).norm_exp() == df_metric(params, a, b)
     for a, b in itertools.combinations(words, 2)
 )
 total = len(words) * (len(words) - 1) // 2
 print(f"  exact agreement on {agree}/{total} pairs of length-4 words")
+for a, b in [((1, 2, 2, 1), (2, 2, 2, 1)), ((1, 2, 2, 1), (1, 2, 1, 1))]:
+    print(f"  {a} vs {b}: distance 5^-{(pts[a] - pts[b]).norm_exp()}, "
+          f"word metric 5^-{df_metric(params, a, b)}")
 
 print()
 print("== periodic words give repelling cycles ==")
@@ -50,7 +53,7 @@ for word in [(1,), (2,), (1, 2), (1, 2, 2)]:
     for _ in range(len(word)):
         z = eval_f(params, z)
     lam = cycle_multiplier(params, x, len(word))
-    taus = sum(part.balls[s - 1].tau for s in word)
+    taus = part.tau_sum(word)
     print(f"  word {word}: f^{len(word)}(x) - x cancels to "
           f"{(z - x).val_lower_bound} digits; cycle multiplier norm "
           f"5^{-lam.valuation} = 5^{taus}")

@@ -52,7 +52,6 @@ from .dynamics import (
     df_metric,
     incidence_matrix,
     itinerary_of,
-    norm_fraction,
     orbit,
     periodic_point,
     pole_preimage_tree,

@@ -14,7 +14,6 @@ depth, never more.
 from __future__ import annotations
 
 from enum import Enum
-from fractions import Fraction
 
 from .mapping import (
     MapParams,
@@ -374,10 +373,10 @@ def branch_tree(params: MapParams, root: Padic, depth: int):
 
 def certified(params: MapParams, word: tuple[int, ...], z: Padic) -> Ball:
     """The shrinking-ball certificate of z, the point of ``word``: radius
-    exponent radius_exp + sum of the word's scaling exponents.
+    exponent radius_exp + ``Partition.tau_sum`` of the word.
     PrecisionError when z is not known to that radius."""
     part = build_partition(params)
-    cert_exp = part.radius_exp + sum(part.balls[s - 1].tau for s in word)
+    cert_exp = part.radius_exp + part.tau_sum(word)
     if z.abs_prec <= cert_exp:
         raise PrecisionError(
             f"certificate ball O(p^{cert_exp}) is below the working "
@@ -463,35 +462,23 @@ def incidence_matrix(params: MapParams,
     return ((1,) * params.kappa,) * params.kappa
 
 
-def df_metric(params: MapParams, wx, wy) -> Fraction:
-    """The dynamical metric between two words: p**-(tau_{x_0}+...+tau_{x_{n-1}}
-    + kappa(x_n, y_n)) where n is the first disagreement and kappa(i, j)
-    is the exact exponent of the center distance, read from the
-    partition's ``center_exps`` table."""
+def df_metric(params: MapParams, wx, wy) -> int:
+    """The exponent e of the dynamical metric p**-e between two words:
+    e = tau_{x_0}+...+tau_{x_{n-1}} + kappa(x_n, y_n), where n is the first
+    disagreement and kappa(i, j) is the exact exponent of the center
+    distance, read from the partition's ``center_exps`` table.  The
+    cylinder points of the two words lie at distance p**-e, so their
+    difference has ``norm_exp()`` e."""
     part = build_partition(params)
     ax, ay = _word(wx), _word(wy)
     check_symbols(params, ax + ay)
-    n = None
-    for t, (a, b) in enumerate(zip(ax, ay)):
-        if a != b:
-            n = t
-            break
+    n = next((t for t, (a, b) in enumerate(zip(ax, ay)) if a != b), None)
     if n is None:
         raise ValueError(
             "words agree on their common prefix; the metric is undefined "
             "for this pair at this length"
         )
-    exp = (sum(part.balls[s - 1].tau for s in ax[:n])
-           + part.center_exps[ax[n], ay[n]])
-    return Fraction(1, params.p**exp) if exp >= 0 else Fraction(params.p**-exp)
-
-
-def norm_fraction(x: Padic) -> Fraction:
-    """|x|_p as an exact rational; 0 for the exact zero."""
-    v = x.norm_exp()
-    if v == INF:
-        return Fraction(0)
-    return Fraction(1, x.prime**v) if v >= 0 else Fraction(x.prime**-v)
+    return part.tau_sum(ax[:n]) + part.center_exps[ax[n], ay[n]]
 
 
 def pole_preimage_tree(params: MapParams,

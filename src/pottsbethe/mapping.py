@@ -391,6 +391,12 @@ class Partition:
     def taus(self) -> tuple[int, ...]:
         return tuple(b.tau for b in self.balls)
 
+    def tau_sum(self, word) -> int:
+        """The sum of the scaling exponents tau over the symbols of
+        ``word``: f^n scales distances on the cylinder of a length-n word
+        by exactly p^tau_sum."""
+        return sum(self.balls[s - 1].tau for s in word)
+
     @functools.cached_property
     def center_exps(self) -> dict[tuple[int, int], int]:
         """kappa(i, j) = v(c_i - c_j) for symbols i != j, the exponent of
@@ -461,7 +467,7 @@ def build_partition(params: MapParams) -> Partition:
     p, k, q = params.p, params.k, params.q
     t1 = params.theta - 1
     s = params.v_q + int(params.v_theta1)
-    tau_other = params.v_q + int(params.v_theta1) - params.v_k
+    tau_other = s - params.v_k
     roots = hensel.roots_of_unity(k, p, params.digits)
     balls = []
     for i, xi in enumerate(roots, start=1):

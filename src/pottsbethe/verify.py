@@ -217,24 +217,24 @@ def sweep_report(params: MapParams, samples: int, seed: int,
     if classify_depth is not None and classify_depth < 1:
         raise ValueError(f"depth must be >= 1, got {classify_depth}")
     ladder = _Ladder(params, pole_tree_depth)
-    descriptors = sampling.spanning_samples(params, samples, seed)
-    plan: list = [(desc.category, str(desc.payload), desc) for desc
-                  in descriptors]
+    # one Sample per sample record, then one (n, i) per pole-tree record
+    plan: list = sampling.spanning_samples(params, samples, seed)
     if pole_tree_depth > 0:
         _, tree = ladder.first(lambda pd, tree: _tree(tree))
-        for n, level in enumerate(tree, start=1):
-            for i in range(len(level)):
-                plan.append((f"pole_tree:{n}", f"level{n}#{i}", (n, i)))
+        plan += [(n, i) for n, level in enumerate(tree, start=1)
+                 for i in range(len(level))]
 
     def record(idx: int) -> dict:
-        category, label, desc = plan[idx]
+        desc = plan[idx]
+        sample = isinstance(desc, sampling.Sample)
+        if sample:
+            category, label = desc.category, str(desc.payload)
+        else:
+            n, i = desc
+            category, label = f"pole_tree:{n}", f"level{n}#{i}"
 
         def attempt(pd: MapParams, tree) -> dict:
-            if isinstance(desc, sampling.Sample):
-                x0 = desc.realize(pd)
-            else:
-                n, i = desc
-                x0 = _tree(tree)[n - 1][i]
+            x0 = desc.realize(pd) if sample else _tree(tree)[n - 1][i]
             return _orbit_record(pd, x0, max_iter, tol, classify_depth)
 
         rec = {"index": idx, "category": category, "input": label,
@@ -454,15 +454,14 @@ def _julia_checks(params: MapParams, depth: int, seed: int,
 
     periodic_ok = True
     periodic_detail = []
-    for m in range(1, min(MAX_PERIOD, max(depth, 1)) + 1):
+    for m in range(1, min(MAX_PERIOD, depth) + 1):
         for word in itertools.product(range(1, params.kappa + 1), repeat=m):
             x = dynamics.periodic_point(params, word)
             traj = dynamics.Trajectory(params, x)
             drift = traj[m] - x
             good = _residual_vanishes(drift, PERIODIC_DIGITS)
             lam = dynamics.cycle_multiplier(params, traj, m)
-            tau_sum = sum(part.balls[s - 1].tau for s in word)
-            good = good and lam.valuation == -tau_sum
+            good = good and lam.valuation == -part.tau_sum(word)
             periodic_ok = periodic_ok and good
             periodic_detail.append({"word": list(word),
                                     "residual_exp": drift.val_lower_bound
@@ -471,7 +470,7 @@ def _julia_checks(params: MapParams, depth: int, seed: int,
                                     "multiplier_exp": int(lam.valuation)})
     _check(checks, "periodic_points", periodic_ok, periodic_detail[:8])
 
-    mism = sum(dynamics.norm_fraction(pts[wa] - pts[wb])
+    mism = sum((pts[wa] - pts[wb]).norm_exp()
                != dynamics.df_metric(params, wa, wb)
                for wa, wb in itertools.combinations(pts, 2))
     _check(checks, "isometry_cylinder_vs_word_metric", mism == 0,

@@ -7,12 +7,13 @@ bytes.
 """
 
 import hashlib
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
-from pottsbethe import dynamics, hensel, verify
+from pottsbethe import cli, dynamics, hensel, verify
 from pottsbethe.mapping import MapParams, eval_f, multiplier
 from pottsbethe.padic import INF, from_rational
 from pottsbethe.verify import canonical_json
@@ -241,6 +242,42 @@ REPORT_SHA256 = {
     7: "8a81e8779302b0f3a8bcec231aebe68f19b766e0c310bb15254e9ccbc6add4da",
     8: "0f66866136812bfd7199de9ec73dd559f0d30341cf295f1b9dc9854d76c0a735",
 }
+
+
+# SHA-256 of the ``julia-verify --samples 5`` report at (p, k, q, theta,
+# depth) outside the corner the criteria pin (p in {3, 5}, q = p, kappa
+# <= 4): p >= 7, q = p^2, p | k, and kappa up to 10.  Every one is a B2
+# report that is not falsified.
+JULIA_VERIFY_SHA256 = {
+    (7, 3, 7, "1+p^3", 4):
+    "581d5e9943e85251d76aa5ceb3521688b9abec19f5031b94d261cf7360c78068",
+    (7, 6, 7, "1+p^3", 2):
+    "b8129499bb31fd8fb2457f4af239cde4a2ba47af6ee72bdb5109e1e035791004",
+    # v(q) = 2, decided on the 2x rung (128 digits)
+    (3, 2, 9, "1+p^5", 4):
+    "d6a3cbf011f3bc752481a5f5a38c680b612e04c3bc0cdfb8a8a393f5a7d17971",
+    # p | k, decided on the 2x rung
+    (5, 10, 25, "1+p^5", 3):
+    "e79f9c08af4859f6331c8bf8e4b7f6ce2bdbbe69d38929252d77aa7804e63eea",
+    (13, 4, 13, "1+p^4", 2):
+    "3c861e5e6a408e5a6b492fc5c8ddcddb019b05ce374e9ce4de41b2dce8cdd06c",
+    (11, 10, 11, "1+p^3", 2):
+    "14bba3106bacb05ee93d489782cfd2064128ac9cd15191a6ea596e9177360d5a",
+}
+
+
+@pytest.mark.parametrize("config", JULIA_VERIFY_SHA256,
+                         ids=lambda c: "p{}-k{}-q{}-{}-depth{}".format(*c))
+def test_julia_verify_bytes_off_the_pinned_corner(capsys, config):
+    p, k, q, theta, depth = config
+    code = cli.main(["julia-verify", "--p", str(p), "--k", str(k),
+                     "--q", str(q), "--theta", theta, "--depth", str(depth),
+                     "--samples", "5"])
+    out = capsys.readouterr().out
+    report = json.loads(out)
+    assert (code, report["regime"], report["falsified"]) == (0, "B2", False)
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        JULIA_VERIFY_SHA256[config]
 
 
 @pytest.fixture(scope="module")

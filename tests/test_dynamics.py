@@ -19,7 +19,6 @@ from pottsbethe.dynamics import (
     df_metric,
     incidence_matrix,
     itinerary_of,
-    norm_fraction,
     orbit,
     periodic_point,
     pole_preimage_tree,
@@ -317,11 +316,18 @@ class TestCylinderPoints:
                 part.balls[s - 1].tau for s in word)
 
     def test_distance_matches_word_metric(self, regime_b2):
+        part = build_partition(regime_b2)
         words = list(itertools.product((1, 2), repeat=3))
         pts = {w: cylinder_point(regime_b2, w)[0] for w in words}
         for wa, wb in itertools.combinations(words, 2):
-            assert norm_fraction(pts[wa] - pts[wb]) == \
-                df_metric(regime_b2, wa, wb)
+            e = df_metric(regime_b2, wa, wb)
+            assert (pts[wa] - pts[wb]).norm_exp() == e
+            # the law, summed here independently of the library
+            n = next(t for t, (a, b) in enumerate(zip(wa, wb)) if a != b)
+            center_gap = (part.balls[wa[n] - 1].center
+                          - part.balls[wb[n] - 1].center).norm_exp()
+            assert e == sum(part.balls[s - 1].tau for s in wa[:n]) \
+                + center_gap
 
     def test_periodic_points(self, regime_b2):
         part = build_partition(regime_b2)
@@ -335,6 +341,7 @@ class TestCylinderPoints:
             lam = cycle_multiplier(regime_b2, x, len(word))
             tau_sum = sum(part.balls[s - 1].tau for s in word)
             assert lam.valuation == -tau_sum and tau_sum >= 1
+            assert part.tau_sum(word) == tau_sum
 
     def test_empty_word_rejected(self, regime_b2):
         with pytest.raises(ValueError):
@@ -476,16 +483,16 @@ class TestWordMetric:
     def test_first_symbol_disagreement(self, regime_b2):
         part = build_partition(regime_b2)
         kappa_12 = (part.balls[0].center - part.balls[1].center).norm_exp()
-        assert df_metric(regime_b2, (1, 1), (2, 1)) == \
-            norm_fraction(part.balls[0].center - part.balls[1].center)
-        assert kappa_12 == regime_b2.v_k + regime_b2.v_theta1
+        e = df_metric(regime_b2, (1, 1), (2, 1))
+        assert type(e) is int  # an exponent, not a distance
+        assert e == kappa_12 == regime_b2.v_k + regime_b2.v_theta1
 
     def test_common_prefix_accumulates_taus(self, regime_b2):
         part = build_partition(regime_b2)
         d0 = df_metric(regime_b2, (2,), (1,))
         d2 = df_metric(regime_b2, (1, 2, 2), (1, 2, 1))
         tau_prefix = part.balls[0].tau + part.balls[1].tau
-        assert d2 == d0 / 5**tau_prefix
+        assert d2 == d0 + tau_prefix
 
     def test_identical_prefix_undefined(self, regime_b2):
         with pytest.raises(ValueError):
@@ -499,7 +506,7 @@ class TestWordMetric:
         for (i, j), e in table.items():
             ci, cj = part.balls[i - 1].center, part.balls[j - 1].center
             assert e == (ci - cj).norm_exp()
-            assert df_metric(regime_b4, (i,), (j,)) == norm_fraction(ci - cj)
+            assert df_metric(regime_b4, (i,), (j,)) == e
 
 
 class TestPoleTree:

@@ -175,6 +175,25 @@ def test_julia_report_builds_each_cylinder_point_once(monkeypatch):
     assert len(calls) == 337
 
 
+def test_julia_report_counts_a_planted_isometry_mismatch(monkeypatch):
+    # the word metric of one pair made off by one: the isometry check
+    # counts that pair alone, and it alone falsifies the report
+    planted = {(1, 2, 1), (2, 2, 1)}
+    df_metric = dynamics.df_metric
+
+    def off_by_one(params, wx, wy):
+        return df_metric(params, wx, wy) + ({wx, wy} == planted)
+
+    monkeypatch.setattr(dynamics, "df_metric", off_by_one)
+    rep = verify.julia_report(MapParams.make(5, 2, 5, "1+p^3"), 3,
+                              pairs_per_ball=5)
+    failed = [c for c in rep["checks"] if not c["pass"]]
+    assert failed == [{"name": "isometry_cylinder_vs_word_metric",
+                       "pass": False,
+                       "detail": {"pairs": 28, "mismatches": 1}}]
+    assert rep["falsified"] is True
+
+
 def test_retried_sweep_adds_one_partition_per_rung():
     # at 16 digits some B1 orbits need the 32- or 64-digit rung
     def sweep():
