@@ -29,7 +29,7 @@ from .mapping import (
     inverse_branch,
     on_residue_kernel,
 )
-from .padic import INF, Ball, Padic, PrecisionError, _Frozen, _setters
+from .padic import INF, Ball, Padic, PrecisionError, _Frozen
 from . import sampling
 
 DEFAULT_MAX_ITER = 200
@@ -70,7 +70,7 @@ class OrbitResult(_Frozen):
 
 
 (_set_status, _set_steps, _set_final_norm_exp_to_1, _set_orbit_itinerary,
- _set_orbit_reason) = _setters(OrbitResult)
+ _set_orbit_reason) = OrbitResult._set
 
 
 class Trajectory:
@@ -171,6 +171,8 @@ def orbit(params: MapParams, x0, max_iter: int = DEFAULT_MAX_ITER,
     when ``_lemma_verdict`` proves its outcome.
     """
     check_tol(params, tol)
+    if max_iter < 0:
+        raise ValueError(f"max_iter must be >= 0, got {max_iter}")
     traj = _trajectory(params, x0)
     part = traj.partition if params.regime.expanding else None
     lemma = params.theta.prec == INF and params.tau_one != INF
@@ -278,7 +280,7 @@ class ClassifyResult(_Frozen):
 
 
 (_set_kind, _set_step, _set_depth, _set_classify_itinerary,
- _set_classify_reason) = _setters(ClassifyResult)
+ _set_classify_reason) = ClassifyResult._set
 
 
 def check_classified(params: MapParams) -> None:

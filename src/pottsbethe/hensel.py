@@ -9,13 +9,13 @@ the second fixed point of the map in the single-symbol repelling regime.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .padic import (
     DEFAULT_DIGITS,
     Padic,
     PrecisionError,
+    _Frozen,
     _check_prime,
     _inverse_mod,
     _newton_precisions,
@@ -24,13 +24,13 @@ from .padic import (
 )
 
 
-@dataclass(frozen=True, eq=False)
-class PolyZp:
+class PolyZp(_Frozen):
     """Polynomial with p-adic integer coefficients, constant term first."""
 
-    coeffs: tuple[Padic, ...]
+    __slots__ = ("coeffs",)
 
-    def __post_init__(self) -> None:
+    def __init__(self, coeffs: tuple[Padic, ...]):
+        super().__init__(coeffs)
         if len(self.coeffs) < 2:
             raise ValueError("degree must be >= 1")
         p = self.coeffs[0].prime

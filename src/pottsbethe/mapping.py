@@ -12,7 +12,6 @@ from __future__ import annotations
 import functools
 import math
 import re
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
@@ -23,6 +22,7 @@ from .padic import (
     Ball,
     Padic,
     PrecisionError,
+    _Frozen,
     _check_prime,
     _exact_bits,
     _from_fraction,
@@ -54,10 +54,8 @@ class RegimeTag(str, Enum):
     UNCLASSIFIED = "unclassified"
 
 
-@dataclass(frozen=True, eq=False)
-class Regime:
-    tag: RegimeTag
-    detail: str = ""
+class Regime(_Frozen):
+    __slots__ = ("tag", "detail")
 
     @property
     def expanding(self) -> bool:
@@ -87,8 +85,7 @@ def parse_theta(text: str, p: int) -> Fraction:
     return Fraction(int(m.group(1)), den)
 
 
-@dataclass(frozen=True, eq=False)
-class MapParams:
+class MapParams(_Frozen):
     """Validated parameters (p, k, q, theta) with derived quantities;
     ``make`` takes theta as a rational or in the ``parse_theta`` grammar.
 
@@ -99,20 +96,12 @@ class MapParams:
     is derived from.
     """
 
-    p: int
-    k: int
-    q: int
-    theta: Padic
-    digits: int
-    theta_frac: Fraction
-    pole: Padic
-    v_k: int
-    v_q: int
-    v_theta1: int | float
-    v_qtheta1: int
-    tau_one: int | float  # v(k)+v(theta-1)-v(q+theta-1), B_1's rate
-    kappa: int
-    q_bits: int  # bits of the larger of |q-1| and |q-2|
+    # tau_one = v(k)+v(theta-1)-v(q+theta-1) is B_1's rate, INF like
+    # v_theta1 at theta = 1; q_bits the bits of the larger of |q-1| and
+    # |q-2|; the cached properties below keep their values in __dict__
+    __slots__ = ("p", "k", "q", "theta", "digits", "theta_frac", "pole",
+                 "v_k", "v_q", "v_theta1", "v_qtheta1", "tau_one", "kappa",
+                 "q_bits", "__dict__")
 
     @classmethod
     def make(cls, p: int, k: int, q: int, theta,
@@ -140,13 +129,10 @@ class MapParams:
                              "point 1; the map is degenerate")
         v_k, v_qtheta1 = _vp(k, p), qt1.valuation
         pole = 2 - q - theta_p
-        return cls(
-            p=p, k=k, q=q, theta=theta_p, digits=digits,
-            theta_frac=theta_frac, pole=pole,
-            v_k=v_k, v_q=_vp(q, p), v_theta1=v_theta1, v_qtheta1=v_qtheta1,
-            tau_one=v_k + v_theta1 - v_qtheta1, kappa=math.gcd(k, p - 1),
-            q_bits=max(abs(q - 1), abs(q - 2)).bit_length(),
-        )
+        return cls(p, k, q, theta_p, digits, theta_frac, pole, v_k,
+                   _vp(q, p), v_theta1, v_qtheta1,
+                   v_k + v_theta1 - v_qtheta1, math.gcd(k, p - 1),
+                   max(abs(q - 1), abs(q - 2)).bit_length())
 
     def at_digits(self, digits: int) -> "MapParams":
         """The same parameters rebuilt at a different working precision."""
@@ -369,23 +355,16 @@ def classify_regime(params: MapParams) -> Regime:
     )
 
 
-@dataclass(frozen=True, eq=False)
-class PartitionBall:
-    symbol: int
-    xi: Padic
-    center: Padic
-    ball: Ball
-    tau: int
+class PartitionBall(_Frozen):
+    __slots__ = ("symbol", "xi", "center", "ball", "tau")
 
 
-@dataclass(frozen=True, eq=False)
-class Partition:
+class Partition(_Frozen):
     """The invariant cover: kappa disjoint balls of radius |q(theta-1)|_p,
     one per k-th root of unity, each carrying its scaling exponent tau;
     the ball at the root 1 scales by ``MapParams.tau_one``."""
 
-    radius_exp: int
-    balls: tuple[PartitionBall, ...]
+    __slots__ = ("radius_exp", "balls", "__dict__")  # center_exps caches
 
     @property
     def taus(self) -> tuple[int, ...]:

@@ -23,7 +23,6 @@ across threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 INF = math.inf
@@ -37,12 +36,27 @@ class PrecisionError(ArithmeticError):
 
 class _Frozen:
     """Base of a small immutable record.  A subclass names its fields in
-    ``__slots__`` and sets each once, in ``__init__``, through the setter
-    ``_setters`` gives it; any later assignment or deletion raises
-    AttributeError.  ``__init__`` takes the fields in slot order, which
-    ``__repr__`` and ``__reduce__`` (copy, pickle) rely on."""
+    ``__slots__``; ``__init_subclass__`` stores the slots' setters, which
+    reach past ``__setattr__``, in slot order on the class as ``_set``.
+    The base ``__init__`` takes the fields in that order and sets each
+    once; any later assignment or deletion raises AttributeError.
+    ``__repr__`` and ``__reduce__`` (copy, pickle) read the same fields.
+    A record built on a hot path defines its own ``__init__`` and calls
+    the setters by name, which skips the loop.  A ``"__dict__"`` slot is
+    no field: it holds what ``functools.cached_property`` caches."""
 
     __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._fields = tuple(n for n in cls.__slots__ if n != "__dict__")
+        cls._set = tuple(getattr(cls, n).__set__ for n in cls._fields)
+
+    def __init__(self, *values):
+        if len(values) != len(self._set):
+            raise TypeError(f"{type(self).__name__} takes "
+                            f"{len(self._set)} fields, got {len(values)}")
+        for setter, value in zip(self._set, values):
+            setter(self, value)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -52,18 +66,11 @@ class _Frozen:
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}"
-                           for name in self.__slots__)
+                           for name in self._fields)
         return f"{type(self).__name__}({fields})"
 
     def __reduce__(self):
-        return type(self), tuple(getattr(self, name)
-                                 for name in self.__slots__)
-
-
-def _setters(cls) -> tuple:
-    """The setters of the slots of a ``_Frozen`` subclass, in slot order,
-    which reach past its ``__setattr__``."""
-    return tuple(vars(cls)[name].__set__ for name in cls.__slots__)
+        return type(self), tuple(getattr(self, name) for name in self._fields)
 
 
 def _vp(n: int, p: int) -> int:
@@ -141,8 +148,7 @@ def _check_prime(p: int) -> None:
             raise ValueError(f"{p} is not prime")
 
 
-@dataclass(frozen=True, slots=True, eq=False, init=False)
-class Padic:
+class Padic(_Frozen):
     """One p-adic number at a known precision.  Use the factories
     (:func:`from_rational`, :meth:`Padic.from_residue`) rather than the
     raw constructor; the raw fields are assumed normalized.
@@ -152,17 +158,10 @@ class Padic:
     leaves exact arithmetic.
     """
 
-    prime: int
-    val: int
-    unit: int
-    prec: int | float
-    cap: int
+    __slots__ = ("prime", "val", "unit", "prec", "cap")
 
     def __init__(self, prime: int, val: int, unit: int, prec: int | float,
                  cap: int):
-        # the __init__ of a frozen dataclass sets each field through
-        # object.__setattr__, which looks the name up again; the slots'
-        # own setters (_set_* below the class) take half the time
         _set_prime(self, prime)
         _set_val(self, val)
         _set_unit(self, unit)
@@ -516,9 +515,7 @@ class Padic:
         return self.to_string()
 
 
-_set_prime, _set_val, _set_unit, _set_prec, _set_cap = (
-    vars(Padic)[name].__set__ for name in ("prime", "val", "unit", "prec",
-                                           "cap"))
+_set_prime, _set_val, _set_unit, _set_prec, _set_cap = Padic._set
 
 
 def _int_digits(u: int, p: int, n: int) -> tuple[int, ...]:
@@ -563,13 +560,11 @@ def _from_fraction(fr: int | Fraction, prime: int, digits: int) -> Padic:
     return Padic._build(prime, vn - vd, unit, digits, digits)
 
 
-@dataclass(frozen=True, slots=True, eq=False)
-class Ball:
+class Ball(_Frozen):
     """Open ball {x : |x - center|_p < p**-radius_exp}; membership is the
     exact valuation test v(x - center) >= radius_exp + 1."""
 
-    center: Padic
-    radius_exp: int
+    __slots__ = ("center", "radius_exp")
 
     @property
     def prime(self) -> int:

@@ -14,7 +14,7 @@ import random
 from fractions import Fraction
 
 from .mapping import MapParams, build_partition
-from .padic import Padic, _Frozen, _setters
+from .padic import Padic, _Frozen
 
 
 class Sample(_Frozen):
@@ -37,7 +37,7 @@ class Sample(_Frozen):
         return params.embed(self.payload)
 
 
-_set_category, _set_payload = _setters(Sample)
+_set_category, _set_payload = Sample._set
 
 
 def rng_for(params: MapParams, tag: str, seed: int) -> random.Random:

@@ -203,14 +203,19 @@ def sweep_report(params: MapParams, samples: int, seed: int,
 
     ``pole_tree_depth > 0`` appends the backward tree of the pole to the
     seed list (empty in regime A); those records come out as pole hits at
-    their predicted level.  The regime, ``tol`` and ``classify_depth`` are
-    checked before any record, so a sweep of no records refuses them too.
+    their predicted level.  The counts, the regime, ``tol`` and
+    ``classify_depth`` are checked before any record, so a sweep of no
+    records refuses them too.
 
     ``form``, when given, turns each record dict into the form the report
     keeps, such as its encoded text, in the process that computed the
     record; ``records`` then holds those forms in plan order, and no
     process keeps a record dict past its own record.
     """
+    for name, count in (("samples", samples), ("max_iter", max_iter),
+                        ("pole_tree_depth", pole_tree_depth)):
+        if count < 0:
+            raise ValueError(f"{name} must be >= 0, got {count}")
     if classify_depth is not None or pole_tree_depth > 0:
         dynamics.check_classified(params)
     dynamics.check_tol(params, tol)
@@ -383,10 +388,13 @@ def julia_report(params: MapParams, depth: int, seed: int = 0,
     fails.  A precision shortage reruns every check on the next
     ``_Ladder`` rung; the report is that of the first rung that decides
     them all, and its config names that rung's digits.  A depth below 1
-    realizes no word and is refused.
+    realizes no word, and no pairs check no expansion law: both are
+    refused before any check runs.
     """
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
+    if pairs_per_ball < 1:
+        raise ValueError(f"pairs_per_ball must be >= 1, got {pairs_per_ball}")
     return _Ladder(params).first(lambda pd, _: _julia_checks(
         pd, depth, seed, pairs_per_ball))[1]
 

@@ -23,16 +23,20 @@ from pottsbethe.dynamics import (
     periodic_point,
     pole_preimage_tree,
 )
+from pottsbethe.hensel import PolyZp
 from pottsbethe.mapping import (
     MapParams,
     Partition,
+    PartitionBall,
     PoleHit,
+    Regime,
+    RegimeTag,
     VerificationError,
     build_partition,
     eval_f,
     inverse_branch,
 )
-from pottsbethe.padic import Padic, PrecisionError, from_rational
+from pottsbethe.padic import Ball, Padic, PrecisionError, from_rational
 
 
 @pytest.fixture(scope="module")
@@ -59,6 +63,14 @@ class TestOrbit:
     def test_start_at_fixed_point(self, regime_a):
         res = orbit(regime_a, 1)
         assert res.status is OrbitStatus.CONVERGED_TO_1 and res.steps == 0
+
+    def test_negative_max_iter_is_refused(self, regime_a, regime_b2):
+        # -1 steps read no iterate; the verdict once read a distance to 1
+        # of None and raised AttributeError
+        for params in (regime_a, regime_b2):
+            with pytest.raises(ValueError,
+                               match="max_iter must be >= 0, got -1"):
+                orbit(params, 7, max_iter=-1)
 
     def test_regime_a_from_five(self, regime_a):
         traj = Trajectory(regime_a, 5)
@@ -428,11 +440,24 @@ class TestBranchTree:
         assert len(branches) == sum(len(level) for level in levels) == 30
 
 
+_ONE = from_rational(1, prime=5, digits=8)
+_BALL = Ball(_ONE, 2)
+_PARTITION_BALL = PartitionBall(1, _ONE, _ONE, _BALL, 2)
+
+
 @pytest.mark.parametrize("result", [
     OrbitResult(OrbitStatus.STAYED_IN_X, 3, (2, True), (1, 2, 1)),
     ClassifyResult(ClassifyKind.BASIN, step=0, depth=5),
     sampling.Sample("zp", 7),
-], ids=["orbit", "classify", "sample"])
+    _ONE,
+    _BALL,
+    Regime(RegimeTag.B1, "kappa=1"),
+    MapParams.make(5, 3, 5, "1+p^3", digits=8),
+    Partition(2, (_PARTITION_BALL,)),
+    _PARTITION_BALL,
+    PolyZp.from_rationals([1, 2, 3], 5, 6),
+], ids=["orbit", "classify", "sample", "padic", "ball", "regime",
+        "params", "partition", "partition-ball", "poly"])
 def test_results_are_immutable(result):
     name = result.__slots__[0]
     value = getattr(result, name)
@@ -444,6 +469,32 @@ def test_results_are_immutable(result):
         result.extra = 1
     assert getattr(result, name) is value
     assert repr(copy.copy(result)) == repr(result)
+
+
+def test_record_reprs_are_the_dataclass_reprs():
+    # recorded when these records were dataclasses
+    params = MapParams.make(5, 3, 5, "1+p^3", digits=8)
+    assert repr(params) == (
+        "MapParams(p=5, k=3, q=5, theta=Padic(5, '0:126:inf'), digits=8, "
+        "theta_frac=Fraction(126, 1), pole=Padic(5, '0:-129:inf'), v_k=0, "
+        "v_q=1, v_theta1=3, v_qtheta1=1, tau_one=2, kappa=1, q_bits=3)")
+    part = build_partition(MapParams.make(5, 2, 5, "1+p^3", digits=8))
+    assert repr(part) == (
+        "Partition(radius_exp=4, balls=(PartitionBall(symbol=1, "
+        "xi=Padic(5, '0:1:inf'), center=Padic(5, '0:24413871:11'), "
+        "ball=Ball(center=Padic(5, '0:24413871:11'), radius_exp=4), "
+        "tau=2), PartitionBall(symbol=2, xi=Padic(5, '0:390624:8'), "
+        "center=Padic(5, '0:122070496:12'), ball=Ball(center=Padic(5, "
+        "'0:122070496:12'), radius_exp=4), tau=4)))")
+    assert repr(Ball(_ONE, 2)) == \
+        "Ball(center=Padic(5, '0:1:inf'), radius_exp=2)"
+
+
+def test_record_takes_every_field():
+    with pytest.raises(TypeError, match="Ball takes 2 fields, got 1"):
+        Ball(_ONE)
+    with pytest.raises(TypeError, match="Regime takes 2 fields, got 1"):
+        Regime(RegimeTag.A)
 
 
 class TestSymbolRange:

@@ -212,10 +212,39 @@ def test_retried_sweep_adds_one_partition_per_rung():
     assert build_partition.cache_info().currsize - before == grown
 
 
-def test_expansion_laws_need_a_pair():
+def test_expansion_laws_need_a_pair(monkeypatch):
     params = MapParams.make(5, 2, 5, "1+p^3")
     with pytest.raises(ValueError, match="pairs_per_ball must be >= 1"):
         verify.expansion_law_report(params, 0, seed=0)
+    # julia_report refuses it up front, before the depth-8 word tree
+    trees = _calls_to(monkeypatch, dynamics.branch_tree)
+    with pytest.raises(ValueError, match="pairs_per_ball must be >= 1, got 0"):
+        verify.julia_report(params, 8, pairs_per_ball=0)
+    assert trees == []
+
+
+@pytest.mark.parametrize("args", [(5, 3, 5, "1+p^3"), (5, 5, 5, "1+p^1")],
+                         ids=["B1", "A"])
+def test_negative_max_iter_is_refused_by_each_report(args):
+    # once an AttributeError from the verdict's distance to 1, None after
+    # no step; a sweep refuses it before any record, so with none too
+    params = MapParams.make(*args)
+    with pytest.raises(ValueError, match="max_iter must be >= 0, got -1"):
+        verify.orbit_report(params, 7, -1, 20)
+    for samples in (0, 3):
+        with pytest.raises(ValueError, match="max_iter must be >= 0, got -1"):
+            verify.sweep_report(params, samples, 1, max_iter=-1)
+
+
+@pytest.mark.parametrize("count,value", [
+    ("samples", -4), ("pole_tree_depth", -2)])
+def test_sweep_refuses_negative_counts(count, value):
+    # -4 samples once gave a report of no records whose config read -4;
+    # a negative tree depth was written into the config and meant no tree
+    params = MapParams.make(5, 2, 5, "1+p^3")
+    args = {"samples": 0, "pole_tree_depth": 0, count: value}
+    with pytest.raises(ValueError, match=f"{count} must be >= 0, got {value}"):
+        verify.sweep_report(params, seed=1, classify_depth=5, **args)
 
 
 def test_precision_shortage_before_b1_reaches_the_ladder():
