@@ -11,7 +11,6 @@ exhausted.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import os
 import sys
@@ -134,6 +133,8 @@ def _json_record(rec: dict) -> str:
 
 def _csv_row(values) -> str:
     """``values`` as one CSV line, None as an empty field."""
+    import csv  # only a CSV sweep loads it
+
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerow(values)
     return buf.getvalue()

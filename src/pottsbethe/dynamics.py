@@ -30,12 +30,10 @@ from .mapping import (
     on_residue_kernel,
 )
 from .padic import INF, Ball, Padic, PrecisionError, _Frozen
-from . import sampling
 
 DEFAULT_MAX_ITER = 200
 DEFAULT_TOL = 20
 POLE_TREE_BUDGET = 10**5
-INCIDENCE_SAMPLES = 3  # sampled points per ball, besides its center
 
 
 class OrbitStatus(Enum):
@@ -431,36 +429,33 @@ def cycle_multiplier(params: MapParams, x, period: int) -> Padic:
     return out
 
 
-def incidence_matrix(params: MapParams,
-                     seed: int = 0) -> tuple[tuple[int, ...], ...]:
+def incidence_matrix(params: MapParams) -> tuple[tuple[int, ...], ...]:
     """Transition structure of the cover, verified rather than assumed.
 
-    Entry (i, j) is set after checking, on the center of ball j plus
-    INCIDENCE_SAMPLES sampled points, that the branch through ball i
-    sends the point into ball i and that the forward map returns it
-    exactly.  The theory makes every entry 1; a failed check is raised
-    loudly because it would falsify that conclusion at these parameters,
-    so every entry of the returned rows is 1.
+    Entry (i, j) is set after checking, on the center c_j of ball j, that
+    the branch through ball i sends c_j into ball i and that the forward
+    map returns it exactly.  The center decides the whole ball: h_i
+    contracts by exactly p**-tau_i, so it maps ball j onto the ball of
+    radius exponent s + tau_i around h_i(c_j), and ultrametric balls nest,
+    so that image lies in ball i once its center does; f(h_i(y)) = y
+    wherever h_i is defined (``inverse_branch``).  The contraction law
+    itself is sampled on every ball by ``verify.expansion_law_report``.
+    The theory makes every entry 1; a failed check is raised loudly
+    because it would falsify that conclusion at these parameters, so
+    every entry of the returned rows is 1.
     """
     part = build_partition(params)
     symbols = range(1, params.kappa + 1)
     for i in symbols:
         for j in symbols:
-            targets = [part.balls[j - 1].center] + [
-                s.realize(params)
-                for s in sampling.ball_samples(params, j, INCIDENCE_SAMPLES,
-                                               seed, tag="incidence")
-            ]
-            for y in targets:
-                x = inverse_branch(params, i, y)
-                if not part.balls[i - 1].ball.contains(x):
-                    raise VerificationError(
-                        f"branch {i} left its ball on a point of ball {j}"
-                    )
-                if not (eval_f(params, x) - y).is_zero_like:
-                    raise VerificationError(
-                        f"f(h_{i}(y)) != y on a point of ball {j}"
-                    )
+            y = part.balls[j - 1].center
+            x = inverse_branch(params, i, y)
+            if not part.balls[i - 1].ball.contains(x):
+                raise VerificationError(
+                    f"branch {i} left its ball on the center of ball {j}")
+            if not (eval_f(params, x) - y).is_zero_like:
+                raise VerificationError(
+                    f"f(h_{i}(y)) != y on the center of ball {j}")
     return ((1,) * params.kappa,) * params.kappa
 
 

@@ -1,10 +1,10 @@
 """Deterministic point sampling for property checks and sweeps.
 
 The generator is seeded from (p, q, k, digest(theta), tag, seed), so a
-report is reproducible from its configuration alone.  Samples are drawn as
-exact rational payloads, which embed identically at any working precision;
-that lets a classification that ran out of digits be retried at doubled
-precision on the very same point.
+report is reproducible from its configuration alone.  Sweep samples are
+drawn as exact rational payloads, which embed identically at any working
+precision; that lets a classification that ran out of digits be retried at
+doubled precision on the very same point.  Ball samples are the points.
 """
 
 from __future__ import annotations
@@ -28,12 +28,6 @@ class Sample(_Frozen):
         _set_payload(self, payload)
 
     def realize(self, params: MapParams) -> Padic:
-        if self.category.startswith("ball:"):
-            symbol = int(self.category.split(":", 1)[1])
-            part = build_partition(params)
-            entry = part.balls[symbol - 1]
-            offset = params.embed(self.payload)
-            return entry.center + offset * params.p ** (part.radius_exp + 1)
         return params.embed(self.payload)
 
 
@@ -83,12 +77,13 @@ def spanning_samples(params: MapParams, count: int,
     return out
 
 
-def ball_samples(params: MapParams, symbol: int, count: int, seed: int,
-                 tag: str = "ball") -> list[Sample]:
-    """Points of the partition ball ``symbol``, uniform digits inside."""
-    rng = rng_for(params, f"{tag}:{symbol}", seed)
-    return [
-        Sample(f"ball:{symbol}", _zp(rng, params.p, params.digits))
-        for _ in range(count)
-    ]
-
+def ball_samples(params: MapParams, symbol: int, count: int,
+                 seed: int) -> list[Padic]:
+    """Points of the partition ball ``symbol``: its center plus p**(s+1)
+    times uniform digits, s the balls' radius exponent."""
+    rng = rng_for(params, f"expansion:{symbol}", seed)
+    part = build_partition(params)
+    center = part.balls[symbol - 1].center
+    scale = params.p ** (part.radius_exp + 1)
+    return [center + params.embed(_zp(rng, params.p, params.digits)) * scale
+            for _ in range(count)]

@@ -389,12 +389,14 @@ def julia_report(params: MapParams, depth: int, seed: int = 0,
     ``_Ladder`` rung; the report is that of the first rung that decides
     them all, and its config names that rung's digits.  A depth below 1
     realizes no word, and no pairs check no expansion law: both are
-    refused before any check runs.
+    refused before any check runs, as are unclassified parameters, on
+    which the theory makes no claim to falsify.
     """
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
     if pairs_per_ball < 1:
         raise ValueError(f"pairs_per_ball must be >= 1, got {pairs_per_ball}")
+    dynamics.check_classified(params)
     return _Ladder(params).first(lambda pd, _: _julia_checks(
         pd, depth, seed, pairs_per_ball))[1]
 
@@ -441,7 +443,7 @@ def _julia_checks(params: MapParams, depth: int, seed: int,
                classify_fixed(lam) == "repelling", int(lam.valuation))
 
     try:  # every entry is 1 once incidence_matrix returns
-        matrix = dynamics.incidence_matrix(params, seed=seed)
+        matrix = dynamics.incidence_matrix(params)
         _check(checks, "incidence_all_ones", True,
                [list(r) for r in matrix])
     except VerificationError as exc:
@@ -520,13 +522,11 @@ def expansion_law_report(params: MapParams, pairs_per_ball: int,
     detail = []
     all_ok = True
     for entry in build_partition(params).balls:
-        plan = sampling.ball_samples(params, entry.symbol, 2 * pairs_per_ball,
-                                     seed, tag="expansion")
+        points = sampling.ball_samples(params, entry.symbol,
+                                       2 * pairs_per_ball, seed)
         failures = 0
         tested = 0
-        for a, b in zip(plan[0::2], plan[1::2]):
-            x = a.realize(params)
-            y = b.realize(params)
+        for x, y in zip(points[0::2], points[1::2]):
             d = x - y
             if d.is_zero_like:
                 continue

@@ -1,0 +1,97 @@
+"""A parameter census: a fixed grid of CLI runs whose bytes are pinned.
+
+Every byte oracle elsewhere sits in a narrow corner (p in {3, 5}, q = p).
+This grid reaches p = 7, q = p^2, p | k (the p-th-root path of
+``hensel._pth_root``), kappa up to 6, v(theta-1) on both sides of
+2v(q)+1, unclassified parameters and the precision retry ladder.
+
+Each command family gets one SHA-256 over (argv, exit code, stdout) of its
+runs, in grid order, and a count of its exit codes.  ``tests/test_census.py``
+checks both against the pins below.  Run this file to print them:
+
+    PYTHONPATH=src python tests/census.py
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+from collections import Counter
+
+from pottsbethe import cli
+
+
+def _ks(p: int) -> list[int]:
+    """2, 3, p, 2p, p-1 and p(p-1), each once, in that order."""
+    return list(dict.fromkeys((2, 3, p, 2 * p, p - 1, p * (p - 1))))
+
+
+GRID = [(p, k, q, f"1+p^{m}")
+        for p in (3, 5, 7)
+        for k in _ks(p)
+        for q in (p, p * p)
+        for m in (1, 2, 3, 5)]
+PRECISIONS = (3, 6, 12)
+COMMANDS = {
+    "classify": ["classify"],
+    "sweep": ["sweep", "--samples", "12", "--depth", "6"],
+    "pole-tree": ["sweep", "--samples", "6", "--depth", "4",
+                  "--pole-tree-depth", "2"],
+    "orbit": ["orbit", "--x0", "7/3"],
+    "julia-verify": ["julia-verify", "--depth", "2", "--samples", "3"],
+}
+
+# one SHA-256 per command over every run of GRID at PRECISIONS
+DIGESTS = {
+    "classify":
+        "0dc05d33f4be758aa4d5a930ede4be06e36cd0060d7a666aa3a851153f385313",
+    "sweep":
+        "2436074d03c627b6d0660d4d4f0bccdb6795fb959bc8f14867d4b03acd9d4220",
+    "pole-tree":
+        "95c6d7fd529ba30e7006c57e6eb0ee9b72b6d013d50fa3e79c063c06a5596c51",
+    "orbit":
+        "694b9c1b547180f4eb1f7f5a3fb4683c4201ca16a9945b9d8641f30580969f15",
+    "julia-verify":
+        "fee36b0d48ba22332ea09d6e1d295867533c90191a81521feedcbfb2b43c3ad1",
+}
+# exit code -> runs, per command
+EXIT_COUNTS = {
+    "classify": {0: 360},
+    "sweep": {0: 207, 2: 153},
+    "pole-tree": {0: 185, 2: 153, 3: 22},
+    "orbit": {0: 92, 2: 63, 3: 205},
+    "julia-verify": {0: 7, 1: 120, 2: 153, 3: 80},
+}
+
+
+def argvs(command: str):
+    """The argument lists of ``command``'s runs, in grid order."""
+    for p, k, q, theta in GRID:
+        for digits in PRECISIONS:
+            yield COMMANDS[command] + [
+                "--p", str(p), "--k", str(k), "--q", str(q),
+                "--theta", theta, "--precision", str(digits)]
+
+
+def run(command: str) -> tuple[str, dict[int, int]]:
+    """The SHA-256 and the exit-code counts of ``command``'s runs, each
+    through ``cli.main`` in this process."""
+    digest = hashlib.sha256()
+    codes: Counter = Counter()
+    for argv in argvs(command):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(argv)
+        codes[code] += 1
+        digest.update(json.dumps([argv, code, out.getvalue()]).encode())
+        digest.update(b"\n")
+    return digest.hexdigest(), dict(sorted(codes.items()))
+
+
+if __name__ == "__main__":
+    for name in COMMANDS:
+        sha, codes = run(name)
+        print(f"{name!r}: {sha!r},  # {codes}")

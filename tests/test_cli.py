@@ -366,6 +366,16 @@ def test_unclassified_pole_tree_is_a_usage_error(capsys):
     assert err.startswith("pottsbethe: error: parameters are unclassified: ")
 
 
+def test_unclassified_julia_verify_is_a_usage_error(capsys):
+    # the theory makes no claim on unclassified parameters, so there is
+    # nothing to falsify: refused like a sweep's classification
+    code, out, err = run_cli(
+        ["julia-verify", "--p", "5", "--k", "2", "--q", "5", "--theta",
+         "1+p^1", "--depth", "2"], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("pottsbethe: error: parameters are unclassified: ")
+
+
 @pytest.mark.parametrize("theta", ["1+p^1", "1+p^2"])
 def test_unclassified_classification_is_a_usage_error(capsys, theta):
     # refused before any record, so a sweep of no records is refused too;

@@ -529,6 +529,39 @@ class TestIncidence:
     def test_b4_all_ones(self, regime_b4):
         assert incidence_matrix(regime_b4) == ((1,) * 4,) * 4
 
+    def test_center_sent_out_of_its_ball_is_refused(self, regime_b2,
+                                                    monkeypatch):
+        # branch 1 planted to send the center of ball 2 to itself, which
+        # lies outside ball 1
+        branch = dynamics.inverse_branch
+        c2 = build_partition(regime_b2).balls[1].center
+
+        def planted(params, i, y):
+            return y if (i, y) == (1, c2) else branch(params, i, y)
+
+        monkeypatch.setattr(dynamics, "inverse_branch", planted)
+        with pytest.raises(VerificationError,
+                           match="branch 1 left its ball on the center of "
+                                 "ball 2"):
+            incidence_matrix(regime_b2)
+
+    def test_forward_image_off_the_center_is_refused(self, regime_b2,
+                                                     monkeypatch):
+        # branch 2 planted to miss by p**(s+1): still inside ball 2, but f
+        # no longer returns the center of ball 1
+        branch = dynamics.inverse_branch
+        part = build_partition(regime_b2)
+        c1 = part.balls[0].center
+
+        def planted(params, i, y):
+            x = branch(params, i, y)
+            return x + 5 ** (part.radius_exp + 1) if (i, y) == (2, c1) else x
+
+        monkeypatch.setattr(dynamics, "inverse_branch", planted)
+        with pytest.raises(VerificationError,
+                           match=r"f\(h_2\(y\)\) != y on the center of ball 1"):
+            incidence_matrix(regime_b2)
+
 
 class TestWordMetric:
     def test_first_symbol_disagreement(self, regime_b2):

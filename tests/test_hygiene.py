@@ -147,10 +147,11 @@ def test_traced_targets_exist():
 
 def test_cli_import_loads_no_process_pool_module():
     # the CLI's set-up time is its import time: the forked sweep uses only
-    # os and marshal, the records are _Frozen rather than dataclasses, and
-    # these heavier modules must stay unloaded
+    # os and marshal, the records are _Frozen rather than dataclasses, csv
+    # is imported only to write CSV, and these heavier modules must stay
+    # unloaded
     heavy = ("pickle", "multiprocessing", "concurrent.futures",
-             "dataclasses", "inspect")
+             "dataclasses", "inspect", "csv")
     probe = ("import sys, pottsbethe.cli; "
              f"print([m for m in {heavy!r} if m in sys.modules])")
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,

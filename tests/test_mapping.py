@@ -459,8 +459,7 @@ class TestInverseBranch:
         samples = []
         for b in part.balls:
             samples.append(b.center)
-            for s in sampling.ball_samples(regime_b2, b.symbol, 50, seed=2):
-                samples.append(s.realize(regime_b2))
+            samples += sampling.ball_samples(regime_b2, b.symbol, 50, seed=2)
         for entry in part.balls:
             for y in samples:
                 h = inverse_branch(regime_b2, entry.symbol, y)

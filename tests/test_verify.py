@@ -170,9 +170,11 @@ def test_julia_report_builds_each_cylinder_point_once(monkeypatch):
                               pairs_per_ball=5)
     assert rep["falsified"] is False
     # 14 for the 2 + 4 + 8 words, one branch per tree node; the rest for
-    # the incidence matrix, the periodic points and the pole tree.  357
-    # when each word was folded from the anchor on its own
-    assert len(calls) == 337
+    # the incidence matrix, one per entry, the periodic points and the
+    # pole tree.  357 when each word was folded from the anchor on its
+    # own; 337 when the incidence matrix also took 3 sampled points of
+    # each ball through every branch
+    assert len(calls) == 325
 
 
 def test_julia_report_counts_a_planted_isometry_mismatch(monkeypatch):
