@@ -236,6 +236,9 @@ def main(argv: list[str] | None = None) -> int:
                                          args.max_iter, args.tol)
             if report["record"].get("reason") == "precision":
                 code = EXIT_PRECISION
+                print("pottsbethe: precision exhausted: orbit undecided at "
+                      f"{params.digits * verify.RETRY_LADDER[-1]} digits, "
+                      "the last retry", file=sys.stderr)
         elif args.command == "sweep":
             report = verify.sweep_report(params, args.samples, args.seed,
                                          max_iter=args.max_iter,

@@ -371,6 +371,17 @@ def branch_tree(params: MapParams, root: Padic, depth: int):
         yield level
 
 
+def tree_size(params: MapParams, depth: int) -> int:
+    """The points of a ``branch_tree`` of ``depth`` levels, kappa + ... +
+    kappa**depth; ValueError when they exceed POLE_TREE_BUDGET."""
+    kappa, words = params.kappa, params.kappa**depth
+    points = depth if kappa == 1 else (words - 1) * kappa // (kappa - 1)
+    if points > POLE_TREE_BUDGET:
+        raise ValueError(f"depth {depth} has {words} words, whose tree holds "
+                         f"{points} points; budget is {POLE_TREE_BUDGET}")
+    return points
+
+
 def certified(params: MapParams, word: tuple[int, ...], z: Padic) -> Ball:
     """The shrinking-ball certificate of z, the point of ``word``: radius
     exponent radius_exp + ``Partition.tau_sum`` of the word.
@@ -498,12 +509,7 @@ def pole_preimage_tree(params: MapParams,
     if params.regime.tag == RegimeTag.A:
         return []
     check_classified(params)
-    total = sum(params.kappa**n for n in range(1, depth + 1))
-    if total > POLE_TREE_BUDGET:
-        raise ValueError(
-            f"kappa**depth sweep would visit {total} points; budget is "
-            f"{POLE_TREE_BUDGET}"
-        )
+    tree_size(params, depth)
     levels: list[list[Trajectory]] = []
     for n, level in enumerate(branch_tree(params, params.pole, depth),
                               start=1):

@@ -22,7 +22,6 @@ from . import __version__
 from . import dynamics, hensel, sampling
 from .dynamics import OrbitStatus
 from .mapping import (
-    PAIR_BUDGET,
     MapParams,
     RegimeTag,
     VerificationError,
@@ -415,12 +414,7 @@ def _julia_checks(params: MapParams, depth: int, seed: int,
     if not ok:
         report["falsified"] = True
         return report
-    words = params.kappa**depth
-    if words * (words - 1) // 2 > PAIR_BUDGET:
-        raise ValueError(
-            f"depth {depth} has {words} words, whose isometry check would "
-            f"compare {words * (words - 1) // 2} pairs; budget is "
-            f"{PAIR_BUDGET}")
+    words_total = dynamics.tree_size(params, depth)
 
     part = build_partition(params)
     _check(checks, "taus_positive", all(t >= 1 for t in part.taus),
@@ -449,23 +443,24 @@ def _julia_checks(params: MapParams, depth: int, seed: int,
     except VerificationError as exc:
         _check(checks, "incidence_all_ones", False, str(exc))
 
-    realized = 0
-    words_total = 0
-    pts = {}  # the cylinder point of each word of length depth
-    tree = dynamics.branch_tree(params, part.balls[0].center, depth)
-    for n, pts in enumerate(tree, start=1):
+    # w is realized when its point z lies in ball w_0 and, past |w| = 1,
+    # w[1:] is realized with f(z) in its certified ball: f maps the ball of
+    # w, inside ball w_0, onto that one, so every point of it has itinerary w
+    certs = {}  # the certified ball of each realized word
+    for pts in dynamics.branch_tree(params, part.balls[0].center, depth):
         for word, pt in pts.items():
-            words_total += 1
-            dynamics.certified(params, word, pt)
-            if dynamics.itinerary_of(params, pt, n) == word:
-                realized += 1
-    _check(checks, "words_realized_roundtrip", realized == words_total,
-           {"realized": realized, "total": words_total})
+            if part.locate(pt) == word[0] and (
+                    len(word) == 1 or word[1:] in certs
+                    and certs[word[1:]].contains(eval_f(params, pt))):
+                certs[word] = dynamics.certified(params, word, pt)
+    _check(checks, "words_realized_roundtrip", len(certs) == words_total,
+           {"realized": len(certs), "total": words_total})
 
+    symbols = range(1, params.kappa + 1)
     periodic_ok = True
     periodic_detail = []
     for m in range(1, min(MAX_PERIOD, depth) + 1):
-        for word in itertools.product(range(1, params.kappa + 1), repeat=m):
+        for word in itertools.product(symbols, repeat=m):
             x = dynamics.periodic_point(params, word)
             traj = dynamics.Trajectory(params, x)
             drift = traj[m] - x
@@ -480,24 +475,32 @@ def _julia_checks(params: MapParams, depth: int, seed: int,
                                     "multiplier_exp": int(lam.valuation)})
     _check(checks, "periodic_points", periodic_ok, periodic_detail[:8])
 
-    mism = sum((pts[wa] - pts[wb]).norm_exp()
-               != dynamics.df_metric(params, wa, wb)
-               for wa, wb in itertools.combinations(pts, 2))
-    _check(checks, "isometry_cylinder_vs_word_metric", mism == 0,
+    # pts holds the leaves.  One under c+a against one under c+b, for each
+    # prefix c and a < b, decides every pair: from the deepest c up, a leaf
+    # lies nearer its compared leaf, at v >= tau_sum(c) + tau_min +
+    # kappa_min, than that one to the other, at tau_sum(c) + kappa(a, b),
+    # when tau_min > kappa_max - kappa_min, so the strong triangle
+    # inequality settles each cross pair (README: regime B meets it)
+    exps = part.center_exps.values()
+    nested = min(part.taus) > max(exps, default=0) - min(exps, default=0)
+    mism = 0  # failing comparisons
+    for n in range(depth):
+        pad = (1,) * (depth - n - 1)
+        for c in itertools.product(symbols, repeat=n):
+            for a, b in itertools.combinations(symbols, 2):
+                wa, wb = c + (a,) + pad, c + (b,) + pad
+                mism += ((pts[wa] - pts[wb]).norm_exp()
+                         != dynamics.df_metric(params, wa, wb))
+    _check(checks, "isometry_cylinder_vs_word_metric", nested and not mism,
            {"pairs": len(pts) * (len(pts) - 1) // 2, "mismatches": mism})
 
     expansion = expansion_law_report(params, pairs_per_ball, seed)
     _check(checks, "expansion_laws", expansion["pass"], expansion["detail"])
 
-    if depth >= 2:
-        word = tuple((t % params.kappa) + 1 for t in range(depth))
-        x = pts[word]
-        full = dynamics.itinerary_of(params, x, depth)
-        shifted = dynamics.itinerary_of(params, eval_f(params, x), depth - 1)
-        _check(checks, "shift_equivariance",
-               shifted == full[1:], list(full))
-    else:
-        _check(checks, "shift_equivariance", True, None)
+    # a realized word's point x has it as itinerary, and f(x) its shift
+    word = tuple((t % params.kappa) + 1 for t in range(depth))
+    _check(checks, "shift_equivariance", depth < 2 or word in certs,
+           list(word) if depth >= 2 else None)
 
     tree_depth = min(depth, 3) if params.kappa > 1 else min(depth, 5)
     levels = dynamics.pole_preimage_tree(params, tree_depth)

@@ -10,10 +10,12 @@ import tracemalloc
 
 import pytest
 
-from pottsbethe import verify
+from test_verify import plant_in_word_tree
+
+from pottsbethe import dynamics, verify
 from pottsbethe.cli import build_parser, main
 from pottsbethe.dynamics import DEFAULT_MAX_ITER, DEFAULT_TOL, periodic_point
-from pottsbethe.mapping import PAIR_BUDGET, MapParams, PoleHit
+from pottsbethe.mapping import MapParams, PoleHit
 from pottsbethe.padic import PrecisionError
 
 
@@ -99,11 +101,14 @@ class TestOrbitAndSweep:
         params = MapParams.make(5, 2, 5, "1+p^3")
         x = periodic_point(params, (1, 2))
         deep = (x.unit * 5**x.val) % 5**40
-        code, out, _ = run_cli(
+        code, out, err = run_cli(
             ["orbit", "--p", "5", "--k", "2", "--q", "5", "--theta",
              "1+p^3", "--precision", "8", "--x0", str(deep)], capsys)
         assert code == 3
         assert json.loads(out)["record"]["reason"] == "precision"
+        # once an empty stderr, unlike every other exit 3
+        assert err == ("pottsbethe: precision exhausted: orbit undecided "
+                       "at 32 digits, the last retry\n")
 
     def test_inexact_pole_tree_hit_is_precision(self, capsys):
         # at 3, 6 and 12 digits a pole preimage is only indistinguishable
@@ -269,7 +274,7 @@ class TestJuliaVerify:
         assert "at least one pair per ball, got 0" in capsys.readouterr().err
 
     def test_word_budget_is_usage_error(self, capsys):
-        # 2**40 words would take 2**79 isometry pairs: refused before any
+        # 2**40 words, in a tree of 2**41 - 2 points: refused before any
         # word is built
         code, out, err = run_cli(["julia-verify", *B2_ARGS, "--depth", "40"],
                                  capsys)
@@ -277,8 +282,34 @@ class TestJuliaVerify:
         assert "1099511627776 words" in err and "budget" in err
 
     def test_word_budget_admits_depth_10(self):
-        # depth 10 at kappa = 2 compares 523 776 pairs, and still runs
-        assert 2**10 * (2**10 - 1) // 2 <= PAIR_BUDGET
+        # the budget counts the word tree's points, as the pole tree's:
+        # at kappa = 2 it admits depth 10 (2 046 points) and up to 15
+        params = MapParams.make(5, 2, 5, "1+p^3")
+        assert dynamics.tree_size(params, 10) == 2046
+        assert dynamics.tree_size(params, 15) == 2**16 - 2
+        with pytest.raises(ValueError, match="depth 16 has 65536 words, "
+                           "whose tree holds 131070 points; budget is "
+                           "100000"):
+            dynamics.tree_size(params, 16)
+
+    def test_point_out_of_its_ball_is_falsified(self, capsys, monkeypatch):
+        # the leaf of the shift check's word moved to 0, outside the cover:
+        # that word is not realized, nor is its shift read off it, which
+        # falsifies the report; it once escaped as a usage error, "orbit
+        # leaves the cover at step 0"
+        plant_in_word_tree(monkeypatch, (1, 2, 1, 2),
+                           lambda params, z: params.embed(0))
+        code, out, err = run_cli(["julia-verify", *B2_ARGS, "--depth", "4",
+                                  "--samples", "3"], capsys)
+        assert code == 1 and err == ""
+        report = json.loads(out)
+        failed = {c["name"]: c["detail"] for c in report["checks"]
+                  if not c["pass"]}
+        assert failed.pop("words_realized_roundtrip") == {"realized": 29,
+                                                          "total": 30}
+        assert failed.pop("shift_equivariance") == [1, 2, 1, 2]
+        assert list(failed) == ["isometry_cylinder_vs_word_metric"]
+        assert report["falsified"] is True
 
     def test_regime_a_is_falsifying_input(self, capsys):
         code, out, _ = run_cli(

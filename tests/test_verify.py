@@ -1,6 +1,7 @@
 """Sweep and orbit reports: work done per record and the retry ladder."""
 
 import hashlib
+import itertools
 import os
 import sys
 
@@ -177,10 +178,47 @@ def test_julia_report_builds_each_cylinder_point_once(monkeypatch):
     assert len(calls) == 325
 
 
-def test_julia_report_counts_a_planted_isometry_mismatch(monkeypatch):
-    # the word metric of one pair made off by one: the isometry check
-    # counts that pair alone, and it alone falsifies the report
-    planted = {(1, 2, 1), (2, 2, 1)}
+def plant_in_word_tree(monkeypatch, word, move):
+    """Make the first branch tree built, julia_report's word tree, hold
+    ``move(params, z)`` in place of the point z of ``word``."""
+    branch_tree, built = dynamics.branch_tree, []
+
+    def planted(params, root, depth):
+        first = not built
+        built.append(root)
+        for level in branch_tree(params, root, depth):
+            if first and word in level:
+                level[word] = move(params, level[word])
+            yield level
+
+    monkeypatch.setattr(dynamics, "branch_tree", planted)
+
+
+def _failed(rep) -> dict:
+    return {c["name"]: c["detail"] for c in rep["checks"] if not c["pass"]}
+
+
+def test_julia_report_counts_a_perturbed_leaf(monkeypatch):
+    # the last leaf is compared only with its sibling (2, 2, 1), at the
+    # deepest prefix; moved by p^(df - 1) it is off by one from the word
+    # metric there and nowhere else (tau >= 2 keeps it off every other
+    # pair's distance), and its image leaves the ball of (2, 2)
+    params = MapParams.make(5, 2, 5, "1+p^3")
+    leaf = (2, 2, 2)
+    gap = dynamics.df_metric(params, leaf, (2, 2, 1)) - 1
+    plant_in_word_tree(monkeypatch, leaf,
+                       lambda pd, z: z + pd.embed(pd.p**gap))
+    rep = verify.julia_report(params, 3, pairs_per_ball=5)
+    assert _failed(rep) == {
+        "words_realized_roundtrip": {"realized": 13, "total": 14},
+        "isometry_cylinder_vs_word_metric": {"pairs": 28, "mismatches": 1}}
+    assert rep["falsified"] is True
+
+
+def test_julia_report_counts_a_planted_metric_mismatch_once(monkeypatch):
+    # the word metric made off by one on a pair the certificate compares
+    # (prefix (1, 2)): one failing comparison, and only that check fails
+    planted = {(1, 2, 1), (1, 2, 2)}
     df_metric = dynamics.df_metric
 
     def off_by_one(params, wx, wy):
@@ -189,11 +227,74 @@ def test_julia_report_counts_a_planted_isometry_mismatch(monkeypatch):
     monkeypatch.setattr(dynamics, "df_metric", off_by_one)
     rep = verify.julia_report(MapParams.make(5, 2, 5, "1+p^3"), 3,
                               pairs_per_ball=5)
-    failed = [c for c in rep["checks"] if not c["pass"]]
-    assert failed == [{"name": "isometry_cylinder_vs_word_metric",
-                       "pass": False,
-                       "detail": {"pairs": 28, "mismatches": 1}}]
+    assert _failed(rep) == {
+        "isometry_cylinder_vs_word_metric": {"pairs": 28, "mismatches": 1}}
     assert rep["falsified"] is True
+
+
+def test_isometry_certificate_needs_tau_above_the_center_spread(
+        monkeypatch):
+    # B4's center exponents are 3 and 4; read with every tau at 1, the
+    # certificate's condition tau_min > kappa_max - kappa_min fails, and
+    # the check with it, though every comparison agrees
+    monkeypatch.setattr(mapping.Partition, "taus", property(
+        lambda part: (1,) * len(part.balls)))
+    rep = verify.julia_report(MapParams.make(5, 4, 5, "1+p^3"), 2,
+                              pairs_per_ball=3)
+    assert _failed(rep) == {
+        "isometry_cylinder_vs_word_metric": {"pairs": 120, "mismatches": 0}}
+
+
+def _reference_julia(params, depth) -> dict:
+    """The word checks by brute force: every word's point run forward
+    |w| - 1 steps, every pair of leaves against the word metric, and the
+    shift word's image iterated again."""
+    anchor = build_partition(params).balls[0].center
+    levels = list(dynamics.branch_tree(params, anchor, depth))
+    realized = sum(dynamics.itinerary_of(params, z, len(w)) == w
+                   for level in levels for w, z in level.items())
+    leaves = levels[-1]
+    mismatches = sum((leaves[a] - leaves[b]).norm_exp()
+                     != dynamics.df_metric(params, a, b)
+                     for a, b in itertools.combinations(leaves, 2))
+    word = tuple(t % params.kappa + 1 for t in range(depth))
+    full = dynamics.itinerary_of(params, leaves[word], depth)
+    shifted = dynamics.itinerary_of(
+        params, mapping.eval_f(params, leaves[word]), depth - 1)
+    return {"words_realized_roundtrip": realized,
+            "isometry_cylinder_vs_word_metric": mismatches == 0,
+            "shift_equivariance": depth < 2 or shifted == full[1:]}
+
+
+@pytest.mark.parametrize("k,depth", [(2, d) for d in range(1, 7)]
+                         + [(4, d) for d in range(1, 4)])
+def test_julia_word_checks_agree_with_the_reference(k, depth):
+    params = MapParams.make(5, k, 5, "1+p^3")
+    rep = verify.julia_report(params, depth, pairs_per_ball=3)
+    checks = {c["name"]: c for c in rep["checks"]}
+    ref = _reference_julia(
+        params.at_digits(rep["config"]["digits"]), depth)
+    assert checks["words_realized_roundtrip"]["detail"] == {
+        "realized": ref["words_realized_roundtrip"],
+        "total": sum(k**n for n in range(1, depth + 1))}
+    for name in ("isometry_cylinder_vs_word_metric", "shift_equivariance"):
+        assert checks[name]["pass"] is ref[name]
+    assert rep["falsified"] is False
+
+
+def test_julia_word_checks_stay_within_their_call_budget(monkeypatch):
+    # B2 at depth 6: one df_metric per compared pair of leaves, 63, where
+    # every pair made 2 016; one eval_f per word of length >= 2, 124,
+    # where running each word's point forward |w| - 1 steps made 516 and
+    # the shift check 10 more (683 in all); the other 157 are the
+    # periodic points, the expansion laws and the pole tree
+    params = MapParams.make(5, 2, 5, "1+p^3")
+    metric = _calls_to(monkeypatch, dynamics.df_metric)
+    forward = _calls_to(monkeypatch, mapping.eval_f)
+    rep = verify.julia_report(params, 6, pairs_per_ball=5)
+    assert rep["falsified"] is False
+    assert len(metric) <= params.kappa**(6 + 1)
+    assert len(forward) == 281
 
 
 def test_retried_sweep_adds_one_partition_per_rung():
