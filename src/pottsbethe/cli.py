@@ -114,7 +114,9 @@ def _parse_x0(text: str) -> Fraction:
     num, slash, den = text.partition("/")
     try:
         a, b = int(num), (int(den) if slash else 1)
-    except ValueError:
+    except ValueError as exc:
+        if str(exc).startswith("Exceeds the limit"):  # CPython's, on digits
+            raise ValueError(f"--x0: {exc}") from None
         raise ValueError(f"--x0: not a rational a or a/b: {text!r}") from None
     if b == 0:
         raise ValueError(f"--x0: zero denominator in {text!r}")

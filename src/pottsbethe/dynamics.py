@@ -13,6 +13,7 @@ depth, never more.
 
 from __future__ import annotations
 
+import functools
 from enum import Enum
 
 from .mapping import (
@@ -88,7 +89,6 @@ class Trajectory:
         # of the iterate it meets, and no iterate's cap is above x0's
         self._one = Padic(params.p, 0, 1, INF, x0.cap)
         self._symbols: dict[int, int | None] = {}
-        self._partition: Partition | None = None
 
     def __getitem__(self, t: int) -> Padic:
         while len(self.points) <= t:
@@ -105,12 +105,10 @@ class Trajectory:
         """f^t(x0) - 1."""
         return self[t] - self._one
 
-    @property
+    @functools.cached_property
     def partition(self) -> Partition:
         """The cover the symbols name (regime B only)."""
-        if self._partition is None:
-            self._partition = build_partition(self.params)
-        return self._partition
+        return build_partition(self.params)
 
     def symbol(self, t: int) -> int | None:
         """The symbol of the cover ball holding f^t(x0), None outside the
@@ -473,10 +471,10 @@ def incidence_matrix(params: MapParams) -> tuple[tuple[int, ...], ...]:
 def df_metric(params: MapParams, wx, wy) -> int:
     """The exponent e of the dynamical metric p**-e between two words:
     e = tau_{x_0}+...+tau_{x_{n-1}} + kappa(x_n, y_n), where n is the first
-    disagreement and kappa(i, j) is the exact exponent of the center
-    distance, read from the partition's ``center_exps`` table.  The
-    cylinder points of the two words lie at distance p**-e, so their
-    difference has ``norm_exp()`` e."""
+    disagreement and kappa(i, j), the exponent of the center distance,
+    is read from the law ``Partition.center_exp`` proves.  The cylinder
+    points of the two words lie at distance p**-e, so their difference
+    has ``norm_exp()`` e."""
     part = build_partition(params)
     ax, ay = _word(wx), _word(wy)
     check_symbols(params, ax + ay)
@@ -486,7 +484,7 @@ def df_metric(params: MapParams, wx, wy) -> int:
             "words agree on their common prefix; the metric is undefined "
             "for this pair at this length"
         )
-    return part.tau_sum(ax[:n]) + part.center_exps[ax[n], ay[n]]
+    return part.tau_sum(ax[:n]) + part.center_exp(params, ax[n], ay[n])
 
 
 def pole_preimage_tree(params: MapParams,

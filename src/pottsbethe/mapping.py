@@ -362,9 +362,28 @@ class PartitionBall(_Frozen):
 class Partition(_Frozen):
     """The invariant cover: kappa disjoint balls of radius |q(theta-1)|_p,
     one per k-th root of unity, each carrying its scaling exponent tau;
-    the ball at the root 1 scales by ``MapParams.tau_one``."""
+    the ball at the root 1 scales by ``MapParams.tau_one``.
 
-    __slots__ = ("radius_exp", "balls", "__dict__")  # center_exps caches
+    Balls of one radius p^-s are residue classes modulo p^(s+1), so
+    ``_check_cover`` and ``locate`` find the centers a center or a point
+    can share a ball with in ``_group(level)``: the centers known to
+    ``level`` or more digits, grouped by ``_residue``, once per level."""
+
+    __slots__ = ("radius_exp", "balls", "__dict__")  # _least_prec, _groups
+
+    @functools.cached_property
+    def _least_prec(self) -> int | float:
+        return min([INF] + [b.center.abs_prec for b in self.balls])
+
+    def _group(self, level: int) -> dict[tuple[int, int] | int, list[int]]:
+        cache = self.__dict__.setdefault("_groups", {})
+        if level not in cache:  # published whole, so threads may share it
+            groups = {}
+            for i, b in enumerate(self.balls):
+                if b.center.abs_prec >= level:
+                    groups.setdefault(_residue(b.center, level), []).append(i)
+            cache[level] = groups
+        return cache[level]
 
     @property
     def taus(self) -> tuple[int, ...]:
@@ -376,41 +395,52 @@ class Partition(_Frozen):
         by exactly p^tau_sum."""
         return sum(self.balls[s - 1].tau for s in word)
 
-    @functools.cached_property
-    def center_exps(self) -> dict[tuple[int, int], int]:
-        """kappa(i, j) = v(c_i - c_j) for symbols i != j, the exponent of
-        the distance between two ball centers; exact, since
-        ``build_partition`` proved the balls disjoint."""
-        return {(a.symbol, b.symbol): (a.center - b.center).norm_exp()
-                for a in self.balls for b in self.balls if a is not b}
+    def center_exp(self, params: MapParams, a: int, b: int) -> int:
+        """kappa(a, b) = v(c_a - c_b) for symbols a != b: v(k)+v(theta-1)
+        when a or b is 1, the root 1's symbol, else v(q)+v(theta-1).
+
+        By ``build_partition``'s centers, xi_a the root of symbol a: off
+        the root, c_a - c_b = q(theta-1)(xi_a-xi_b)/((1-xi_a)(1-xi_b)),
+        and the roots are distinct modulo p, so the last three factors are
+        units.  At the root, c_1 - c_b = (theta-1)(k - (k-1)q/2 +
+        (k-1)(k-2)q^2/(6k) - q/(1-xi_b)); in regime B, v(k) < v(q), and
+        every term of the bracket but k has valuation at least v(q) or
+        2v(q)-v(k)-1 (v(6) <= 1), both above v(k).  julia-verify checks
+        the law on one leaf of ball a against one of ball b."""
+        return params.v_k + params.v_theta1 if 1 in (a, b) else self.radius_exp
 
     def locate(self, x: Padic) -> int | None:
         """Symbol of the ball containing x, or None when x is provably
-        outside the cover; PrecisionError when undecidable."""
-        for b in self.balls:
-            if b.ball.contains(x):
-                return b.symbol
+        outside the cover; PrecisionError when undecidable.
+
+        ``Ball.contains`` runs in symbol order on the balls whose centers
+        agree with x modulo p^L, L = min(s+1, abs_prec(x), every center's
+        abs_prec).  At any other ball x - c is known, and nonzero, modulo
+        p^L, so ``contains`` says False and raises nothing: the results
+        and errors are those of a scan of every ball."""
+        if self.balls and x.prime != self.balls[0].center.prime:
+            raise ValueError("mixed primes")  # as Ball.contains raises it
+        level = min(self.radius_exp + 1, x.abs_prec, self._least_prec)
+        for i in self._group(level).get(_residue(x, level), ()):
+            if self.balls[i].ball.contains(x):
+                return self.balls[i].symbol
         return None
 
     def to_json_dict(self, params: MapParams) -> dict:
-        return {
-            "p": params.p,
-            "k": params.k,
-            "q": params.q,
-            "theta": params.theta_key,
-            "regime": params.regime.tag.value,
-            "kappa": params.kappa,
-            "radius_exp": self.radius_exp,
-            "balls": [
-                {
-                    "symbol": b.symbol,
-                    "xi": b.xi.to_compact(),
-                    "center": b.center.to_compact(),
-                    "tau": b.tau,
-                }
-                for b in self.balls
-            ],
-        }
+        return {"p": params.p, "k": params.k, "q": params.q,
+                "theta": params.theta_key, "regime": params.regime.tag.value,
+                "kappa": params.kappa, "radius_exp": self.radius_exp,
+                "balls": [{"symbol": b.symbol, "xi": b.xi.to_compact(),
+                           "center": b.center.to_compact(), "tau": b.tau}
+                          for b in self.balls]}
+
+
+def _residue(x: Padic, level: int) -> tuple[int, int] | int:
+    """The class of x modulo p^level, x known to ``level`` digits: 0 when
+    v(x) >= level, else v(x) and the unit modulo p^(level - v(x))."""
+    if x.unit == 0 or x.val >= level:
+        return 0
+    return x.val, x.unit % x.prime ** (level - x.val)
 
 
 PARTITION_CACHE_SIZE = 64  # configurations whose partition stays cached
@@ -425,10 +455,10 @@ def build_partition(params: MapParams) -> Partition:
     1 - q + (k-1)(1 - q/2 + (k-2)q^2/(6k))(theta-1) and scales distances
     by |q|/|k(theta-1)|; the ball at xi != 1 is centered at
     2 - q - theta + q(theta-1)/(1-xi) and scales by |k|/|q(theta-1)|.
-    Disjointness, positivity of every exponent, and that the cover misses
-    the pole and the attracting ball B_1 are asserted, not assumed; a
-    cover whose disjointness check would compare more than PAIR_BUDGET
-    pairs of balls is refused.
+    Their distances follow ``Partition.center_exp``.  Disjointness, on
+    the cover's residue groups, positivity of every exponent, and that
+    the cover misses the pole and B_1 are asserted, not assumed; a cover
+    of more than PAIR_BUDGET pairs of balls is refused.
     Cached: every MapParams of one configuration shares one Partition,
     for the PARTITION_CACHE_SIZE configurations used last.
     """
@@ -436,8 +466,7 @@ def build_partition(params: MapParams) -> Partition:
     if not regime.expanding:
         raise ValueError(
             f"partition exists in regime B only; these parameters are "
-            f"{regime.tag.value} ({regime.detail})"
-        )
+            f"{regime.tag.value} ({regime.detail})")
     pairs = params.kappa * (params.kappa - 1) // 2
     if pairs > PAIR_BUDGET:
         raise ValueError(
@@ -452,8 +481,7 @@ def build_partition(params: MapParams) -> Partition:
     for i, xi in enumerate(roots, start=1):
         if (xi - 1).is_zero_like:
             coeff = Fraction(k - 1) * (
-                1 - Fraction(q, 2) + Fraction((k - 2) * q * q, 6 * k)
-            )
+                1 - Fraction(q, 2) + Fraction((k - 2) * q * q, 6 * k))
             center = params.embed(1 - q) + params.embed(coeff) * t1
             tau = params.tau_one
         else:
@@ -462,76 +490,44 @@ def build_partition(params: MapParams) -> Partition:
         if tau < 1:
             raise VerificationError(
                 f"scaling exponent tau={tau} is not positive; the cover "
-                "would not be expanding"
-            )
+                "would not be expanding")
         balls.append(PartitionBall(i, xi, center, Ball(center, s), tau))
-    _check_cover([b.ball for b in balls], params.pole,
-                 attracting_ball(params))
-    return Partition(s, tuple(balls))
+    part = Partition(s, tuple(balls))
+    _check_cover(part, params.pole, attracting_ball(params))
+    return part
 
 
-def _check_cover(balls: list[Ball], pole: Padic, ball_1: Ball) -> None:
+def _check_cover(part: Partition, pole: Padic, ball_1: Ball) -> None:
     """Raise the first failure of these checks, in this order, for each
-    ball i of a cover of balls of one radius: i is disjoint from every
-    later ball, misses the pole and is disjoint from B_1.  A check that
-    the precision cannot decide raises its PrecisionError in its turn.
-    The pairs are decided by ``_first_overlap``'s one sort, not pair by
-    pair."""
-    overlap = _first_overlap([b.center for b in balls],
-                             balls[0].radius_exp if balls else 0)
-    for i, ball in enumerate(balls):
-        if overlap is not None and overlap[0] == i:
-            j = overlap[1]
-            if not ball.is_disjoint(balls[j]):  # or PrecisionError
-                raise VerificationError(
-                    f"partition balls {i + 1} and {j + 1} are not disjoint")
-        if ball.contains(pole):
+    ball i of a cover: i is disjoint from every later ball, misses the
+    pole and is disjoint from B_1.  A check that the precision cannot
+    decide raises its PrecisionError in its turn.
+
+    Two balls of radius exponent s pass ``is_disjoint`` unless their
+    centers agree modulo p^m, m = min(s+1, their absolute precisions): at
+    m = s+1 the balls meet, below it ``is_disjoint`` cannot decide.  So at
+    each level m = min(s+1, abs_prec) of a center, a residue group fails
+    on every pair with a member known to exactly m, the least being its
+    first member with its second or with its first known to exactly m;
+    only the least failing pair of all is compared."""
+    known = [min(part.radius_exp + 1, b.center.abs_prec) for b in part.balls]
+    pairs = []
+    for m in set(known):
+        for group in part._group(m).values():
+            exact = [i for i in group if known[i] == m]
+            if len(group) > 1 and exact:
+                pairs.append((group[0], group[1] if known[group[0]] == m
+                              else exact[0]))
+    first, partner = min(pairs, default=(-1, -1))  # -1: none fails
+    for i, b in enumerate(part.balls):
+        if i == first and not b.ball.is_disjoint(part.balls[partner].ball):
+            raise VerificationError(  # or is_disjoint's PrecisionError
+                f"partition balls {i + 1} and {partner + 1} are not disjoint")
+        if b.ball.contains(pole):
             raise VerificationError("the pole fell inside the cover")
-        if not ball.is_disjoint(ball_1):
+        if not b.ball.is_disjoint(ball_1):
             raise VerificationError(
                 f"partition ball {i + 1} meets the attracting ball B_1")
-
-
-def _first_overlap(centers: list[Padic],
-                   radius_exp: int) -> tuple[int, int] | None:
-    """The least pair (i, j), i < j, of balls of radius ``radius_exp``
-    around ``centers`` that ``Ball.is_disjoint`` does not find disjoint,
-    or None.
-
-    Two such balls pass unless their centers agree modulo p^m, with m the
-    least of radius_exp + 1 and the centers' absolute precisions: at
-    m = radius_exp + 1 the balls meet, below it ``is_disjoint`` cannot
-    decide.  Each center's key lists its residues modulo p^l for every
-    level l (a distinct such m) up to its own, so a pair fails exactly
-    when one key is a prefix of the other.  Sorted, the keys that extend
-    a key follow it together; one scan, keeping the chain of keys that
-    prefix the current one, marks every center of a failing pair.  The
-    least pair is the least marked center and its least partner.  (For
-    tuples a and b, a[:len(b)] == b[:len(a)] says that one is a prefix of
-    the other.)
-    """
-    known = [min(radius_exp + 1, c.abs_prec) for c in centers]
-    levels = sorted(set(known))
-    shift = min(0, min((c.val for c in centers), default=0))
-    keys = []
-    for c, m in zip(centers, known):
-        n = c.unit * c.prime ** (c.val - shift)
-        keys.append(tuple(n % c.prime ** (l - shift)
-                          for l in levels if l <= m))
-    marked: set[int] = set()
-    chain: list[int] = []
-    for i in sorted(range(len(keys)), key=keys.__getitem__):
-        key = keys[i]
-        while chain and keys[chain[-1]] != key[:len(keys[chain[-1]])]:
-            chain.pop()
-        if chain:
-            marked.update((chain[0], i))
-        chain.append(i)
-    if not marked:
-        return None
-    i = min(marked)
-    return i, next(j for j in range(i + 1, len(keys))
-                   if keys[i][:len(keys[j])] == keys[j][:len(keys[i])])
 
 
 def attracting_ball(params: MapParams) -> Ball:

@@ -506,7 +506,7 @@ class Padic(_Frozen):
         if self.unit == 0:
             return f"{self.val}:0:0"
         n = "inf" if self.prec == INF else str(int(self.prec))
-        return f"{self.val}:{self.unit}:{n}"
+        return f"{self.val}:{_decimal(self.unit)}:{n}"
 
     def __repr__(self) -> str:
         return f"Padic({self.prime}, {self.to_compact()!r})"
@@ -516,6 +516,21 @@ class Padic(_Frozen):
 
 
 _set_prime, _set_val, _set_unit, _set_prec, _set_cap = Padic._set
+
+
+def _decimal(x: int | Fraction) -> str:
+    """``str(x)`` for an int or a Fraction of any length.  CPython writes
+    no int past ``sys.get_int_max_str_digits()`` digits (4300 by default,
+    640 at least), so a long one is written in two halves, split at a
+    power of ten; the limit itself is left alone."""
+    n, d = x.as_integer_ratio()
+    if d != 1:
+        return f"{_decimal(n)}/{_decimal(d)}"
+    if n.bit_length() <= 2048:  # at most 617 digits
+        return str(n)
+    half = n.bit_length() * 3 // 20  # about half of n's digits
+    high, low = divmod(abs(n), 10**half)
+    return ("-" if n < 0 else "") + _decimal(high) + _decimal(low).zfill(half)
 
 
 def _int_digits(u: int, p: int, n: int) -> tuple[int, ...]:

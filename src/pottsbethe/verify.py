@@ -30,7 +30,7 @@ from .mapping import (
     eval_f,
     multiplier,
 )
-from .padic import INF, Padic, PrecisionError
+from .padic import Padic, PrecisionError, _decimal
 
 RETRY_LADDER = (1, 2, 4)
 FIXED_POINT_DIGITS = 40  # digits the B1 fixed point must satisfy f(x) = x to
@@ -89,11 +89,6 @@ class _Ladder:
             self.rungs.append((pd, tree))
         return self.rungs[i]
 
-    def first(self, attempt) -> tuple[int, object]:
-        """``_first_rung`` of ``attempt(params, tree)``; building a rung
-        counts as part of its attempt."""
-        return _first_rung(attempt, self.rung)
-
     def run(self, attempt, classify_depth: int | None = None) -> dict:
         """The record of ``attempt(params, tree)`` on the first rung that
         decides it, else the undecided record; either way with its
@@ -146,7 +141,7 @@ def classify_report(params: MapParams) -> dict:
     expanding regime applies.  A precision shortage is retried on the
     ``_Ladder`` rungs; the report is that of the first rung that decides
     it, and its config names that rung's digits."""
-    return _Ladder(params).first(lambda pd, _: _classify(pd))[1]
+    return _first_rung(lambda pd, _: _classify(pd), _Ladder(params).rung)[1]
 
 
 def _classify(params: MapParams) -> dict:
@@ -224,7 +219,7 @@ def sweep_report(params: MapParams, samples: int, seed: int,
     # one Sample per sample record, then one (n, i) per pole-tree record
     plan: list = sampling.spanning_samples(params, samples, seed)
     if pole_tree_depth > 0:
-        _, tree = ladder.first(lambda pd, tree: _tree(tree))
+        _, tree = _first_rung(lambda pd, tree: _tree(tree), ladder.rung)
         plan += [(n, i) for n, level in enumerate(tree, start=1)
                  for i in range(len(level))]
 
@@ -232,7 +227,7 @@ def sweep_report(params: MapParams, samples: int, seed: int,
         desc = plan[idx]
         sample = isinstance(desc, sampling.Sample)
         if sample:
-            category, label = desc.category, str(desc.payload)
+            category, label = desc.category, _decimal(desc.payload)
         else:
             n, i = desc
             category, label = f"pole_tree:{n}", f"level{n}#{i}"
@@ -370,9 +365,8 @@ def _residual_vanishes(resid: Padic, digits: int) -> bool:
     return resid.is_zero_like
 
 
-def _check(checks: list, name: str, passed: bool, detail) -> bool:
+def _check(checks: list, name: str, passed: bool, detail) -> None:
     checks.append({"name": name, "pass": bool(passed), "detail": detail})
-    return bool(passed)
 
 
 def julia_report(params: MapParams, depth: int, seed: int = 0,
@@ -396,22 +390,22 @@ def julia_report(params: MapParams, depth: int, seed: int = 0,
     if pairs_per_ball < 1:
         raise ValueError(f"pairs_per_ball must be >= 1, got {pairs_per_ball}")
     dynamics.check_classified(params)
-    return _Ladder(params).first(lambda pd, _: _julia_checks(
-        pd, depth, seed, pairs_per_ball))[1]
+    return _first_rung(lambda pd, _: _julia_checks(
+        pd, depth, seed, pairs_per_ball), _Ladder(params).rung)[1]
 
 
 def _julia_checks(params: MapParams, depth: int, seed: int,
                   pairs_per_ball: int) -> dict:
     regime = params.regime
     checks: list[dict] = []
-    ok = _check(checks, "regime_is_B", regime.expanding, regime.tag.value)
+    _check(checks, "regime_is_B", regime.expanding, regime.tag.value)
     report = {
         **_report("julia-verify", params, depth=depth, seed=seed,
                   pairs_per_ball=pairs_per_ball),
         "kappa": params.kappa,
         "checks": checks,
     }
-    if not ok:
+    if not regime.expanding:
         report["falsified"] = True
         return report
     words_total = dynamics.tree_size(params, depth)
@@ -419,8 +413,8 @@ def _julia_checks(params: MapParams, depth: int, seed: int,
     part = build_partition(params)
     _check(checks, "taus_positive", all(t >= 1 for t in part.taus),
            list(part.taus))
-    _check(checks, "pole_outside_cover",
-           all(not b.ball.contains(params.pole) for b in part.balls), None)
+    _check(checks, "pole_outside_cover", part.locate(params.pole) is None,
+           None)
 
     lam1 = multiplier(params, 1)
     _check(checks, "fixed_point_1_attractive",
@@ -457,8 +451,7 @@ def _julia_checks(params: MapParams, depth: int, seed: int,
            {"realized": len(certs), "total": words_total})
 
     symbols = range(1, params.kappa + 1)
-    periodic_ok = True
-    periodic_detail = []
+    periodic_ok, periodic_detail = True, []
     for m in range(1, min(MAX_PERIOD, depth) + 1):
         for word in itertools.product(symbols, repeat=m):
             x = dynamics.periodic_point(params, word)
@@ -466,13 +459,11 @@ def _julia_checks(params: MapParams, depth: int, seed: int,
             drift = traj[m] - x
             good = _residual_vanishes(drift, PERIODIC_DIGITS)
             lam = dynamics.cycle_multiplier(params, traj, m)
-            good = good and lam.valuation == -part.tau_sum(word)
-            periodic_ok = periodic_ok and good
-            periodic_detail.append({"word": list(word),
-                                    "residual_exp": drift.val_lower_bound
-                                    if drift.val_lower_bound != INF
-                                    else "inf",
-                                    "multiplier_exp": int(lam.valuation)})
+            periodic_ok &= good and lam.valuation == -part.tau_sum(word)
+            periodic_detail.append({
+                "word": list(word),
+                "residual_exp": dynamics.norm_exp_field(drift)[0],
+                "multiplier_exp": int(lam.valuation)})
     _check(checks, "periodic_points", periodic_ok, periodic_detail[:8])
 
     # pts holds the leaves.  One under c+a against one under c+b, for each
@@ -480,8 +471,10 @@ def _julia_checks(params: MapParams, depth: int, seed: int,
     # lies nearer its compared leaf, at v >= tau_sum(c) + tau_min +
     # kappa_min, than that one to the other, at tau_sum(c) + kappa(a, b),
     # when tau_min > kappa_max - kappa_min, so the strong triangle
-    # inequality settles each cross pair (README: regime B meets it)
-    exps = part.center_exps.values()
+    # inequality settles each cross pair (README: regime B meets it); the
+    # law of Partition.center_exp has the values kappa(1, 2), kappa(2, 3)
+    exps = [part.center_exp(params, a, a + 1)
+            for a in range(1, min(params.kappa, 3))]
     nested = min(part.taus) > max(exps, default=0) - min(exps, default=0)
     mism = 0  # failing comparisons
     for n in range(depth):
@@ -527,17 +520,12 @@ def expansion_law_report(params: MapParams, pairs_per_ball: int,
     for entry in build_partition(params).balls:
         points = sampling.ball_samples(params, entry.symbol,
                                        2 * pairs_per_ball, seed)
-        failures = 0
-        tested = 0
-        for x, y in zip(points[0::2], points[1::2]):
-            d = x - y
-            if d.is_zero_like:
-                continue
-            tested += 1
-            jump = (eval_f(params, x) - eval_f(params, y)).norm_exp() \
-                - d.norm_exp()
-            if jump != -entry.tau:
-                failures += 1
+        jumps = [(eval_f(params, x) - eval_f(params, y)).norm_exp()
+                 - (x - y).norm_exp()
+                 for x, y in zip(points[0::2], points[1::2])
+                 if not (x - y).is_zero_like]
+        failures = sum(jump != -entry.tau for jump in jumps)
+        tested = len(jumps)
         ok = failures == 0 and tested > 0
         all_ok = all_ok and ok
         detail.append({"symbol": entry.symbol, "tau": entry.tau,

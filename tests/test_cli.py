@@ -1,5 +1,6 @@
 """Command-line surface: flags, exit codes, determinism, formats."""
 
+import contextlib
 import json
 import os
 import pathlib
@@ -12,10 +13,10 @@ import pytest
 
 from test_verify import plant_in_word_tree
 
-from pottsbethe import dynamics, verify
+from pottsbethe import dynamics, sampling, verify
 from pottsbethe.cli import build_parser, main
 from pottsbethe.dynamics import DEFAULT_MAX_ITER, DEFAULT_TOL, periodic_point
-from pottsbethe.mapping import MapParams, PoleHit
+from pottsbethe.mapping import MapParams, PoleHit, build_partition
 from pottsbethe.padic import PrecisionError
 
 
@@ -487,6 +488,50 @@ def test_non_positive_precision_is_a_usage_error(capsys, precision):
 def test_malformed_x0_is_a_usage_error(capsys, x0, message):
     assert run_cli(["orbit", *B2_ARGS, "--x0", x0], capsys) == \
         (2, "", f"pottsbethe: error: {message}\n")
+
+
+def test_x0_past_the_int_text_limit_names_it(capsys):
+    code, out, err = run_cli(["orbit", *B2_ARGS, "--x0", "7" * 4301], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("pottsbethe: error: --x0: Exceeds the limit "
+                          "(4300 digits) for integer string conversion")
+
+
+@contextlib.contextmanager
+def int_text_unlimited():
+    """CPython's limit on int-to-text digits, lifted in this block only."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_reports_write_units_past_the_int_text_limit(capsys):
+    # at 7 000 digits a unit has up to 4 893 decimal digits, past the
+    # 4 300 CPython writes by default; the process keeps its limit
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run_cli(["classify", *B2_ARGS, "--precision", "7000"],
+                             capsys)
+    assert (code, err) == (0, "")
+    params = MapParams.make(5, 2, 5, "1+p^3", 7000)
+    centers = [json.loads(out)["partition"]["balls"][i]["center"]
+               for i in (0, 1)]
+    code, out, err = run_cli(["sweep", *B2_ARGS, "--samples", "3",
+                              "--precision", "7000"], capsys)
+    assert (code, err) == (0, "")
+    assert sys.get_int_max_str_digits() == limit
+    labels = [rec["input"] for rec in json.loads(out)["records"]]
+    with int_text_unlimited():
+        for text, b in zip(centers, build_partition(params).balls):
+            v, u, n = text.split(":")
+            assert (int(v), int(u), int(n)) == \
+                (b.center.val, b.center.unit, b.center.prec)
+            assert u == str(b.center.unit) and len(u) > 4300
+        assert labels == [str(s.payload) for s
+                          in sampling.spanning_samples(params, 3, 0)]
+        assert max(map(len, labels)) > 4300
 
 
 def test_unwritable_out_is_a_usage_error(capsys, monkeypatch, tmp_path):

@@ -582,15 +582,18 @@ class TestWordMetric:
         with pytest.raises(ValueError):
             df_metric(regime_b2, (1, 2), (1, 2, 1))
 
-    def test_center_exponents_are_one_table_per_partition(self, regime_b4):
-        part = build_partition(regime_b4)
-        table = part.center_exps
-        assert build_partition(regime_b4).center_exps is table
-        assert len(table) == regime_b4.kappa * (regime_b4.kappa - 1)
-        for (i, j), e in table.items():
+    def test_center_exponents_follow_the_law(self, regime_b4):
+        # kappa(1, b) = v(k)+v(theta-1) and kappa(a, b) = v(q)+v(theta-1)
+        # for a, b != 1, as measured, with no table left behind
+        params, part = regime_b4, build_partition(regime_b4)
+        for i, j in itertools.permutations(range(1, params.kappa + 1), 2):
             ci, cj = part.balls[i - 1].center, part.balls[j - 1].center
-            assert e == (ci - cj).norm_exp()
-            assert df_metric(regime_b4, (i,), (j,)) == e
+            law = (params.v_k if 1 in (i, j) else params.v_q) \
+                + params.v_theta1
+            assert part.center_exp(params, i, j) == law == \
+                (ci - cj).norm_exp()
+            assert df_metric(params, (i,), (j,)) == law
+        assert set(vars(part)) <= {"_groups", "_least_prec"}
 
 
 class TestPoleTree:

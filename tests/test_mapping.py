@@ -1,5 +1,6 @@
 """The map, regimes, partition geometry, and inverse branches."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -8,11 +9,15 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import census
+
 from pottsbethe import hensel, sampling
 from pottsbethe.mapping import (
     PAIR_BUDGET,
     PARTITION_CACHE_SIZE,
     MapParams,
+    Partition,
+    PartitionBall,
     PoleHit,
     RegimeTag,
     VerificationError,
@@ -349,6 +354,14 @@ def pairwise_cover_check(balls, pole, ball_1):
                 f"partition ball {i + 1} meets the attracting ball B_1")
 
 
+def cover_check(balls, pole, ball_1):
+    """``_check_cover`` on a cover of these balls, all of one radius."""
+    radius = balls[0].radius_exp if balls else 0
+    _check_cover(Partition(radius, tuple(
+        PartitionBall(i, None, b.center, b, 1)
+        for i, b in enumerate(balls, start=1))), pole, ball_1)
+
+
 def failure(check, *args):
     """The class and message of what ``check(*args)`` raises; None when it
     raises nothing."""
@@ -392,7 +405,7 @@ class TestCoverCheck:
         pole = data.draw(near_padics(p, values))
         ball_1 = Ball(data.draw(near_padics(p, values)),
                       data.draw(st.integers(0, 6)))
-        assert failure(_check_cover, balls, pole, ball_1) == \
+        assert failure(cover_check, balls, pole, ball_1) == \
             failure(pairwise_cover_check, balls, pole, ball_1)
 
     @pytest.mark.parametrize("centers,error", [
@@ -424,7 +437,7 @@ class TestCoverCheck:
         pole = from_rational(2 + 5**4, prime=5, digits=24)
         ball_1 = Ball(from_rational(5**6, prime=5, digits=24), 5)
         assert failure(pairwise_cover_check, balls, pole, ball_1) == error
-        assert failure(_check_cover, balls, pole, ball_1) == error
+        assert failure(cover_check, balls, pole, ball_1) == error
 
     def test_pairs_are_not_compared_one_by_one(self, monkeypatch):
         # 100 balls: one disjointness test each, against B_1, where the
@@ -441,6 +454,130 @@ class TestCoverCheck:
         assert params.kappa == 100
         build_partition(params)
         assert len(calls) == 100
+
+
+def scan_locate(part, x):
+    """``Partition.locate`` as it was: every ball tested in symbol
+    order."""
+    for b in part.balls:
+        if b.ball.contains(x):
+            return b.symbol
+    return None
+
+
+def located(locate, *args):
+    """What ``locate(*args)`` returns, or the class and message of the
+    PrecisionError it raises."""
+    try:
+        return locate(*args)
+    except PrecisionError as exc:
+        return type(exc), str(exc)
+
+
+# regime-B covers at --precision 3, 6 and 64, kappa 2 to 6
+LOCATE_COVERS = [MapParams.make(p, k, q, theta, digits)
+                 for p, k, q, theta in [(5, 2, 5, "1+p^3"), (5, 4, 5, "1+p^3"),
+                                        (7, 6, 49, "1+p^5")]
+                 for digits in (3, 6, 64)]
+
+
+@st.composite
+def points_near(draw, part, p):
+    """A center of ``part``, or 0, plus p^e times a small integer; exact,
+    or cut to an absolute precision from below 0 to above s+1; then over
+    p^d, which gives negative valuations."""
+    s = part.radius_exp
+    base = draw(st.sampled_from([b.center for b in part.balls]
+                                + [Padic.zero(p)]))
+    x = base + p ** draw(st.integers(0, s + 3)) * draw(st.integers(0, p**2))
+    if draw(st.booleans()):
+        x = x + Padic.inexact_zero(p, draw(st.integers(-2, s + 3)))
+    d = draw(st.sampled_from([0, 0, 1, 3]))
+    return x * from_rational(Fraction(1, p**d), prime=p, digits=24)
+
+
+class TestLocate:
+    """``Partition.locate`` asks ``Ball.contains`` only of the balls in
+    the point's residue group; it returns and raises what the scan of
+    every ball did."""
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_scan_on_built_covers(self, data):
+        params = data.draw(st.sampled_from(LOCATE_COVERS))
+        part = build_partition(params)
+        x = data.draw(points_near(part, params.p))
+        assert located(part.locate, x) == located(scan_locate, part, x)
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_scan_on_synthetic_covers(self, data):
+        p = data.draw(st.sampled_from([3, 5, 7]))
+        values = data.draw(st.lists(st.integers(0, p**8), min_size=1,
+                                    max_size=3))
+        radius = data.draw(st.integers(0, 6))
+        centers = data.draw(st.lists(near_padics(p, values), max_size=9))
+        part = Partition(radius, tuple(
+            PartitionBall(i, None, c, Ball(c, radius), 1)
+            for i, c in enumerate(centers, start=1)))
+        x = data.draw(st.one_of(
+            near_padics(p, values), points_near(part, p),
+            st.integers(-3, 9).map(lambda a: Padic.inexact_zero(p, a))))
+        assert located(part.locate, x) == located(scan_locate, part, x)
+
+    def test_mixed_primes_are_refused_as_the_scan_refuses_them(
+            self, regime_b2):
+        part = build_partition(regime_b2)
+        for x in (from_rational(7, prime=3), Padic.inexact_zero(3, -4)):
+            with pytest.raises(ValueError, match="^mixed primes$"):
+                part.locate(x)
+            with pytest.raises(ValueError, match="^mixed primes$"):
+                scan_locate(part, x)
+
+    def test_one_contains_call_per_point_at_kappa_1008(self, monkeypatch):
+        # a point known to s+1 digits shares its residue modulo p^(s+1)
+        # with at most one center; the scan made up to 1 008 calls
+        params = MapParams.make(1009, 1008, 1009, "1+p^3")
+        part = build_partition(params)
+        assert params.kappa == len(part.balls) == 1008
+        s, p = part.radius_exp, params.p
+        points = [sample.realize(params) for sample
+                  in sampling.spanning_samples(params, 30, 1)]
+        for b in part.balls[::24] + part.balls[-3:]:
+            points += [b.center, b.center + 5 * p ** (s + 1),
+                       b.center + p**s]
+        assert all(x.abs_prec >= s + 1 for x in points)
+        symbols = [scan_locate(part, x) for x in points]
+        assert symbols.count(1008) == 2 and symbols.count(None) > 30
+        calls = []
+        contains = Ball.contains
+
+        def counted(ball, x):
+            calls.append(x)
+            return contains(ball, x)
+
+        monkeypatch.setattr(Ball, "contains", counted)
+        for x, symbol in zip(points, symbols):
+            calls.clear()
+            assert part.locate(x) == symbol
+            assert len(calls) <= 1
+
+
+class TestCenterLaw:
+    def test_law_matches_every_measured_distance_on_the_census_grid(self):
+        # a kappa^2 reference: every center distance of each regime-B
+        # cover with kappa >= 2 of the census grid, at 64 digits
+        covers = 0
+        for p, k, q, theta in census.GRID:
+            params = MapParams.make(p, k, q, theta)
+            if params.regime.tag is not RegimeTag.B2:
+                continue
+            part = build_partition(params)
+            for a, b in itertools.permutations(part.balls, 2):
+                assert part.center_exp(params, a.symbol, b.symbol) == \
+                    (a.center - b.center).norm_exp()
+            covers += 1
+        assert covers == 23
 
 
 class TestInverseBranch:

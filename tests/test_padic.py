@@ -3,7 +3,9 @@
 import math
 import operator
 import re
+import sys
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,7 @@ from pottsbethe.padic import (
     Padic,
     PrecisionError,
     _check_prime,
+    _decimal,
     _inverse_mod,
     from_rational,
 )
@@ -436,6 +439,22 @@ class TestEncodings:
         assert x.to_string() == "5^0 * (2 + 1*5)"
         y = from_rational(1, 2, prime=5, digits=3)
         assert y.to_string() == "5^0 * (3 + 2*5 + 2*5^2) + O(5^3)"
+
+    @pytest.mark.parametrize("x", [
+        0, 7, -7, 10**617 - 1, 10**617, -(3**20000), 2**30000 + 1,
+        Fraction(-(7**9000), 5**7000), Fraction(1, 3**9000)],
+        ids=["0", "7", "-7", "10^617-1", "10^617", "-3^20000", "2^30000+1",
+             "-7^9000/5^7000", "1/3^9000"])
+    def test_decimal_is_str_at_any_length(self, x):
+        # str() itself needs CPython's digit limit lifted past 4 300
+        # digits; _decimal does not
+        text = _decimal(x)
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            assert text == str(x)
+        finally:
+            sys.set_int_max_str_digits(limit)
 
 
 def test_mixed_primes_rejected():
