@@ -24,6 +24,7 @@ from .mapping import (
     VerificationError,
     branch_root,
     build_partition,
+    check_budget,
     check_symbols,
     derivative_at,
     eval_f,
@@ -34,7 +35,6 @@ from .padic import INF, Ball, Padic, PrecisionError, _Frozen
 
 DEFAULT_MAX_ITER = 200
 DEFAULT_TOL = 20
-POLE_TREE_BUDGET = 10**5
 
 
 class OrbitStatus(Enum):
@@ -371,12 +371,11 @@ def branch_tree(params: MapParams, root: Padic, depth: int):
 
 def tree_size(params: MapParams, depth: int) -> int:
     """The points of a ``branch_tree`` of ``depth`` levels, kappa + ... +
-    kappa**depth; ValueError when they exceed POLE_TREE_BUDGET."""
+    kappa**depth; ValueError when they exceed ``mapping.WORK_BUDGET``."""
     kappa, words = params.kappa, params.kappa**depth
     points = depth if kappa == 1 else (words - 1) * kappa // (kappa - 1)
-    if points > POLE_TREE_BUDGET:
-        raise ValueError(f"depth {depth} has {words} words, whose tree holds "
-                         f"{points} points; budget is {POLE_TREE_BUDGET}")
+    check_budget(points, f"depth {depth} has {words} words, whose tree "
+                 f"holds {points} points")
     return points
 
 
@@ -451,14 +450,16 @@ def incidence_matrix(params: MapParams) -> tuple[tuple[int, ...], ...]:
     itself is sampled on every ball by ``verify.expansion_law_report``.
     The theory makes every entry 1; a failed check is raised loudly
     because it would falsify that conclusion at these parameters, so
-    every entry of the returned rows is 1.
+    every entry of the returned rows is 1.  Each center's root is taken
+    once.
     """
     part = build_partition(params)
     symbols = range(1, params.kappa + 1)
+    roots = [branch_root(params, b.center) for b in part.balls]
     for i in symbols:
         for j in symbols:
             y = part.balls[j - 1].center
-            x = inverse_branch(params, i, y)
+            x = inverse_branch(params, i, y, roots[j - 1])
             if not part.balls[i - 1].ball.contains(x):
                 raise VerificationError(
                     f"branch {i} left its ball on the center of ball {j}")
@@ -499,10 +500,10 @@ def pole_preimage_tree(params: MapParams,
     into the pole.  A level-n node is the Trajectory of that run: the
     preimage is ``node[0]`` and the pole ``node[n]``, so a caller who
     iterates the preimage again starts from the n iterates already made.
-    A search of more than POLE_TREE_BUDGET points is refused.  A preimage
-    that lands on the pole before step n is a falsification when it is
-    exactly the pole, and a precision shortage when it is only
-    indistinguishable from it.
+    A search of more than ``mapping.WORK_BUDGET`` points (``tree_size``)
+    is refused before any branch.  A preimage that lands on the pole
+    before step n is a falsification when it is exactly the pole, and a
+    precision shortage when it is only indistinguishable from it.
     """
     if params.regime.tag == RegimeTag.A:
         return []

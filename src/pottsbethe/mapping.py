@@ -444,7 +444,14 @@ def _residue(x: Padic, level: int) -> tuple[int, int] | int:
 
 
 PARTITION_CACHE_SIZE = 64  # configurations whose partition stays cached
-PAIR_BUDGET = 10**6  # most pairs a pairwise check compares
+WORK_BUDGET = 10**5  # longest loop that grows with kappa or kappa**depth
+
+
+def check_budget(count: int, loop: str) -> None:
+    """Refuse ``loop``, which names a loop and its length ``count``, when
+    that exceeds WORK_BUDGET: checked before its command does any work."""
+    if count > WORK_BUDGET:
+        raise ValueError(f"{loop}; budget is {WORK_BUDGET}")
 
 
 @functools.lru_cache(maxsize=PARTITION_CACHE_SIZE)
@@ -457,8 +464,8 @@ def build_partition(params: MapParams) -> Partition:
     2 - q - theta + q(theta-1)/(1-xi) and scales by |k|/|q(theta-1)|.
     Their distances follow ``Partition.center_exp``.  Disjointness, on
     the cover's residue groups, positivity of every exponent, and that
-    the cover misses the pole and B_1 are asserted, not assumed; a cover
-    of more than PAIR_BUDGET pairs of balls is refused.
+    the cover misses the pole and B_1 are asserted, not assumed.  A cover
+    of more than WORK_BUDGET balls is refused before any root is taken.
     Cached: every MapParams of one configuration shares one Partition,
     for the PARTITION_CACHE_SIZE configurations used last.
     """
@@ -467,11 +474,7 @@ def build_partition(params: MapParams) -> Partition:
         raise ValueError(
             f"partition exists in regime B only; these parameters are "
             f"{regime.tag.value} ({regime.detail})")
-    pairs = params.kappa * (params.kappa - 1) // 2
-    if pairs > PAIR_BUDGET:
-        raise ValueError(
-            f"kappa={params.kappa} balls would take {pairs} disjointness "
-            f"checks; budget is {PAIR_BUDGET}")
+    check_budget(params.kappa, f"a cover of kappa={params.kappa} balls")
     p, k, q = params.p, params.k, params.q
     t1 = params.theta - 1
     s = params.v_q + int(params.v_theta1)

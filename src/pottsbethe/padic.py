@@ -190,18 +190,14 @@ class Padic(_Frozen):
     @property
     def abs_prec(self) -> int | float:
         """The value is known modulo ``p**abs_prec``."""
-        if self.prec == INF:
-            return INF
-        return self.val + self.prec
+        return INF if self.prec == INF else self.val + self.prec
 
     @property
     def val_lower_bound(self) -> int | float:
         """A valuation bound that is always available: exact for nonzero
         values, +inf for the exact zero, the cancellation depth for inexact
         zeros."""
-        if self.is_exact_zero:
-            return INF
-        return self.val
+        return INF if self.is_exact_zero else self.val
 
     @property
     def valuation(self) -> int | float:
@@ -470,16 +466,10 @@ class Padic(_Frozen):
         return _int_digits(self.unit % self.prime**count, self.prime, count)
 
     def _digit_body(self, ds: tuple[int, ...]) -> str:
+        """``d0 + d1*p + d2*p^2 + ...`` for the digits ``ds``."""
         p = self.prime
-        terms = []
-        for j, d in enumerate(ds):
-            if j == 0:
-                terms.append(str(d))
-            elif j == 1:
-                terms.append(f"{d}*{p}")
-            else:
-                terms.append(f"{d}*{p}^{j}")
-        return " + ".join(terms)
+        return " + ".join(str(d) if j == 0 else f"{d}*{p}" if j == 1
+                          else f"{d}*{p}^{j}" for j, d in enumerate(ds))
 
     def to_string(self) -> str:
         """Digit-expansion encoding, e.g. ``3^-1 * (2 + 1*3) + O(3^1)``."""

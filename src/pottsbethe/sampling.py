@@ -69,12 +69,9 @@ def spanning_samples(params: MapParams, count: int,
                      seed: int) -> list[Sample]:
     """Points cycling through Z_p, the exponential domain, and |x|_p > 1."""
     rng = rng_for(params, "sweep", seed)
-    cats = ("zp", "ep", "big")
-    out = []
-    for i in range(count):
-        cat = cats[i % len(cats)]
-        out.append(Sample(cat, CATEGORY_DRAWS[cat](rng, params.p, params.digits)))
-    return out
+    draws = list(CATEGORY_DRAWS.items())
+    return [Sample(cat, draw(rng, params.p, params.digits))
+            for cat, draw in (draws[i % len(draws)] for i in range(count))]
 
 
 def ball_samples(params: MapParams, symbol: int, count: int,

@@ -26,6 +26,7 @@ from .mapping import (
     RegimeTag,
     VerificationError,
     build_partition,
+    check_budget,
     classify_fixed,
     eval_f,
     multiplier,
@@ -383,13 +384,24 @@ def julia_report(params: MapParams, depth: int, seed: int = 0,
     them all, and its config names that rung's digits.  A depth below 1
     realizes no word, and no pairs check no expansion law: both are
     refused before any check runs, as are unclassified parameters, on
-    which the theory makes no claim to falsify.
+    which the theory makes no claim to falsify.  So, in regime B, is a
+    loop past ``mapping.WORK_BUDGET``: the word tree's points (kappa +
+    ... + kappa**depth), kappa**2 incidence entries, kappa(kappa-1)/2
+    isometry comparisons per word shorter than depth ((kappa-1)/2 per
+    point), and 2*pairs_per_ball*kappa expansion-law points.
     """
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
     if pairs_per_ball < 1:
         raise ValueError(f"pairs_per_ball must be >= 1, got {pairs_per_ball}")
     dynamics.check_classified(params)
+    if params.regime.expanding:
+        kappa, points = params.kappa, dynamics.tree_size(params, depth)
+        for count, loop in (
+                (kappa * kappa, "incidence entries"),
+                (points * (kappa - 1) // 2, "isometry comparisons"),
+                (2 * pairs_per_ball * kappa, "expansion-law points")):
+            check_budget(count, f"{count} {loop}")
     return _first_rung(lambda pd, _: _julia_checks(
         pd, depth, seed, pairs_per_ball), _Ladder(params).rung)[1]
 
@@ -516,7 +528,6 @@ def expansion_law_report(params: MapParams, pairs_per_ball: int,
     if pairs_per_ball < 1:
         raise ValueError(f"pairs_per_ball must be >= 1, got {pairs_per_ball}")
     detail = []
-    all_ok = True
     for entry in build_partition(params).balls:
         points = sampling.ball_samples(params, entry.symbol,
                                        2 * pairs_per_ball, seed)
@@ -524,10 +535,8 @@ def expansion_law_report(params: MapParams, pairs_per_ball: int,
                  - (x - y).norm_exp()
                  for x, y in zip(points[0::2], points[1::2])
                  if not (x - y).is_zero_like]
-        failures = sum(jump != -entry.tau for jump in jumps)
-        tested = len(jumps)
-        ok = failures == 0 and tested > 0
-        all_ok = all_ok and ok
         detail.append({"symbol": entry.symbol, "tau": entry.tau,
-                       "pairs": tested, "failures": failures})
-    return {"pass": all_ok, "detail": detail}
+                       "pairs": len(jumps),
+                       "failures": sum(j != -entry.tau for j in jumps)})
+    return {"pass": all(d["pairs"] and not d["failures"] for d in detail),
+            "detail": detail}

@@ -3,11 +3,14 @@
 Every byte oracle elsewhere sits in a narrow corner (p in {3, 5}, q = p).
 This grid reaches p = 7, q = p^2, p | k (the p-th-root path of
 ``hensel._pth_root``), kappa up to 6, v(theta-1) on both sides of
-2v(q)+1, unclassified parameters and the precision retry ladder.
+2v(q)+1, unclassified parameters and the precision retry ladder.  The
+``large-kappa`` family leaves the grid for the k axis: kappa = p - 1 at
+p = 1009 and 2003, and the runs ``mapping.WORK_BUDGET`` refuses.
 
 Each command family gets one SHA-256 over (argv, exit code, stdout) of its
-runs, in grid order, and a count of its exit codes.  ``tests/test_census.py``
-checks both against the pins below.  Run this file to print them:
+runs, in grid or list order, and a count of its exit codes.
+``tests/test_census.py`` checks both against the pins below.  Run this
+file to print them:
 
     PYTHONPATH=src python tests/census.py
 """
@@ -43,6 +46,22 @@ COMMANDS = {
     "julia-verify": ["julia-verify", "--depth", "2", "--samples", "3"],
 }
 
+
+def _large(p: int, k: int, *command: str) -> list[str]:
+    return [*command, "--p", str(p), "--k", str(k), "--q", str(p),
+            "--theta", "1+p^3"]
+
+
+# runs off the grid, at the default digits: kappa = 1 008 and 2 002 run;
+# julia-verify's 1 008**2 incidence entries and a cover of 100 002 balls
+# are refused before any root is taken
+LARGE_KAPPA = [_large(p, p - 1, *command)
+               for p in (1009, 2003)
+               for command in (["classify"],
+                               ["sweep", "--samples", "3", "--depth", "5"])]
+LARGE_KAPPA += [_large(1009, 1008, "julia-verify", "--depth", "1"),
+                _large(100003, 100002, "classify")]
+
 # one SHA-256 per command over every run of GRID at PRECISIONS
 DIGESTS = {
     "classify":
@@ -55,6 +74,8 @@ DIGESTS = {
         "694b9c1b547180f4eb1f7f5a3fb4683c4201ca16a9945b9d8641f30580969f15",
     "julia-verify":
         "fee36b0d48ba22332ea09d6e1d295867533c90191a81521feedcbfb2b43c3ad1",
+    "large-kappa":
+        "9a54cbe454a0ae9b0c8fd463777099d55d6dc82bf7a65d6f7b15f9aa337a6619",
 }
 # exit code -> runs, per command
 EXIT_COUNTS = {
@@ -63,11 +84,16 @@ EXIT_COUNTS = {
     "pole-tree": {0: 185, 2: 153, 3: 22},
     "orbit": {0: 92, 2: 63, 3: 205},
     "julia-verify": {0: 7, 1: 120, 2: 153, 3: 80},
+    "large-kappa": {0: 4, 2: 2},
 }
 
 
 def argvs(command: str):
-    """The argument lists of ``command``'s runs, in grid order."""
+    """The argument lists of ``command``'s runs, in grid order, or of the
+    ``large-kappa`` family in list order."""
+    if command == "large-kappa":
+        yield from LARGE_KAPPA
+        return
     for p, k, q, theta in GRID:
         for digits in PRECISIONS:
             yield COMMANDS[command] + [
@@ -92,6 +118,6 @@ def run(command: str) -> tuple[str, dict[int, int]]:
 
 
 if __name__ == "__main__":
-    for name in COMMANDS:
+    for name in DIGESTS:
         sha, codes = run(name)
         print(f"{name!r}: {sha!r},  # {codes}")

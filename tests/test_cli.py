@@ -11,12 +11,17 @@ import tracemalloc
 
 import pytest
 
-from test_verify import plant_in_word_tree
+from test_verify import _calls_to, plant_in_word_tree
 
-from pottsbethe import dynamics, sampling, verify
+from pottsbethe import dynamics, mapping, sampling, verify
 from pottsbethe.cli import build_parser, main
 from pottsbethe.dynamics import DEFAULT_MAX_ITER, DEFAULT_TOL, periodic_point
-from pottsbethe.mapping import MapParams, PoleHit, build_partition
+from pottsbethe.mapping import (
+    WORK_BUDGET,
+    MapParams,
+    PoleHit,
+    build_partition,
+)
 from pottsbethe.padic import PrecisionError
 
 
@@ -282,6 +287,27 @@ class TestJuliaVerify:
         assert code == 2 and out == ""
         assert "1099511627776 words" in err and "budget" in err
 
+    @pytest.mark.parametrize("argv,message", [
+        # kappa = 400: 160 000 entries, a 45 s run before the budget
+        (["--p", "401", "--k", "400", "--q", "401", "--theta", "1+p^3",
+          "--depth", "1"], "160000 incidence entries"),
+        # kappa = 59 at depth 2: 60 prefixes of 1 711 pairs each
+        (["--p", "709", "--k", "59", "--q", "709", "--theta", "1+p^3",
+          "--depth", "2"], "102660 isometry comparisons"),
+        # 2 points per pair, 25 001 pairs in each of 2 balls
+        (["--p", "5", "--k", "2", "--q", "5", "--theta", "1+p^3",
+          "--depth", "1", "--samples", "25001"],
+         "100004 expansion-law points"),
+    ], ids=["incidence", "isometry", "expansion"])
+    def test_loop_budget_is_usage_error(self, capsys, monkeypatch, argv,
+                                        message):
+        # each loop of the report that grows with kappa is refused before
+        # any branch is taken
+        calls = _calls_to(monkeypatch, mapping.inverse_branch)
+        code, out, err = run_cli(["julia-verify", *argv], capsys)
+        assert (code, out, calls) == (2, "", [])
+        assert f"{message}; budget is {WORK_BUDGET}" in err
+
     def test_word_budget_admits_depth_10(self):
         # the budget counts the word tree's points, as the pole tree's:
         # at kappa = 2 it admits depth 10 (2 046 points) and up to 15
@@ -461,15 +487,15 @@ def test_format_is_a_sweep_option(capsys, command):
     assert "unrecognized arguments: --format csv" in capsys.readouterr().err
 
 
-def test_cover_beyond_the_pair_budget_is_a_usage_error(capsys):
-    # kappa = 4000 balls take 7 998 000 disjointness checks, about a minute;
-    # refused before a root of unity is computed
+def test_cover_beyond_the_work_budget_is_a_usage_error(capsys):
+    # kappa = 100 002 balls, past the one budget on loops that grow with
+    # kappa: refused before a root of unity is computed
     start = time.perf_counter()
-    code, out, err = run_cli(["classify", "--p", "4001", "--k", "4000",
-                              "--q", "4001", "--theta", "1+p^3"], capsys)
+    code, out, err = run_cli(["classify", "--p", "100003", "--k", "100002",
+                              "--q", "100003", "--theta", "1+p^3"], capsys)
     assert time.perf_counter() - start < 1
     assert (code, out) == (2, "")
-    assert "kappa=4000 balls would take 7998000 disjointness checks" in err
+    assert "a cover of kappa=100002 balls; budget is 100000" in err
 
 
 @pytest.mark.parametrize("precision", ["0", "-3"])

@@ -529,6 +529,20 @@ class TestIncidence:
     def test_b4_all_ones(self, regime_b4):
         assert incidence_matrix(regime_b4) == ((1,) * 4,) * 4
 
+    def test_one_principal_root_per_center(self, regime_b4, monkeypatch):
+        # the kappa branches at one center share its root: 4 roots, where
+        # each of the 16 entries once took its own
+        build_partition(regime_b4)
+        root, calls = hensel.principal_kth_root, []
+
+        def counted(*args):
+            calls.append(args)
+            return root(*args)
+
+        monkeypatch.setattr(hensel, "principal_kth_root", counted)
+        assert incidence_matrix(regime_b4) == ((1,) * 4,) * 4
+        assert len(calls) == regime_b4.kappa == 4
+
     def test_center_sent_out_of_its_ball_is_refused(self, regime_b2,
                                                     monkeypatch):
         # branch 1 planted to send the center of ball 2 to itself, which
@@ -536,8 +550,8 @@ class TestIncidence:
         branch = dynamics.inverse_branch
         c2 = build_partition(regime_b2).balls[1].center
 
-        def planted(params, i, y):
-            return y if (i, y) == (1, c2) else branch(params, i, y)
+        def planted(params, i, y, root):
+            return y if (i, y) == (1, c2) else branch(params, i, y, root)
 
         monkeypatch.setattr(dynamics, "inverse_branch", planted)
         with pytest.raises(VerificationError,
@@ -553,8 +567,8 @@ class TestIncidence:
         part = build_partition(regime_b2)
         c1 = part.balls[0].center
 
-        def planted(params, i, y):
-            x = branch(params, i, y)
+        def planted(params, i, y, root):
+            x = branch(params, i, y, root)
             return x + 5 ** (part.radius_exp + 1) if (i, y) == (2, c1) else x
 
         monkeypatch.setattr(dynamics, "inverse_branch", planted)

@@ -65,9 +65,9 @@ def test_no_unused_imports(path):
     assert not unused, f"unused imports in {path.name}: {', '.join(unused)}"
 
 
-def module_private_names(tree):
-    """(name, line) for every ``_private`` name a module binds at its top
-    level: a function, class or assignment target."""
+def module_names(tree):
+    """(name, line) for every name a module binds at its top level: a
+    function, class or assignment target."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                              ast.ClassDef)):
@@ -80,8 +80,13 @@ def module_private_names(tree):
         else:
             targets = []
         for name in targets:
-            if name.startswith("_") and not name.startswith("__"):
-                yield name, node.lineno
+            yield name, node.lineno
+
+
+def module_private_names(tree):
+    """(name, line) for every ``_private`` name of ``module_names``."""
+    return [(name, line) for name, line in module_names(tree)
+            if name.startswith("_") and not name.startswith("__")]
 
 
 def read_names(tree):
@@ -111,6 +116,16 @@ def test_private_names_are_read():
     # leaves dead code behind
     unread = unread_private_names(ROOT / "src")
     assert not unread, f"unread private names: {', '.join(unread)}"
+
+
+def test_one_budget_constant():
+    # one knob, mapping.WORK_BUDGET, bounds every loop that grows with kappa
+    # or kappa**depth; a second one would let a loop escape the first
+    budgets = [f"{path.name}:{name}"
+               for path in sorted((ROOT / "src").rglob("*.py"))
+               for name, _ in module_names(ast.parse(path.read_text()))
+               if name.endswith("_BUDGET")]
+    assert budgets == ["mapping.py:WORK_BUDGET"]
 
 
 def test_unread_private_name_is_found(tmp_path):

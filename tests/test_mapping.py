@@ -13,8 +13,8 @@ import census
 
 from pottsbethe import hensel, sampling
 from pottsbethe.mapping import (
-    PAIR_BUDGET,
     PARTITION_CACHE_SIZE,
+    WORK_BUDGET,
     MapParams,
     Partition,
     PartitionBall,
@@ -313,18 +313,21 @@ class TestPartition:
         assert build_partition(configs[-bound]) is parts[-bound]
 
     @pytest.mark.parametrize("p,k,refused", [
-        (4243, 1414, False),  # 998 991 pairs, the largest kappa admitted
-        (4243, 4242, True),  # 8 995 161 pairs
+        # 4 242 balls, refused while 8 995 161 pairs were counted
+        (4243, 4242, False),
+        (100003, 100002, True),  # past WORK_BUDGET balls
     ])
-    def test_pair_budget_is_checked_before_the_roots(self, monkeypatch, p,
-                                                     k, refused):
+    def test_cover_budget_is_checked_before_the_roots(self, monkeypatch, p,
+                                                      k, refused):
         def roots_of_unity(*args):
             raise LookupError("the budget admitted the cover")
         monkeypatch.setattr(hensel, "roots_of_unity", roots_of_unity)
         params = MapParams.make(p, k, p, "1+p^3")
-        assert (params.kappa * (params.kappa - 1) // 2 > PAIR_BUDGET) \
-            == refused
-        with pytest.raises(ValueError if refused else LookupError):
+        assert (params.kappa > WORK_BUDGET) == refused
+        message = (f"a cover of kappa={k} balls; budget is {WORK_BUDGET}"
+                   if refused else "the budget admitted the cover")
+        with pytest.raises(ValueError if refused else LookupError,
+                           match=message):
             build_partition(params)
 
     def test_regime_a_has_no_partition(self, regime_a):

@@ -165,6 +165,31 @@ def test_regime_is_decided_once_per_params(monkeypatch):
     assert len(calls) == 1 and calls[0] is params
 
 
+def test_julia_budget_counts_the_loops_it_bounds(monkeypatch):
+    # the counts julia_report holds against the budget are the lengths of
+    # the loops it runs: one df_metric per isometry comparison, 1 + 3 + 9
+    # prefixes of 3 pairs each, and 2 * 4 sampled points per ball
+    counts, points, ball_samples = {}, [], sampling.ball_samples
+
+    def check_budget(count, loop):
+        counts[loop.split(" ", 1)[1]] = count
+
+    def sampled(*args):
+        drawn = ball_samples(*args)
+        points.extend(drawn)
+        return drawn
+
+    monkeypatch.setattr(verify, "check_budget", check_budget)
+    monkeypatch.setattr(sampling, "ball_samples", sampled)
+    metric = _calls_to(monkeypatch, dynamics.df_metric)
+    rep = verify.julia_report(MapParams.make(7, 3, 7, "1+p^3"), 3,
+                              pairs_per_ball=4)
+    assert rep["falsified"] is False
+    assert counts == {"incidence entries": 9, "isometry comparisons": 39,
+                      "expansion-law points": 24}
+    assert (len(metric), len(points)) == (39, 24)
+
+
 def test_julia_report_builds_each_cylinder_point_once(monkeypatch):
     calls = _calls_to(monkeypatch, mapping.inverse_branch)
     rep = verify.julia_report(MapParams.make(5, 2, 5, "1+p^3"), 3,
