@@ -371,7 +371,9 @@ def branch_tree(params: MapParams, root: Padic, depth: int):
 
 def tree_size(params: MapParams, depth: int) -> int:
     """The points of a ``branch_tree`` of ``depth`` levels, kappa + ... +
-    kappa**depth; ValueError when they exceed ``mapping.WORK_BUDGET``."""
+    kappa**depth; ValueError for a negative depth or past WORK_BUDGET."""
+    if depth < 0:
+        raise ValueError(f"depth must be >= 0, got {depth}")
     kappa, words = params.kappa, params.kappa**depth
     points = depth if kappa == 1 else (words - 1) * kappa // (kappa - 1)
     check_budget(points, f"depth {depth} has {words} words, whose tree "
@@ -391,6 +393,37 @@ def certified(params: MapParams, word: tuple[int, ...], z: Padic) -> Ball:
             f"precision O(p^{z.abs_prec}); retry with more digits"
         )
     return Ball(z, cert_exp)
+
+
+def certified_tree(params: MapParams, root: Padic, depth: int):
+    """``branch_tree`` over root, certified node by node: yields each
+    level and the ``certified`` balls of the words it certifies.
+
+    Word w, of point z, is certified when z lies in ball w_0 and f(z) in
+    the ball of w[1:], the empty word's being Ball(root, radius_exp).  By
+    induction on |w|, B_w, the ball of w, then holds the exact point
+    h_{w_0}(...h_{w_{n-1}}(root)) and all of B_w has the itinerary w: B_w
+    lies in ball w_0, which f scales by exactly p^tau_{w_0} (the expansion
+    law), so f maps B_w onto the ball of w[1:]'s radius around f(z), which
+    is B_{w[1:]}, and h_{w_0} maps the exact point of w[1:] back into B_w
+    (Caruso, arXiv:1701.06794, on ultrametric balls).  So one ``eval_f`` a
+    node proves what |w| steps forward sample.  A pole hit of f(z) is a
+    PrecisionError, a VerificationError if exact.
+    """
+    part = build_partition(params)
+    balls = {(): certified(params, (), root)}
+    for n, level in enumerate(branch_tree(params, root, depth), start=1):
+        parents, balls = balls, {}
+        for w, z in level.items():
+            if part.locate(z) == w[0] and w[1:] in parents:
+                try:
+                    image = eval_f(params, z)
+                except PoleHit as exc:  # a shortage unless exactly the pole
+                    raise (VerificationError if exc.exact else PrecisionError)(
+                        f"level-{n} node {list(w)} meets the pole") from exc
+                if parents[w[1:]].contains(image):
+                    balls[w] = certified(params, w, z)
+        yield level, balls
 
 
 def cylinder_point(params: MapParams, word) -> tuple[Padic, Ball]:
@@ -490,44 +523,23 @@ def df_metric(params: MapParams, wx, wy) -> int:
 
 def pole_preimage_tree(params: MapParams,
                        depth: int) -> list[list[Trajectory]]:
-    """Backward orbit of the pole, level by level.
-
-    In the contracting regime the backward orbit is empty: the pole stays
-    at norm-distance at least |q+theta-1|_p from every forward image, so
-    nothing ever maps onto it; the certified empty answer is returned
-    without search.  In the expanding regime each level applies all kappa
-    inverse branches and every point is verified by running it forward
-    into the pole.  A level-n node is the Trajectory of that run: the
-    preimage is ``node[0]`` and the pole ``node[n]``, so a caller who
-    iterates the preimage again starts from the n iterates already made.
-    A search of more than ``mapping.WORK_BUDGET`` points (``tree_size``)
-    is refused before any branch.  A preimage that lands on the pole
-    before step n is a falsification when it is exactly the pole, and a
-    precision shortage when it is only indistinguishable from it.
-    """
+    """Backward orbit of the pole, level by level: none in the contracting
+    regime, where the pole stays at norm-distance at least |q+theta-1|_p
+    from every forward image.  Else ``tree_size`` admits the depth, the
+    levels are ``certified_tree``'s over the pole, and an uncertified node
+    raises VerificationError.  A level-n node is a Trajectory: ``node[0]``
+    is the preimage, and its later points, its parent's, certify the exact
+    orbit up to ``node[n]``, the exact pole."""
     if params.regime.tag == RegimeTag.A:
         return []
     check_classified(params)
     tree_size(params, depth)
-    levels: list[list[Trajectory]] = []
-    for n, level in enumerate(branch_tree(params, params.pole, depth),
-                              start=1):
-        nodes = [Trajectory(params, x) for x in level.values()]
-        for node in nodes:
-            try:
-                z = node[n]
-            except PoleHit as exc:
-                if not exc.exact:
-                    raise PrecisionError(
-                        f"level-{n} preimage is indistinguishable from the "
-                        f"pole before step {n}; retry at higher precision"
-                    ) from exc
-                raise VerificationError(
-                    f"level-{n} preimage hit the pole early"
-                ) from exc
-            if not (z - params.pole).is_zero_like:
-                raise VerificationError(
-                    f"level-{n} preimage failed to run forward into the pole"
-                )
-        levels.append(nodes)
-    return levels
+    levels = [{(): Trajectory(params, params.pole)}]
+    for level, balls in certified_tree(params, params.pole, depth):
+        if len(balls) < len(level):
+            raise VerificationError(
+                f"a level-{len(levels)} node failed its certificate")
+        levels.append({w: Trajectory(params, z) for w, z in level.items()})
+        for w, node in levels[-1].items():
+            node.points += levels[-2][w[1:]].points
+    return [list(level.values()) for level in levels[1:]]

@@ -13,7 +13,7 @@ import hashlib
 import random
 from fractions import Fraction
 
-from .mapping import MapParams, build_partition
+from .mapping import MapParams, build_partition, check_symbols
 from .padic import Padic, _Frozen
 
 
@@ -78,6 +78,7 @@ def ball_samples(params: MapParams, symbol: int, count: int,
                  seed: int) -> list[Padic]:
     """Points of the partition ball ``symbol``: its center plus p**(s+1)
     times uniform digits, s the balls' radius exponent."""
+    check_symbols(params, (symbol,))
     rng = rng_for(params, f"expansion:{symbol}", seed)
     part = build_partition(params)
     center = part.balls[symbol - 1].center

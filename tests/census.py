@@ -69,7 +69,7 @@ DIGESTS = {
     "sweep":
         "2436074d03c627b6d0660d4d4f0bccdb6795fb959bc8f14867d4b03acd9d4220",
     "pole-tree":
-        "95c6d7fd529ba30e7006c57e6eb0ee9b72b6d013d50fa3e79c063c06a5596c51",
+        "1f30161fdb50918cf25d1c40ef4dba6db46eb22d4ebbb718dd36c4f81e8215a3",
     "orbit":
         "694b9c1b547180f4eb1f7f5a3fb4683c4201ca16a9945b9d8641f30580969f15",
     "julia-verify":
@@ -81,7 +81,7 @@ DIGESTS = {
 EXIT_COUNTS = {
     "classify": {0: 360},
     "sweep": {0: 207, 2: 153},
-    "pole-tree": {0: 185, 2: 153, 3: 22},
+    "pole-tree": {0: 179, 2: 153, 3: 28},
     "orbit": {0: 92, 2: 63, 3: 205},
     "julia-verify": {0: 7, 1: 120, 2: 153, 3: 80},
     "large-kappa": {0: 4, 2: 2},

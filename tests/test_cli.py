@@ -117,9 +117,9 @@ class TestOrbitAndSweep:
                        "at 32 digits, the last retry\n")
 
     def test_inexact_pole_tree_hit_is_precision(self, capsys):
-        # at 3, 6 and 12 digits a pole preimage is only indistinguishable
-        # from the pole before its level's step: a precision shortage on
-        # every rung, not a falsification
+        # at 3, 6 and 12 digits the pole tree's certificates need more
+        # digits than its nodes carry: a precision shortage on every
+        # rung, not a falsification
         code, out, err = run_cli(
             ["sweep", "--p", "5", "--k", "2", "--q", "5", "--theta", "1+p^3",
              "--samples", "200", "--depth", "30", "--seed", "5",
@@ -128,7 +128,7 @@ class TestOrbitAndSweep:
         assert "precision exhausted" in err
 
     def test_pole_tree_shortage_is_retried(self, capsys):
-        # the 12-digit pole tree runs short at level 3; the tree records
+        # the 12-digit pole tree runs short at level 2; the tree records
         # read the 24-digit rung's tree, as --precision 24 does
         argv = ["sweep", "--p", "5", "--k", "2", "--q", "5", "--theta",
                 "1+p^3", "--samples", "200", "--depth", "30", "--seed", "5",

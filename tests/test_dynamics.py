@@ -518,6 +518,13 @@ class TestSymbolRange:
             with pytest.raises(ValueError, match="out of range 1..2"):
                 df_metric(regime_b2, wx, wy)
 
+    @pytest.mark.parametrize("symbol", [0, -1, 3])
+    def test_ball_samples(self, regime_b2, symbol):
+        # once symbol 0 sampled ball 2 (index -1) and symbol 3 raised
+        # IndexError
+        with pytest.raises(ValueError, match="out of range 1..2"):
+            sampling.ball_samples(regime_b2, symbol, 4, seed=0)
+
 
 class TestIncidence:
     def test_b1_singleton(self, regime_b1):
@@ -631,9 +638,9 @@ class TestPoleTree:
             pole_preimage_tree(regime_b4, 10)
 
     def test_inexact_pole_hit_is_a_precision_shortage(self):
-        # at 12 digits a level-3 preimage is only indistinguishable from
-        # the pole before step 3: more digits are needed, nothing is
-        # falsified
+        # at 12 digits f of a level-2 node is known to fewer digits than
+        # its parent's certified ball needs: more digits are needed,
+        # nothing is falsified
         with pytest.raises(PrecisionError):
             pole_preimage_tree(MapParams.make(5, 2, 5, "1+p^3", 12), 3)
 
@@ -645,6 +652,109 @@ class TestPoleTree:
         monkeypatch.setattr(dynamics, "eval_f", hit)
         with pytest.raises(error):
             pole_preimage_tree(regime_b2, 1)
+
+    @pytest.mark.parametrize("depth", [-1, -2])
+    def test_negative_depth_is_refused(self, regime_b2, depth):
+        # once tree_size(params, -1) was -1.0 and a tree of depth -2 was []
+        for call in (dynamics.tree_size, pole_preimage_tree):
+            with pytest.raises(ValueError,
+                               match=f"depth must be >= 0, got {depth}"):
+                call(regime_b2, depth)
+
+    def test_one_step_per_node(self, regime_b2, monkeypatch):
+        # kappa + ... + kappa**depth calls, where running each level-n node
+        # n steps forward into the pole made sum(n * 2**n) = 98
+        build_partition(regime_b2)
+        calls = []
+
+        def counted(params, x):
+            calls.append(x)
+            return eval_f(params, x)
+
+        monkeypatch.setattr(dynamics, "eval_f", counted)
+        levels = pole_preimage_tree(regime_b2, 4)
+        assert [len(level) for level in levels] == [2, 4, 8, 16]
+        assert len(calls) == dynamics.tree_size(regime_b2, 4) == 30
+
+    @staticmethod
+    def plant(monkeypatch, word, digit=None, like=None):
+        """Make the point of ``word`` in every branch tree off by
+        p**digit, a digit the point is known to, or the point of the
+        word ``like``."""
+        tree = dynamics.branch_tree
+
+        def planted(params, root, depth):
+            for level in tree(params, root, depth):
+                if word in level and like is not None:
+                    level[word] = level[like]
+                elif word in level:
+                    assert digit < level[word].abs_prec
+                    level[word] = level[word] + params.p**digit
+                yield level
+
+        monkeypatch.setattr(dynamics, "branch_tree", planted)
+
+    def test_sibling_point_is_refused(self, regime_b2, monkeypatch):
+        # the point of (2, 1, 1) in place of that of (1, 1, 1): f sends it
+        # into the certified ball of (1, 1) too, but it lies in ball 2
+        self.plant(monkeypatch, (1, 1, 1), like=(2, 1, 1))
+        with pytest.raises(VerificationError,
+                           match="a level-3 node failed its certificate"):
+            pole_preimage_tree(regime_b2, 3)
+
+    @pytest.mark.parametrize("word", [(2, 1, 2), (1, 1, 1)])
+    def test_planted_digit_error_is_refused(self, regime_b2, monkeypatch,
+                                            word):
+        # any digit from s+1, which keeps the point in ball w_0, up to the
+        # last its certified ball claims moves f of it out of the ball of
+        # w[1:]; one digit further stays inside the certified ball, which
+        # still holds the exact preimage
+        part = build_partition(regime_b2)
+        claimed = part.radius_exp + part.tau_sum(word)
+        for digit in (part.radius_exp + 1, claimed):
+            monkeypatch.undo()
+            self.plant(monkeypatch, word, digit)
+            with pytest.raises(VerificationError,
+                               match="a level-3 node failed its certificate"):
+                pole_preimage_tree(regime_b2, 3)
+        monkeypatch.undo()
+        words = list(list(branch_tree(regime_b2, regime_b2.pole, 3))[2])
+        i = words.index(word)
+        before = pole_preimage_tree(regime_b2, 3)[2][i][0]
+        self.plant(monkeypatch, word, claimed + 1)
+        after = pole_preimage_tree(regime_b2, 3)[2][i][0]
+        assert (after - before).norm_exp() == claimed + 1
+        assert dynamics.certified(regime_b2, word, after).contains(before)
+
+
+def forward_into_the_pole(params, x, n: int) -> bool:
+    """The pole tree's check before each node was certified, kept as a
+    reference: x runs n steps forward onto the pole, and no earlier."""
+    traj = Trajectory(params, x)
+    try:
+        return (traj[n] - params.pole).is_zero_like
+    except PoleHit:
+        return False
+
+
+@pytest.mark.parametrize("config", [(5, 3, 5, "1+p^3", 6),
+                                    (5, 2, 5, "1+p^3", 4)], ids=["B1", "B2"])
+@pytest.mark.parametrize("digits", [64, 256])
+def test_certified_nodes_pass_the_forward_run(config, digits):
+    # every certified node runs forward into the pole as the former check
+    # ran it, and each of its forward iterates lies in the certified ball
+    # of the chain point that stands for it
+    *args, depth = config
+    params = MapParams.make(*args, digits)
+    for n, level in enumerate(pole_preimage_tree(params, depth), start=1):
+        for node in level:
+            assert forward_into_the_pole(params, node[0], n)
+            assert (node[n] - params.pole).is_exact_zero
+            word = itinerary_of(params, node, n)
+            traj = Trajectory(params, node[0])
+            for j in range(n):
+                ball = dynamics.certified(params, word[j:], node[j])
+                assert ball.contains(traj[j])
 
 
 class TestBasinTotality:

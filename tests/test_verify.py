@@ -70,22 +70,24 @@ def test_b2_pole_tree_is_built_once(eval_f_calls):
                                                "pole_preimage": 14}
     # 797 when the pole tree was rebuilt for every tree record; 302 when
     # basin orbits were iterated on inside B_1; 93 when each tree record
-    # iterated its node again instead of starting from the tree's run
-    assert len(eval_f_calls) == 59
+    # iterated its node again instead of starting from the tree's run; 59
+    # when the tree ran each level-n node n steps forward, not one
+    assert len(eval_f_calls) == 39
 
 
 def test_tree_records_start_from_the_trees_orbits(monkeypatch,
                                                   eval_f_calls):
-    # poletree-b2 at seed 11, serial: the tree verifies each level-n node
-    # by n steps into the pole, and its record reads those n iterates
-    # instead of making them again, sum(n * 2**n for n in 1..4) = 98 calls
+    # poletree-b2 at seed 11, serial: the tree certifies each node with
+    # one step, 2 + 4 + 8 + 16 = 30 calls, and a level-n record reads its
+    # n iterates off the tree's chain instead of making them again; 327 -
+    # 98 when the tree ran each node n steps forward into the pole
     monkeypatch.setattr(verify, "_cpu_count", lambda: 1)
     params = MapParams.make(5, 2, 5, "1+p^3", 256)
     rep = verify.sweep_report(params, samples=100, seed=11,
                               classify_depth=50, pole_tree_depth=4)
     assert rep["classification_histogram"] == {"basin": 100,
                                                "pole_preimage": 30}
-    assert len(eval_f_calls) == 327 - 98
+    assert len(eval_f_calls) == 131 + 30
 
 
 @pytest.mark.parametrize("config,seed,digest", [
@@ -309,17 +311,19 @@ def test_julia_word_checks_agree_with_the_reference(k, depth):
 
 def test_julia_word_checks_stay_within_their_call_budget(monkeypatch):
     # B2 at depth 6: one df_metric per compared pair of leaves, 63, where
-    # every pair made 2 016; one eval_f per word of length >= 2, 124,
-    # where running each word's point forward |w| - 1 steps made 516 and
-    # the shift check 10 more (683 in all); the other 157 are the
-    # periodic points, the expansion laws and the pole tree
+    # every pair made 2 016; one eval_f per word, 126, where running each
+    # word's point forward |w| - 1 steps made 516 and the shift check 10
+    # more (683 in all); the other 137 are the periodic points, the
+    # expansion laws and the pole tree, one per node (281 in all when
+    # the pole tree ran each node forward into the pole and words of
+    # length 1 were not checked)
     params = MapParams.make(5, 2, 5, "1+p^3")
     metric = _calls_to(monkeypatch, dynamics.df_metric)
     forward = _calls_to(monkeypatch, mapping.eval_f)
     rep = verify.julia_report(params, 6, pairs_per_ball=5)
     assert rep["falsified"] is False
     assert len(metric) <= params.kappa**(6 + 1)
-    assert len(forward) == 281
+    assert len(forward) == 263
 
 
 def test_retried_sweep_adds_one_partition_per_rung():
@@ -482,7 +486,7 @@ def test_records_match_full_desk_check(config):
 
 
 def test_pole_tree_shortage_is_kept_per_rung(monkeypatch):
-    # the 12-digit tree runs short at level 3; its tree records are
+    # the 12-digit tree runs short at level 2; its tree records are
     # retried on the 24-digit rung, and no rung's tree is built twice
     calls = _calls_to(monkeypatch, dynamics.pole_preimage_tree)
     params = MapParams.make(5, 2, 5, "1+p^3", 12)
