@@ -24,6 +24,7 @@ from .hensel import (
 )
 from .mapping import (
     MapParams,
+    NearPoleHit,
     Partition,
     PoleHit,
     Regime,

@@ -18,8 +18,8 @@ from fractions import Fraction
 
 from . import __version__, verify
 from .dynamics import DEFAULT_MAX_ITER, DEFAULT_TOL
-from .mapping import PoleHit, VerificationError
-from .padic import DEFAULT_DIGITS, PrecisionError
+from .mapping import PoleHit
+from .padic import DEFAULT_DIGITS, PrecisionError, VerificationError
 
 EXIT_PASS = 0
 EXIT_FALSIFIED = 1
@@ -259,13 +259,10 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, ZeroDivisionError) as exc:
         print(f"pottsbethe: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (PrecisionError, PoleHit, VerificationError) as exc:
-        # a pole hit that is only indistinguishable from the pole at the
-        # working precision is a shortage of digits, not a falsification
-        if isinstance(exc, PrecisionError) or (isinstance(exc, PoleHit)
-                                               and not exc.exact):
-            print(f"pottsbethe: precision exhausted: {exc}", file=sys.stderr)
-            return EXIT_PRECISION
+    except PrecisionError as exc:  # a NearPoleHit among them
+        print(f"pottsbethe: precision exhausted: {exc}", file=sys.stderr)
+        return EXIT_PRECISION
+    except (PoleHit, VerificationError) as exc:
         print(f"pottsbethe: falsified: {exc}", file=sys.stderr)
         return EXIT_FALSIFIED
 

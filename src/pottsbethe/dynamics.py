@@ -21,7 +21,6 @@ from .mapping import (
     Partition,
     PoleHit,
     RegimeTag,
-    VerificationError,
     branch_root,
     build_partition,
     check_budget,
@@ -31,7 +30,7 @@ from .mapping import (
     inverse_branch,
     on_residue_kernel,
 )
-from .padic import INF, Ball, Padic, PrecisionError, _Frozen
+from .padic import INF, Ball, Padic, PrecisionError, VerificationError, _Frozen
 
 DEFAULT_MAX_ITER = 200
 DEFAULT_TOL = 20
@@ -222,7 +221,7 @@ def orbit(params: MapParams, x0, max_iter: int = DEFAULT_MAX_ITER,
                         f"basin point re-entered the cover at step {t}")
             else:
                 inside = False
-    except PoleHit:
+    except PoleHit:  # a NearPoleHit too, though also a PrecisionError
         return result(OrbitStatus.POLE_HIT)
     except PrecisionError:
         return result(OrbitStatus.UNDECIDED, reason="precision")
@@ -407,22 +406,18 @@ def certified_tree(params: MapParams, root: Padic, depth: int):
     law), so f maps B_w onto the ball of w[1:]'s radius around f(z), which
     is B_{w[1:]}, and h_{w_0} maps the exact point of w[1:] back into B_w
     (Caruso, arXiv:1701.06794, on ultrametric balls).  So one ``eval_f`` a
-    node proves what |w| steps forward sample.  A pole hit of f(z) is a
-    PrecisionError, a VerificationError if exact.
+    node proves what |w| steps forward sample.  f(z) raises no PoleHit:
+    z lies in a cover ball, and ``_check_cover`` proves each misses the
+    pole.
     """
     part = build_partition(params)
     balls = {(): certified(params, (), root)}
-    for n, level in enumerate(branch_tree(params, root, depth), start=1):
+    for level in branch_tree(params, root, depth):
         parents, balls = balls, {}
         for w, z in level.items():
-            if part.locate(z) == w[0] and w[1:] in parents:
-                try:
-                    image = eval_f(params, z)
-                except PoleHit as exc:  # a shortage unless exactly the pole
-                    raise (VerificationError if exc.exact else PrecisionError)(
-                        f"level-{n} node {list(w)} meets the pole") from exc
-                if parents[w[1:]].contains(image):
-                    balls[w] = certified(params, w, z)
+            if (part.locate(z) == w[0] and w[1:] in parents
+                    and parents[w[1:]].contains(eval_f(params, z))):
+                balls[w] = certified(params, w, z)
         yield level, balls
 
 

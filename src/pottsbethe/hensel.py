@@ -15,6 +15,7 @@ from .padic import (
     DEFAULT_DIGITS,
     Padic,
     PrecisionError,
+    VerificationError,
     _Frozen,
     _check_prime,
     _inverse_mod,
@@ -138,11 +139,12 @@ def roots_of_unity(k: int, p: int, digits: int = DEFAULT_DIGITS) -> list[Padic]:
     """All k-th roots of unity in Q_p: exactly gcd(k, p-1) units.
 
     The residues c mod p with c**kappa = 1, kappa = gcd(k, p-1) prime to
-    p, are the powers c**((p-1)/kappa) for c = 2, 3, ..., collected from
-    {1} until kappa are found: that map is onto them, so the search ends
-    without scanning every residue.  Each is lifted by Newton on
-    x**kappa - 1 to the unique root congruent to it.  Results are sorted
-    by residue mod p, which fixes the symbol order used by the partition
+    p, form a cyclic group, and the powers g = c**((p-1)/kappa) for
+    c = 2, 3, ... range over all of it, so the search meets a generator g
+    of order kappa.  g alone is lifted by Newton on x**kappa - 1, to the
+    root x congruent to it; then x**j is the unique root congruent to
+    g**j, so kappa - 1 products give every root.  Results are sorted by
+    residue mod p, which fixes the symbol order used by the partition
     downstream.
     """
     if p < 3:
@@ -151,18 +153,23 @@ def roots_of_unity(k: int, p: int, digits: int = DEFAULT_DIGITS) -> list[Padic]:
     if k < 1:
         raise ValueError("k must be a positive integer")
     kappa = math.gcd(k, p - 1)
-    residues, c = {1}, 1
-    while len(residues) < kappa:
+    c, order = 1, 0
+    while order != kappa:
         c += 1
-        residues.add(pow(c, (p - 1) // kappa, p))
+        g = h = pow(c, (p - 1) // kappa, p)
+        order = 1
+        while h != 1:
+            h, order = h * g % p, order + 1
     mod = p**digits
-    out = [Padic.one(p, digits)]
-    for c in sorted(residues)[1:]:
-        x = _unit_root(1, kappa, c, digits, p)
-        if pow(x, k, mod) != 1:
-            raise ArithmeticError("lifted residue is not a k-th root of unity")
-        out.append(Padic(p, 0, x, digits, digits))
-    return out
+    x = _unit_root(1, kappa, g, digits, p)
+    if pow(x, k, mod) != 1:
+        raise VerificationError("lifted residue is not a k-th root of unity")
+    roots = [1]
+    for _ in range(kappa - 1):
+        roots.append(roots[-1] * x % mod)
+    roots.sort(key=lambda r: r % p)
+    return [Padic.one(p, digits)] + [Padic(p, 0, r, digits, digits)
+                                     for r in roots[1:]]
 
 
 def fixed_point_B1(params) -> Padic:
@@ -196,10 +203,10 @@ def fixed_point_B1(params) -> Padic:
         raise PrecisionError("fixed-point iteration did not settle")
     residual = mapping.eval_f(params, x_star) - x_star
     if not residual.is_zero_like:
-        raise ArithmeticError(
+        raise VerificationError(
             f"candidate fixed point fails f(x) = x: residual valuation "
             f"{residual.val_lower_bound}"
         )
     if (x_star - 1).norm_exp() != params.v_q:
-        raise ArithmeticError("fixed point should satisfy |x*-1|_p = |q|_p")
+        raise VerificationError("fixed point should satisfy |x*-1|_p = |q|_p")
     return x_star

@@ -22,6 +22,7 @@ from .padic import (
     Ball,
     Padic,
     PrecisionError,
+    VerificationError,
     _Frozen,
     _check_prime,
     _exact_bits,
@@ -32,19 +33,16 @@ from .padic import (
 
 
 class PoleHit(Exception):
-    """The map was evaluated at (or indistinguishably close to) its pole."""
+    """The map was evaluated at its pole."""
 
-    def __init__(self, message: str, exact: bool):
-        super().__init__(message)
-        self.exact = exact
+    exact = True  # the benchmark's tracer counts hits by this flag
 
 
-class VerificationError(Exception):
-    """A property the underlying theory guarantees failed to verify.
+class NearPoleHit(PoleHit, PrecisionError):
+    """The map was evaluated at a point indistinguishable from its pole at
+    the working precision: a shortage of digits, retried as any other."""
 
-    This never indicates bad input; it would falsify the theory at the
-    given parameters and is reported loudly rather than absorbed.
-    """
+    exact = False
 
 
 class RegimeTag(str, Enum):
@@ -185,12 +183,10 @@ def eval_g(params: MapParams, x) -> Padic:
     x = params.embed(x)
     den = x + params.theta + (params.q - 2)
     if den.is_exact_zero:
-        raise PoleHit("x is exactly the pole 2 - q - theta", exact=True)
+        raise PoleHit("x is exactly the pole 2 - q - theta")
     if den.is_zero_like:
-        raise PoleHit(
-            f"x is indistinguishable from the pole at O(p^{den.val})",
-            exact=False,
-        )
+        raise NearPoleHit(
+            f"x is indistinguishable from the pole at O(p^{den.val})")
     num = params.theta * x + (params.q - 1)
     return num / den
 

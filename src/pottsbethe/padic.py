@@ -34,6 +34,14 @@ class PrecisionError(ArithmeticError):
     """A predicate or operation is undecidable at the available precision."""
 
 
+class VerificationError(Exception):
+    """A property the underlying theory guarantees failed to verify.
+
+    This never indicates bad input; it would falsify the theory at the
+    given parameters and is reported loudly rather than absorbed.
+    """
+
+
 class _Frozen:
     """Base of a small immutable record.  A subclass names its fields in
     ``__slots__``; ``__init_subclass__`` stores the slots' setters, which

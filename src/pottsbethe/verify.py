@@ -24,14 +24,13 @@ from .dynamics import OrbitStatus
 from .mapping import (
     MapParams,
     RegimeTag,
-    VerificationError,
     build_partition,
     check_budget,
     classify_fixed,
     eval_f,
     multiplier,
 )
-from .padic import Padic, PrecisionError, _decimal
+from .padic import Padic, PrecisionError, VerificationError, _decimal
 
 RETRY_LADDER = (1, 2, 4)
 FIXED_POINT_DIGITS = 40  # digits the B1 fixed point must satisfy f(x) = x to
@@ -429,12 +428,12 @@ def _julia_checks(params: MapParams, depth: int, seed: int,
            classify_fixed(lam1) == "attractive", int(lam1.valuation))
 
     if regime.tag is RegimeTag.B1:
-        x_star = hensel.fixed_point_B1(params)
-        resid = eval_f(params, x_star) - x_star
+        traj = dynamics.Trajectory(params, hensel.fixed_point_B1(params))
+        resid = traj[1] - traj[0]
         bound, _ = dynamics.norm_exp_field(resid)
         _check(checks, "b1_fixed_point_residual",
                _residual_vanishes(resid, FIXED_POINT_DIGITS), bound)
-        lam = multiplier(params, x_star)
+        lam = dynamics.cycle_multiplier(params, traj, 1)
         _check(checks, "b1_fixed_point_repelling",
                classify_fixed(lam) == "repelling", int(lam.valuation))
 

@@ -246,8 +246,8 @@ REPORT_SHA256 = {
 
 # SHA-256 of the ``julia-verify --samples 5`` report at (p, k, q, theta,
 # depth) outside the corner the criteria pin (p in {3, 5}, q = p, kappa
-# <= 4): p >= 7, q = p^2, p | k, and kappa up to 10.  Every one is a B2
-# report that is not falsified.
+# <= 4): p >= 7, q = p^2, p | k, and kappa up to 10, and two B1 reports,
+# whose fixed-point checks the criteria do not pin.  None is falsified.
 JULIA_VERIFY_SHA256 = {
     (7, 3, 7, "1+p^3", 4):
     "581d5e9943e85251d76aa5ceb3521688b9abec19f5031b94d261cf7360c78068",
@@ -263,6 +263,11 @@ JULIA_VERIFY_SHA256 = {
     "3c861e5e6a408e5a6b492fc5c8ddcddb019b05ce374e9ce4de41b2dce8cdd06c",
     (11, 10, 11, "1+p^3", 2):
     "14bba3106bacb05ee93d489782cfd2064128ac9cd15191a6ea596e9177360d5a",
+    # regime B1
+    (5, 3, 5, "1+p^3", 4):
+    "a1e715a8538c785a3a0ebe91dfd27b02db752857e7b0a79678c59875a2f09df3",
+    (7, 5, 7, "1+p^4", 3):
+    "5515b7239b77ca7a0d5672cf775c0ddd4f5c48240b3468449c4cdd5008897189",
 }
 
 
@@ -275,7 +280,8 @@ def test_julia_verify_bytes_off_the_pinned_corner(capsys, config):
                      "--samples", "5"])
     out = capsys.readouterr().out
     report = json.loads(out)
-    assert (code, report["regime"], report["falsified"]) == (0, "B2", False)
+    assert (code, report["falsified"]) == (0, False)
+    assert report["regime"] in ("B1", "B2")
     assert hashlib.sha256(out.encode()).hexdigest() == \
         JULIA_VERIFY_SHA256[config]
 

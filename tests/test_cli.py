@@ -13,12 +13,13 @@ import pytest
 
 from test_verify import _calls_to, plant_in_word_tree
 
-from pottsbethe import dynamics, mapping, sampling, verify
+from pottsbethe import dynamics, hensel, mapping, sampling, verify
 from pottsbethe.cli import build_parser, main
 from pottsbethe.dynamics import DEFAULT_MAX_ITER, DEFAULT_TOL, periodic_point
 from pottsbethe.mapping import (
     WORK_BUDGET,
     MapParams,
+    NearPoleHit,
     PoleHit,
     build_partition,
 )
@@ -630,10 +631,54 @@ def test_pole_hit_exit_code(capsys, monkeypatch, exact, code, message):
     # a pole hit is a falsification only when the point is exactly the
     # pole; one only indistinguishable from it is a shortage of digits
     def hit(params):
-        raise PoleHit("injected", exact=exact)
+        raise (PoleHit if exact else NearPoleHit)("injected")
     monkeypatch.setattr(verify, "classify_report", hit)
     assert run_cli(["classify", *B2_ARGS], capsys) == (
         code, "", f"pottsbethe: {message}: injected\n")
+
+
+def test_failed_root_of_unity_lift_is_falsified(capsys, monkeypatch):
+    # a root of unity off in its last digit fails the theory's check: a
+    # falsification, not a traceback
+    lift = hensel._unit_root
+
+    def planted(r, m, y, n, p):  # principal roots start from y = 1
+        return lift(r, m, y, n, p) + (p**(n - 1) if y != 1 else 0)
+
+    monkeypatch.setattr(hensel, "_unit_root", planted)
+    build_partition.cache_clear()
+    assert run_cli(["classify", *B2_ARGS], capsys) == (
+        1, "", "pottsbethe: falsified: lifted residue is not a k-th root "
+        "of unity\n")
+    build_partition.cache_clear()
+
+
+def test_failed_b1_fixed_point_is_falsified(capsys, monkeypatch):
+    # f moved by p^30 at every inexact point: the fixed point B1 returns
+    # fails f(x) = x, and julia-verify reports a falsification
+    f = mapping.eval_f
+    monkeypatch.setattr(mapping, "eval_f", lambda params, x: (
+        f(params, x) + (0 if x.is_exact else params.p**30)))
+    code, out, err = run_cli(["julia-verify", "--p", "5", "--k", "3",
+                              "--q", "5", "--theta", "1+p^3", "--depth", "2",
+                              "--samples", "3"], capsys)
+    assert (code, out, err) == (
+        1, "", "pottsbethe: falsified: candidate fixed point fails "
+        "f(x) = x: residual valuation 30\n")
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_near_pole_hit_climbs_the_ladder(capsys, p):
+    # at 3 digits the B1 fixed point is indistinguishable from the pole;
+    # that shortage is retried, and the 12-digit rung ends short of the
+    # fixed-point check's digits instead
+    code, out, err = run_cli([
+        "julia-verify", "--p", str(p), "--k", str(p), "--q", str(p * p),
+        "--theta", "1+p^5", "--depth", "2", "--samples", "3",
+        "--precision", "3"], capsys)
+    assert (code, out) == (3, "")
+    assert err.startswith("pottsbethe: precision exhausted: residual "
+                          "cancelled at O(p^9), short of the 40 digits")
 
 
 def _run_module(args):

@@ -644,15 +644,6 @@ class TestPoleTree:
         with pytest.raises(PrecisionError):
             pole_preimage_tree(MapParams.make(5, 2, 5, "1+p^3", 12), 3)
 
-    @pytest.mark.parametrize("exact,error", [
-        (True, VerificationError), (False, PrecisionError)])
-    def test_early_pole_hit(self, regime_b2, monkeypatch, exact, error):
-        def hit(params, x):
-            raise PoleHit("injected", exact=exact)
-        monkeypatch.setattr(dynamics, "eval_f", hit)
-        with pytest.raises(error):
-            pole_preimage_tree(regime_b2, 1)
-
     @pytest.mark.parametrize("depth", [-1, -2])
     def test_negative_depth_is_refused(self, regime_b2, depth):
         # once tree_size(params, -1) was -1.0 and a tree of depth -2 was []

@@ -1,7 +1,8 @@
 """Source hygiene: every imported name is used in the file importing it,
 every private module-level name of the package is read somewhere in it,
-every function the benchmark's tracer patches still exists, and the
-command line imports no module it does not need.
+every function the benchmark's tracer patches still exists, no module
+reads a pole hit's ``exact`` flag, and the command line imports no module
+it does not need.
 
 No lint tool is assumed; the scan uses only the standard library.
 Package ``__init__.py`` files are exempt, since their imports are the
@@ -158,6 +159,19 @@ def test_traced_targets_exist():
         assert callable(tracer.resolve(path)), path
     # the tracer reads the partition cache's hit and miss counts
     assert hasattr(tracer.resolve("mapping.build_partition"), "cache_info")
+
+
+def test_pole_hits_are_told_apart_by_type():
+    # a near hit is a NearPoleHit, which is a PrecisionError, and every
+    # layer catches by type; the class flag ``exact`` is left for the
+    # tracer's count of inexact hits, and no module of the package reads it
+    from pottsbethe.mapping import NearPoleHit, PoleHit
+    assert (PoleHit.exact, NearPoleHit.exact) == (True, False)
+    for path in (ROOT / "src").rglob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        assert not [node.lineno for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute)
+                    and node.attr == "exact"], path
 
 
 def test_cli_import_loads_no_process_pool_module():

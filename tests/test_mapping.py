@@ -16,6 +16,7 @@ from pottsbethe.mapping import (
     PARTITION_CACHE_SIZE,
     WORK_BUDGET,
     MapParams,
+    NearPoleHit,
     Partition,
     PartitionBall,
     PoleHit,
@@ -163,8 +164,9 @@ class TestEval:
         assert (eval_f(regime_b2, 1) - 1).is_exact_zero
 
     def test_pole_hit(self, regime_b2):
-        with pytest.raises(PoleHit):
+        with pytest.raises(PoleHit) as exc:
             eval_f(regime_b2, regime_b2.pole)
+        assert not isinstance(exc.value, PrecisionError)
 
     def test_rational_oracle(self):
         # p=3, q=3, k=2, theta=10, x=0: f(0) = ((q-1)/(q+theta-2))^k = 4/121
@@ -793,8 +795,11 @@ class TestResidueKernel:
 
     def test_pole_cancellation_is_inexact_hit(self, regime_b2):
         x = regime_b2.pole + Padic.inexact_zero(5, 7)
-        with pytest.raises(PoleHit, match=r"O\(p\^7\)") as exc:
+        with pytest.raises(NearPoleHit, match=r"O\(p\^7\)") as exc:
             eval_f(regime_b2, x)
+        # a shortage of digits that every pole-hit handler also sees
+        assert isinstance(exc.value, PrecisionError)
+        assert isinstance(exc.value, PoleHit)
         assert exc.value.exact is False
 
     def test_q_truncated_by_the_cap_matches_composed_path(self):

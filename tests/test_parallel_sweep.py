@@ -7,6 +7,7 @@ so it returns that run's records or raises its error."""
 
 import errno
 import hashlib
+import json
 import os
 import threading
 
@@ -14,7 +15,8 @@ import pytest
 
 from pottsbethe import sampling, verify
 from pottsbethe.cli import main
-from pottsbethe.mapping import MapParams, PoleHit, VerificationError
+from pottsbethe.mapping import (MapParams, NearPoleHit, PoleHit,
+                                VerificationError)
 
 B1 = ["--p", "5", "--k", "3", "--q", "5", "--theta", "1+p^3"]
 B2 = ["--p", "5", "--k", "2", "--q", "5", "--theta", "1+p^3"]
@@ -144,21 +146,17 @@ def plant(monkeypatch, errors):
 @pytest.mark.parametrize("errors,spans,code,first", [
     ({350: VerificationError("planted in the child")}, [2], 1,
      "falsified: planted in the child"),
-    ({350: PoleHit("exact hit", exact=True)}, [2], 1,
-     "falsified: exact hit"),
-    ({350: PoleHit("near hit", exact=False)}, [2], 3,
-     "precision exhausted: near hit"),
+    ({350: PoleHit("exact hit")}, [2], 1, "falsified: exact hit"),
     ({199: ValueError("second span"), 350: VerificationError("third")},
      [1, 2], 2, "error: second span"),
-    ({21: VerificationError("parent"), 350: PoleHit("child", exact=True)},
+    ({21: VerificationError("parent"), 350: PoleHit("child")},
      [0, 2], 1, "falsified: parent"),
-    ({300: VerificationError("parent"), 100: PoleHit("child", exact=False)},
-     [0, 1], 3, "precision exhausted: child"),
+    ({300: VerificationError("parent"), 100: PoleHit("child")},
+     [0, 1], 1, "falsified: child"),
     ({350: UnicodeDecodeError("utf-8", b"\xff", 0, 1, "planted")}, [2], 2,
      "error: 'utf-8' codec can't decode byte 0xff in position 0: planted"),
-], ids=["verification", "exact-pole-hit", "inexact-pole-hit",
-        "first-child-wins", "parent-wins", "earlier-child-beats-parent",
-        "unicode-decode-error"])
+], ids=["verification", "exact-pole-hit", "first-child-wins", "parent-wins",
+        "earlier-child-beats-parent", "unicode-decode-error"])
 def test_error_in_a_span_is_the_serial_error(capsys, monkeypatch, forks,
                                              errors, spans, code, first):
     # the errors fall in the spans the case is named for
@@ -166,6 +164,20 @@ def test_error_in_a_span_is_the_serial_error(capsys, monkeypatch, forks,
     plant(monkeypatch, errors)
     serial = run(SWEEP, capsys, monkeypatch, cpus=1)
     assert serial == (code, "", f"pottsbethe: {first}\n")
+    assert run(SWEEP, capsys, monkeypatch, cpus=3) == serial
+    assert len(forks) == 2
+
+
+def test_near_pole_hit_in_a_span_is_retried(capsys, monkeypatch, forks):
+    # a near hit is a shortage of digits: its record is retried on every
+    # rung and ends undecided, in a child as in a serial run
+    plant(monkeypatch, {350: NearPoleHit("near hit")})
+    serial = run(SWEEP, capsys, monkeypatch, cpus=1)
+    code, out, err = serial
+    rec = json.loads(out)["records"][350]
+    assert (code, err) == (0, "")
+    assert (rec["status"], rec["reason"], rec["retries"]) == (
+        "undecided", "precision", len(verify.RETRY_LADDER))
     assert run(SWEEP, capsys, monkeypatch, cpus=3) == serial
     assert len(forks) == 2
 
