@@ -144,8 +144,8 @@ def roots_of_unity(k: int, p: int, digits: int = DEFAULT_DIGITS) -> list[Padic]:
     of order kappa.  g alone is lifted by Newton on x**kappa - 1, to the
     root x congruent to it; then x**j is the unique root congruent to
     g**j, so kappa - 1 products give every root.  Results are sorted by
-    residue mod p, which fixes the symbol order used by the partition
-    downstream.
+    residue mod p, so 1 comes first, which fixes the symbol order used by
+    the partition downstream.
     """
     if p < 3:
         raise ValueError("p >= 3 required")

@@ -25,6 +25,7 @@ from .padic import (
     VerificationError,
     _Frozen,
     _check_prime,
+    _decimal,
     _exact_bits,
     _from_fraction,
     _inverse_mod,
@@ -72,7 +73,9 @@ def parse_theta(text: str, p: int) -> Fraction:
     m = _THETA_POWER_RE.match(text)
     if m:
         c = int(m.group(1)) if m.group(1) else 1
-        return Fraction(1 + c * p ** int(m.group(2)))
+        exp = int(m.group(2))
+        check_budget(exp, f"theta exponent m={exp}")  # before p**m
+        return Fraction(1 + c * p ** exp)
     m = _THETA_RATIONAL_RE.match(text)
     if not m:
         raise ValueError(
@@ -168,7 +171,7 @@ class MapParams(_Frozen):
     @functools.cached_property
     def theta_key(self) -> str:
         """theta as reports and sample seeds name it."""
-        return str(self.theta_frac)
+        return _decimal(self.theta_frac)
 
     def config_dict(self) -> dict:
         return {
@@ -440,7 +443,7 @@ def _residue(x: Padic, level: int) -> tuple[int, int] | int:
 
 
 PARTITION_CACHE_SIZE = 64  # configurations whose partition stays cached
-WORK_BUDGET = 10**5  # longest loop that grows with kappa or kappa**depth
+WORK_BUDGET = 10**5  # longest kappa**depth loop, largest m in theta 1+c*p^m
 
 
 def check_budget(count: int, loop: str) -> None:
@@ -454,10 +457,10 @@ def check_budget(count: int, loop: str) -> None:
 def build_partition(params: MapParams) -> Partition:
     """Centers and scaling exponents of the invariant cover (regime B).
 
-    The ball at the root of unity 1 is centered at
-    1 - q + (k-1)(1 - q/2 + (k-2)q^2/(6k))(theta-1) and scales distances
-    by |q|/|k(theta-1)|; the ball at xi != 1 is centered at
-    2 - q - theta + q(theta-1)/(1-xi) and scales by |k|/|q(theta-1)|.
+    Symbol 1's ball, at the root of unity 1 (``roots_of_unity`` lists it
+    first), is centered at 1 - q + (k-1)(1 - q/2 + (k-2)q^2/(6k))(theta-1)
+    and scales distances by |q|/|k(theta-1)|; the ball at xi != 1 is
+    centered at pole + q(theta-1)/(1-xi) and scales by |k|/|q(theta-1)|.
     Their distances follow ``Partition.center_exp``.  Disjointness, on
     the cover's residue groups, positivity of every exponent, and that
     the cover misses the pole and B_1 are asserted, not assumed.  A cover
@@ -478,13 +481,13 @@ def build_partition(params: MapParams) -> Partition:
     roots = hensel.roots_of_unity(k, p, params.digits)
     balls = []
     for i, xi in enumerate(roots, start=1):
-        if (xi - 1).is_zero_like:
+        if i == 1:
             coeff = Fraction(k - 1) * (
                 1 - Fraction(q, 2) + Fraction((k - 2) * q * q, 6 * k))
             center = params.embed(1 - q) + params.embed(coeff) * t1
             tau = params.tau_one
         else:
-            center = params.embed(2 - q) - params.theta + q * t1 / (1 - xi)
+            center = params.pole + q * t1 / (1 - xi)
             tau = tau_other
         if tau < 1:
             raise VerificationError(
@@ -555,25 +558,17 @@ def check_symbols(params: MapParams, word) -> None:
 
 
 def branch_root(params: MapParams, y) -> Padic:
-    """y**(1/k), the principal k-th root every inverse branch at y takes.
-
-    Defined where |y - 1|_p < |k|_p, the domain of the inverse branches;
-    ValueError outside it.
-    """
-    y = params.embed(y)
-    if not (y - 1).val_at_least(params.v_k + 1):
-        raise ValueError(
-            "y is outside the domain of the inverse branches "
-            "(|y - 1|_p >= |k|_p leaves no principal root)"
-        )
-    return hensel.principal_kth_root(y, params.k)
+    """y**(1/k), the principal k-th root every inverse branch at y takes,
+    ``hensel.principal_kth_root(y, k)``: defined where |y - 1|_p < |k|_p,
+    the domain of the inverse branches, and a ValueError outside it."""
+    return hensel.principal_kth_root(params.embed(y), params.k)
 
 
 def inverse_branch(params: MapParams, symbol: int, y,
                    root: Padic | None = None) -> Padic:
     """The inverse branch through the ball of the given symbol:
-    h_i(y) = ((q+theta-2) * xi_i * y**(1/k) - q + 1) / (theta - xi_i * y**(1/k))
-    using the principal k-th root.
+    h_i(y) = (pole * xi_i * y**(1/k) + q - 1) / (xi_i * y**(1/k) - theta),
+    pole = 2 - q - theta, using the principal k-th root.
 
     Defined wherever the principal root is, i.e. |y - 1|_p < |k|_p, which
     covers the invariant cover, its forward images, and the pole.  The
@@ -589,9 +584,8 @@ def inverse_branch(params: MapParams, symbol: int, y,
         root = branch_root(params, y)
     entry = build_partition(params).balls[symbol - 1]
     xr = entry.xi * root
-    num = (params.theta + (params.q - 2)) * xr - (params.q - 1)
-    den = params.theta - xr
+    den = xr - params.theta
     if den.is_zero_like:
-        raise PrecisionError("theta - xi * y**(1/k) cancelled; retry at "
+        raise PrecisionError("xi * y**(1/k) - theta cancelled; retry at "
                              "higher precision")
-    return num / den
+    return (params.pole * xr + (params.q - 1)) / den

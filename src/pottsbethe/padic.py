@@ -425,33 +425,29 @@ class Padic(_Frozen):
         return o / self
 
     def pow_int(self, n: int) -> "Padic":
-        """Integer power by repeated squaring; n may be negative."""
+        """p**(n*val) * unit**n for an integer n of either sign: one modular
+        power modulo p**prec, exact while an exact unit**n fits
+        ``_exact_bits``, and cut to the cap as ``_build`` cuts it if not."""
         if not isinstance(n, int):
             raise TypeError("exponent must be an integer")
-        p, cap = self.prime, self.cap
+        p, cap, u, prec = self.prime, self.cap, self.unit, self.prec
         if n == 0:
             return Padic.one(p, cap)
         if self.is_exact_zero:
             if n < 0:
                 raise ZeroDivisionError("negative power of exact zero")
             return self
-        if self.unit == 0:
+        if u == 0:
             if n < 0:
                 raise PrecisionError("negative power of an inexact zero")
             return Padic.inexact_zero(p, n * self.val, cap)
-        base = self if n > 0 else Padic.one(p, cap) / self
-        n = abs(n)
-        while not n & 1:
-            base = base * base
-            n >>= 1
-        out = base
-        n >>= 1
-        while n:
-            base = base * base
-            if n & 1:
-                out = out * base
-            n >>= 1
-        return out
+        if prec == INF:
+            # u**n has over (bits(u) - 1)*n bits; 1/u is exact at u = +-1
+            if ((n > 0 or abs(u) == 1) and
+                    (abs(u).bit_length() - 1) * n < _exact_bits(p, cap)):
+                return Padic._build(p, n * self.val, u ** abs(n), INF, cap)
+            prec = cap
+        return Padic(p, n * self.val, pow(u, n, p**prec), prec, cap)
 
     def __pow__(self, n: int) -> "Padic":
         return self.pow_int(n)

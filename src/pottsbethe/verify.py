@@ -348,7 +348,7 @@ def orbit_report(params: MapParams, x0: Fraction, max_iter: int,
     ladder = _Ladder(params)
     record = ladder.run(lambda pd, _: _orbit_record(
         pd, x0, max_iter, tol, None))
-    return {**_report("orbit", params, x0=str(x0), max_iter=max_iter,
+    return {**_report("orbit", params, x0=_decimal(x0), max_iter=max_iter,
                       tol=tol),
             "record": record}
 

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 
@@ -499,6 +500,14 @@ def test_cover_beyond_the_work_budget_is_a_usage_error(capsys):
     assert "a cover of kappa=100002 balls; budget is 100000" in err
 
 
+def test_theta_exponent_beyond_the_work_budget_is_a_usage_error(capsys):
+    # 1+p^m is refused before p**m is computed
+    code, out, err = run_cli(["classify", "--p", "5", "--k", "2", "--q", "5",
+                              "--theta", "1+p^100001"], capsys)
+    assert (code, out) == (2, "")
+    assert "theta exponent m=100001; budget is 100000" in err
+
+
 @pytest.mark.parametrize("precision", ["0", "-3"])
 def test_non_positive_precision_is_a_usage_error(capsys, precision):
     with pytest.raises(SystemExit) as exc:
@@ -559,6 +568,26 @@ def test_reports_write_units_past_the_int_text_limit(capsys):
         assert labels == [str(s.payload) for s
                           in sampling.spanning_samples(params, 3, 0)]
         assert max(map(len, labels)) > 4300
+
+
+def test_reports_write_a_theta_past_the_int_text_limit(capsys):
+    # theta = 1+5^7000 has 4 893 decimal digits
+    code, out, err = run_cli(["classify", "--p", "5", "--k", "2", "--q", "5",
+                              "--theta", "1+p^7000", "--precision", "7200"],
+                             capsys)
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    with int_text_unlimited():
+        theta = str(1 + 5**7000)
+    assert (report["regime"], len(theta)) == ("B2", 4893)
+    assert report["config"]["theta"] == report["partition"]["theta"] == theta
+
+
+def test_orbit_report_writes_an_x0_past_the_int_text_limit():
+    params = MapParams.make(5, 2, 5, "1+p^3")
+    report = verify.orbit_report(params, Fraction(10**5000 + 7),
+                                 DEFAULT_MAX_ITER, DEFAULT_TOL)
+    assert report["config"]["x0"] == "1" + "0" * 4999 + "7"
 
 
 def test_unwritable_out_is_a_usage_error(capsys, monkeypatch, tmp_path):

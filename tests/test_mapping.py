@@ -24,6 +24,7 @@ from pottsbethe.mapping import (
     VerificationError,
     _check_cover,
     attracting_ball,
+    branch_root,
     build_partition,
     classify_fixed,
     classify_regime,
@@ -79,6 +80,17 @@ class TestThetaGrammar:
             parse_theta("p^3", 5)
         with pytest.raises(ValueError):
             parse_theta("1+p^", 5)
+
+    def test_exponent_past_the_budget_is_refused_before_the_power(self):
+        class NoPowers(int):  # a prime whose powers would fail the test
+            def __pow__(self, exp):
+                raise AssertionError(f"p**{exp} was computed")
+
+        m = WORK_BUDGET + 1
+        with pytest.raises(ValueError, match=f"theta exponent m={m}; budget"):
+            parse_theta(f"1+2*p^{m}", NoPowers(5))
+        assert parse_theta(f"1+2*p^{WORK_BUDGET}", 5) == \
+            1 + 2 * 5**WORK_BUDGET
 
 
 class TestParamsValidation:
@@ -620,6 +632,10 @@ class TestInverseBranch:
     def test_domain_precondition(self, regime_b2):
         with pytest.raises(ValueError):
             inverse_branch(regime_b2, 1, 7)  # |7 - (1-q)| = 1 >= |q^2|
+        # y - 1 = O(p) cannot tell |y - 1| < |10| = p^-1 from equality
+        with pytest.raises(PrecisionError, match="cannot certify"):
+            branch_root(MapParams.make(5, 10, 25, "1+p^5"),
+                        Padic.from_residue(1, 1, 5))
 
     @given(st.data())
     @settings(max_examples=200, deadline=None)
@@ -645,6 +661,86 @@ class TestInverseBranch:
             h2 = inverse_branch(params, symbol, y2)
             assert h2.abs_prec >= h.abs_prec
             assert _agree(h, h2, h.abs_prec)
+
+
+def fields(z: Padic) -> tuple:
+    return z.prime, z.val, z.unit, z.prec, z.cap
+
+
+def outcome(fn, *args):
+    """fn's result as its fields, or the type of what it raised."""
+    try:
+        return fields(fn(*args))
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc)
+
+
+def center_off_the_root(params, xi):
+    """A center as ``build_partition`` wrote it before it read the pole:
+    2 - q - theta + q(theta-1)/(1-xi)."""
+    return (params.embed(2 - params.q) - params.theta
+            + params.q * (params.theta - 1) / (1 - xi))
+
+
+def branch_by_theta(params, symbol, y):
+    """h_i(y) as ``inverse_branch`` wrote it before it read the pole:
+    ((theta+q-2) * xi*r - q + 1) / (theta - xi*r), r = y**(1/k)."""
+    xr = build_partition(params).balls[symbol - 1].xi * \
+        branch_root(params, y)
+    den = params.theta - xr
+    if den.is_zero_like:
+        raise PrecisionError("theta - xi * y**(1/k) cancelled")
+    return ((params.theta + (params.q - 2)) * xr - (params.q - 1)) / den
+
+
+# the census grid, and thetas known only to their digits
+FORM_SETS = census.GRID + [(5, 2, 5, 1 + Fraction(5**4, 3)),
+                           (7, 3, 7, 1 - Fraction(7**3, 2)),
+                           (3, 2, 9, 1 + Fraction(3**6, 4))]
+
+
+class TestOneFormPerFact:
+    def test_forms_match_the_replaced_ones_on_the_census_covers(self):
+        # symbol 1 is the root 1, each center off it is pole + q(theta-1)
+        # /(1-xi), and each branch reads the pole: field for field the
+        # forms they replaced, at the centers, the pole and ball samples
+        covers = 0
+        for (p, k, q, theta), digits in itertools.product(FORM_SETS,
+                                                          (6, 12, 64)):
+            try:
+                params = MapParams.make(p, k, q, theta, digits)
+                if not params.regime.expanding:
+                    continue
+                part = build_partition(params)
+            except PrecisionError:
+                continue
+            covers += 1
+            assert fields(part.balls[0].xi) == fields(Padic.one(p, digits))
+            for b in part.balls[1:]:
+                assert not (b.xi - 1).is_zero_like
+                assert fields(b.center) == \
+                    fields(center_off_the_root(params, b.xi))
+            ys = [b.center for b in part.balls] + [params.pole]
+            ys += sampling.ball_samples(params, part.balls[-1].symbol, 3, 1)
+            for y, b in itertools.product(ys, part.balls):
+                assert outcome(inverse_branch, params, b.symbol, y) == \
+                    outcome(branch_by_theta, params, b.symbol, y)
+        assert covers == 95
+
+    def test_one_subtraction_per_branch_root(self, monkeypatch, regime_b2):
+        # the domain |y - 1| < |k| is decided once, by principal_kth_root
+        part = build_partition(regime_b2)
+        calls, sub = [], Padic.__sub__
+
+        def counted(x, y):
+            calls.append(y)
+            return sub(x, y)
+
+        monkeypatch.setattr(Padic, "__sub__", counted)
+        for y in [b.center for b in part.balls] + [regime_b2.pole]:
+            calls.clear()
+            branch_root(regime_b2, y)
+            assert len(calls) == 1
 
 
 class TestRegimeAContraction:

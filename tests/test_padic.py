@@ -19,6 +19,7 @@ from pottsbethe.padic import (
     PrecisionError,
     _check_prime,
     _decimal,
+    _exact_bits,
     _inverse_mod,
     from_rational,
 )
@@ -398,6 +399,94 @@ class TestPrecisionSoundness:
         n = data.draw(st.integers(-6, 12))
         _assert_keeps_claimed_digits(Padic.pow_int, (x, n),
                                      (_perturb(data, x), n))
+
+
+def pow_by_squaring(x: Padic, n: int) -> Padic:
+    """x**n by repeated squaring of Padic products, as ``Padic.pow_int``
+    computed it before it became one modular power: the reference."""
+    p, cap = x.prime, x.cap
+    if n == 0:
+        return Padic.one(p, cap)
+    if x.is_exact_zero:
+        if n < 0:
+            raise ZeroDivisionError("negative power of exact zero")
+        return x
+    if x.unit == 0:
+        if n < 0:
+            raise PrecisionError("negative power of an inexact zero")
+        return Padic.inexact_zero(p, n * x.val, cap)
+    base = x if n > 0 else Padic.one(p, cap) / x
+    n = abs(n)
+    while not n & 1:
+        base = base * base
+        n >>= 1
+    out = base
+    n >>= 1
+    while n:
+        base = base * base
+        if n & 1:
+            out = out * base
+        n >>= 1
+    return out
+
+
+@st.composite
+def pow_cases(draw):
+    """(x, n): x exact (units near the truncation bound of ``_exact_bits``
+    at n included), inexact, an exact or an inexact zero, under a cap of
+    1 to 256 digits; n of either sign up to 10**5."""
+    p = draw(primes)
+    cap = draw(st.integers(1, 256))
+    val = draw(st.integers(-4, 6))
+    n = draw(st.one_of(st.integers(-12, 12), st.integers(-10**5, 10**5)))
+    kind = draw(st.sampled_from(
+        ["exact", "near_bound", "inexact", "exact_zero", "inexact_zero"]))
+    if kind == "exact":
+        unit = draw(st.one_of(st.sampled_from([1, -1]),
+                              st.integers(-p**8, p**8),
+                              st.integers(-p**(cap + 30), p**(cap + 30))))
+        return Padic._build(p, val, unit, INF, cap), n
+    if kind == "near_bound":  # bits(u)*n and bits(u**n) around the bound
+        bits = draw(st.integers(2, 64))
+        unit = draw(st.integers(2**(bits - 1), 2**bits - 1))
+        n = int(_exact_bits(p, cap) / bits) + draw(st.integers(-2, 2))
+        n = max(n, 1) * draw(st.sampled_from([1, -1]))
+        return Padic._build(p, val, unit * draw(st.sampled_from([1, -1])),
+                            INF, cap), n
+    if kind == "inexact":
+        prec = draw(st.integers(1, cap + 8))
+        unit = draw(st.integers(1, p**prec - 1).filter(lambda u: u % p))
+        return Padic(p, val, unit, prec, cap), n
+    if kind == "exact_zero":
+        return Padic.zero(p, cap), n
+    return Padic.inexact_zero(p, draw(st.integers(1, 8)), cap), n
+
+
+def outcome(fn, *args):
+    """fn's result as its fields, or the type of what it raised."""
+    try:
+        z = fn(*args)
+    except ArithmeticError as exc:  # ZeroDivisionError and PrecisionError
+        return type(exc)
+    return z.prime, z.val, z.unit, z.prec, z.cap
+
+
+class TestPowInt:
+    @given(pow_cases())
+    @settings(max_examples=600, deadline=None)
+    def test_matches_repeated_squaring(self, case):
+        x, n = case
+        assert outcome(Padic.pow_int, x, n) == outcome(pow_by_squaring, x, n)
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_exact_powers_stay_exact_up_to_the_bound(self, p):
+        # 2**n is exact while its n + 1 bits fit the bound, and cut to the
+        # cap past it
+        bound = _exact_bits(p, 20)
+        for n in range(int(bound) - 3, int(bound) + 3):
+            z = Padic._build(p, 0, 2, INF, 20).pow_int(n)
+            assert z.is_exact == (n + 1 <= bound)
+            assert (z.unit - 2**n) % p**20 == 0
 
 
 def decode(text: str, p: int) -> tuple:

@@ -3,12 +3,15 @@ as a serial run, no child process left behind and no descriptor left
 open.  A child sends its whole span or nothing; when anything goes wrong
 (a record raises in any process, a child dies, a fork fails) the parent
 ends every child and computes the records itself as a serial run does,
-so it returns that run's records or raises its error."""
+so it returns that run's records or raises its error.  The benchmark's
+workload reports are pinned here too, at 1 and 2 CPUs."""
 
+import ast
 import errno
 import hashlib
 import json
 import os
+import pathlib
 import threading
 
 import pytest
@@ -118,6 +121,57 @@ def test_sweep_bytes_are_pinned(capsys, monkeypatch, argv, digest, cpus):
     code, out, err = run(argv, capsys, monkeypatch, cpus=cpus)
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# the argv of the benchmark's workloads, as bench/workloads.py spells them
+BENCH_WORKLOADS = {
+    "sweep-b1": "sweep --p 5 --k 3 --q 5 --theta 1+p^3 --samples 1000 "
+                "--depth 50 --seed {seed}",
+    "julia-b2": "julia-verify --p 5 --k 2 --q 5 --theta 1+p^3 --depth 8 "
+                "--samples 25 --seed {seed}",
+    "poletree-b2": "sweep --p 5 --k 2 --q 5 --theta 1+p^3 --precision 256 "
+                   "--pole-tree-depth 4 --samples 100 --depth 50 "
+                   "--seed {seed}",
+}
+
+
+BENCH_SHA256 = {
+    ("sweep-b1", 1):
+    "7526989b56a06850a941707e0c89083ddd493a03651510d2a62fd098f116435a",
+    ("sweep-b1", 11):
+    "1de5ee7945c209bfd0d3bc6a224812ee21e50244c35e4eab71df3a1fb1dac040",
+    ("julia-b2", 1):
+    "127204f91495c6cd18a4cb80ab4cf046d29d74fdc923b41bdbb23e814387a8b2",
+    ("julia-b2", 11):
+    "2be9480fb7f931454b212c84001d1bd54fa71e3a01180e08c267232de9556bed",
+    ("poletree-b2", 1):
+    "86838a6bff0cf29ac3dfc57a887d75a43e43c0e21fab3a51ee06c234936dbc26",
+    ("poletree-b2", 11):
+    "8cae577d0959835d8de564e8acc4008932bce8040b4a8ecd8f6bba804f36fc92",
+}
+
+
+@pytest.mark.parametrize("run_id", BENCH_SHA256,
+                         ids=lambda r: "{}-seed{}".format(*r))
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_bench_workload_bytes_are_pinned(capsys, monkeypatch, run_id, cpus):
+    workload, seed = run_id
+    argv = BENCH_WORKLOADS[workload].format(seed=seed).split()
+    code, out, err = run(argv, capsys, monkeypatch, cpus=cpus)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == BENCH_SHA256[run_id]
+
+
+def test_bench_workload_argv_is_the_benchmark_s():
+    # BENCH_WORKLOADS is a copy: it must track each Workload(name=...,
+    # args=...) of bench/workloads.py
+    tree = ast.parse((pathlib.Path(__file__).resolve().parents[1] / "bench"
+                      / "workloads.py").read_text())
+    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and getattr(node.func, "id", None) == "Workload"]
+    fields = [{kw.arg: ast.literal_eval(kw.value) for kw in call.keywords
+               if kw.arg in ("name", "args")} for call in calls]
+    assert {f["name"]: f["args"] for f in fields} == BENCH_WORKLOADS
 
 
 SWEEP = ["sweep", *B1, "--samples", "400", "--depth", "50", "--seed", "4"]
