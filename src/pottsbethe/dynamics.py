@@ -13,12 +13,10 @@ depth, never more.
 
 from __future__ import annotations
 
-import functools
 from enum import Enum
 
 from .mapping import (
     MapParams,
-    Partition,
     PoleHit,
     RegimeTag,
     branch_root,
@@ -56,28 +54,14 @@ class OrbitResult(_Frozen):
     __slots__ = ("status", "steps", "final_norm_exp_to_1", "itinerary",
                  "reason")
 
-    def __init__(self, status: OrbitStatus, steps: int | None = None,
-                 final_norm_exp_to_1: tuple[int | str, bool] | None = None,
-                 itinerary: tuple[int, ...] | None = None,
-                 reason: str | None = None):
-        _set_status(self, status)
-        _set_steps(self, steps)
-        _set_final_norm_exp_to_1(self, final_norm_exp_to_1)
-        _set_orbit_itinerary(self, itinerary)
-        _set_orbit_reason(self, reason)
-
-
-(_set_status, _set_steps, _set_final_norm_exp_to_1, _set_orbit_itinerary,
- _set_orbit_reason) = OrbitResult._set
-
 
 class Trajectory:
     """The forward orbit of x0: ``traj[t]`` is f^t(x0), computed once, on
     first use.  The PoleHit or PrecisionError that ended the orbit is kept
     and raised again for its index and every later one.  The cover symbol
-    of f^t(x0) is also computed once per index; a PrecisionError from
-    ``Partition.locate`` is not a symbol, so it is raised again on every
-    read.  The cover is looked up once, on the first symbol read."""
+    of f^t(x0) is also computed once per index, in the cover
+    ``build_partition`` caches; a PrecisionError from ``Partition.locate``
+    is not a symbol, so it is raised again on every read."""
 
     def __init__(self, params: MapParams, x0):
         self.params = params
@@ -104,16 +88,11 @@ class Trajectory:
         """f^t(x0) - 1."""
         return self[t] - self._one
 
-    @functools.cached_property
-    def partition(self) -> Partition:
-        """The cover the symbols name (regime B only)."""
-        return build_partition(self.params)
-
     def symbol(self, t: int) -> int | None:
         """The symbol of the cover ball holding f^t(x0), None outside the
         cover (regime B only)."""
         if t not in self._symbols:
-            self._symbols[t] = self.partition.locate(self[t])
+            self._symbols[t] = build_partition(self.params).locate(self[t])
         return self._symbols[t]
 
 
@@ -169,7 +148,7 @@ def orbit(params: MapParams, x0, max_iter: int = DEFAULT_MAX_ITER,
     if max_iter < 0:
         raise ValueError(f"max_iter must be >= 0, got {max_iter}")
     traj = _trajectory(params, x0)
-    part = traj.partition if params.regime.expanding else None
+    part = build_partition(params) if params.regime.expanding else None
     lemma = params.theta.prec == INF and params.tau_one != INF
     symbols: list[int] = []
     inside = part is not None  # every symbol read so far was in the cover
@@ -177,10 +156,12 @@ def orbit(params: MapParams, x0, max_iter: int = DEFAULT_MAX_ITER,
 
     def result(status: OrbitStatus, steps: int | None = None,
                final: tuple[int, bool] | None = None,
-               **fields) -> OrbitResult:
+               itinerary: tuple[int, ...] | None = None,
+               reason: str | None = None) -> OrbitResult:
         return OrbitResult(
             status, last if steps is None else steps,
-            final if final is not None else norm_exp_field(d), **fields)
+            final if final is not None else norm_exp_field(d), itinerary,
+            reason)
 
     try:
         for t in range(max_iter + 1):
@@ -263,20 +244,6 @@ class ClassifyResult(_Frozen):
 
     __slots__ = ("kind", "step", "depth", "itinerary", "reason")
 
-    def __init__(self, kind: ClassifyKind, step: int | None = None,
-                 depth: int | None = None,
-                 itinerary: tuple[int, ...] | None = None,
-                 reason: str | None = None):
-        _set_kind(self, kind)
-        _set_step(self, step)
-        _set_depth(self, depth)
-        _set_classify_itinerary(self, itinerary)
-        _set_classify_reason(self, reason)
-
-
-(_set_kind, _set_step, _set_depth, _set_classify_itinerary,
- _set_classify_reason) = ClassifyResult._set
-
 
 def check_classified(params: MapParams) -> None:
     """Refuse parameters outside the proven regimes, which classify none."""
@@ -299,24 +266,27 @@ def basin_classify(params: MapParams, x0, depth: int) -> ClassifyResult:
     traj = _trajectory(params, x0)
     if (traj[0] - params.pole).is_zero_like:
         raise ValueError("x0 is the pole; it lies outside the domain")
+
+    def result(kind: ClassifyKind, step: int,
+               itinerary: tuple[int, ...] | None = None,
+               reason: str | None = None) -> ClassifyResult:
+        return ClassifyResult(kind, step, depth, itinerary, reason)
+
     if params.regime.tag == RegimeTag.A:
-        return ClassifyResult(ClassifyKind.BASIN, step=0, depth=depth)
+        return result(ClassifyKind.BASIN, 0)
     check_classified(params)
     symbols: list[int] = []
     try:
         for t in range(depth):
             sym = traj.symbol(t)
             if sym is None:
-                return ClassifyResult(ClassifyKind.BASIN, step=t, depth=depth)
+                return result(ClassifyKind.BASIN, t)
             symbols.append(sym)
             if (traj[t + 1] - params.pole).is_zero_like:
-                return ClassifyResult(ClassifyKind.POLE_PREIMAGE, step=t + 1,
-                                      depth=depth)
+                return result(ClassifyKind.POLE_PREIMAGE, t + 1)
     except PrecisionError:
-        return ClassifyResult(ClassifyKind.UNDECIDED, step=len(symbols),
-                              depth=depth, reason="precision")
-    return ClassifyResult(ClassifyKind.JULIA_CANDIDATE, step=depth,
-                          depth=depth, itinerary=tuple(symbols))
+        return result(ClassifyKind.UNDECIDED, len(symbols), reason="precision")
+    return result(ClassifyKind.JULIA_CANDIDATE, depth, tuple(symbols))
 
 
 def itinerary_of(params: MapParams, x0, n: int) -> tuple[int, ...]:
@@ -465,29 +435,35 @@ def cycle_multiplier(params: MapParams, x, period: int) -> Padic:
     return out
 
 
+def incidence_size(params: MapParams) -> int:
+    """The kappa**2 entries of ``incidence_matrix``; ValueError past
+    WORK_BUDGET."""
+    entries = params.kappa**2
+    check_budget(entries, f"{entries} incidence entries")
+    return entries
+
+
 def incidence_matrix(params: MapParams) -> tuple[tuple[int, ...], ...]:
     """Transition structure of the cover, verified rather than assumed.
 
     Entry (i, j) is set after checking, on the center c_j of ball j, that
-    the branch through ball i sends c_j into ball i and that the forward
-    map returns it exactly.  The center decides the whole ball: h_i
-    contracts by exactly p**-tau_i, so it maps ball j onto the ball of
-    radius exponent s + tau_i around h_i(c_j), and ultrametric balls nest,
-    so that image lies in ball i once its center does; f(h_i(y)) = y
-    wherever h_i is defined (``inverse_branch``).  The contraction law
-    itself is sampled on every ball by ``verify.expansion_law_report``.
-    The theory makes every entry 1; a failed check is raised loudly
-    because it would falsify that conclusion at these parameters, so
-    every entry of the returned rows is 1.  Each center's root is taken
-    once.
+    h_i(c_j), the child of symbol i in the one-level ``branch_tree`` over
+    c_j, lies in ball i and that the forward map returns c_j exactly.  The
+    center decides the whole ball: h_i contracts by exactly p**-tau_i, so
+    it maps ball j onto the ball of radius exponent s + tau_i around
+    h_i(c_j), and ultrametric balls nest, so that image lies in ball i
+    once its center does; f(h_i(y)) = y wherever h_i is defined
+    (``inverse_branch``).  The contraction law itself is sampled on every
+    ball by ``verify.expansion_law_report``.  The theory makes every entry
+    1; a failed check is raised loudly because it would falsify that
+    conclusion at these parameters, so every entry of the returned rows
+    is 1.  ``incidence_size`` admits the loop before its first branch.
     """
+    incidence_size(params)
     part = build_partition(params)
-    symbols = range(1, params.kappa + 1)
-    roots = [branch_root(params, b.center) for b in part.balls]
-    for i in symbols:
-        for j in symbols:
-            y = part.balls[j - 1].center
-            x = inverse_branch(params, i, y, roots[j - 1])
+    for j, ball in enumerate(part.balls, 1):
+        y = ball.center
+        for (i,), x in next(branch_tree(params, y, 1)).items():
             if not part.balls[i - 1].ball.contains(x):
                 raise VerificationError(
                     f"branch {i} left its ball on the center of ball {j}")

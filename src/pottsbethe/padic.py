@@ -49,9 +49,10 @@ class _Frozen:
     The base ``__init__`` takes the fields in that order and sets each
     once; any later assignment or deletion raises AttributeError.
     ``__repr__`` and ``__reduce__`` (copy, pickle) read the same fields.
-    A record built on a hot path defines its own ``__init__`` and calls
-    the setters by name, which skips the loop.  A ``"__dict__"`` slot is
-    no field: it holds what ``functools.cached_property`` caches."""
+    Only ``Padic`` sets its fields by hand, calling the setters by name
+    in its own ``__init__``: every arithmetic result builds one, and the
+    loop would add to each.  A ``"__dict__"`` slot is no field: it holds
+    what ``functools.cached_property`` caches."""
 
     __slots__ = ()
 
@@ -127,18 +128,13 @@ _MILLER_RABIN_BOUND = 3317044064679887385961981
 
 
 def _check_prime(p: int) -> None:
-    """ValueError unless p is prime: trial division by _SMALL_PRIMES, then
-    the deterministic Miller-Rabin test on them as bases, exact below
-    _MILLER_RABIN_BOUND; a larger p is refused, never guessed."""
+    """ValueError unless p is prime: the deterministic Miller-Rabin test
+    on _SMALL_PRIMES as bases, exact below _MILLER_RABIN_BOUND; a larger p
+    is refused, never guessed."""
     if p in _SMALL_PRIMES:
         return
     if p < 2:
         raise ValueError(f"prime must be >= 2, got {p}")
-    for b in _SMALL_PRIMES:
-        if p % b == 0:
-            raise ValueError(f"{p} is not prime")
-    if p < 43 * 43:  # no prime factor up to sqrt(p)
-        return
     if p >= _MILLER_RABIN_BOUND:
         raise ValueError(f"cannot decide whether {p} is prime: the "
                          f"primality test is exact below {_MILLER_RABIN_BOUND}")
@@ -312,7 +308,7 @@ class Padic(_Frozen):
         if isinstance(other, int):
             return Padic._build(self.prime, 0, int(other), INF, self.cap)
         if isinstance(other, Fraction):
-            return from_rational(other, 1, prime=self.prime, digits=self.cap)
+            return _from_fraction(other, self.prime, self.cap)
         return NotImplemented
 
     def __add__(self, other):

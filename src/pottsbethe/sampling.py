@@ -23,15 +23,8 @@ class Sample(_Frozen):
 
     __slots__ = ("category", "payload")
 
-    def __init__(self, category: str, payload: int | Fraction):
-        _set_category(self, category)
-        _set_payload(self, payload)
-
     def realize(self, params: MapParams) -> Padic:
         return params.embed(self.payload)
-
-
-_set_category, _set_payload = Sample._set
 
 
 def rng_for(params: MapParams, tag: str, seed: int) -> random.Random:

@@ -391,12 +391,11 @@ def julia_report(params: MapParams, depth: int, seed: int = 0,
         raise ValueError(f"pairs_per_ball must be >= 1, got {pairs_per_ball}")
     dynamics.check_classified(params)
     if params.regime.expanding:
-        kappa, points = params.kappa, dynamics.tree_size(params, depth)
-        for count, loop in (
-                (kappa * kappa, "incidence entries"),
-                (points * (kappa - 1) // 2, "isometry comparisons"),
-                (2 * pairs_per_ball * kappa, "expansion-law points")):
-            check_budget(count, f"{count} {loop}")
+        points = dynamics.tree_size(params, depth)
+        dynamics.incidence_size(params)
+        count = points * (params.kappa - 1) // 2
+        check_budget(count, f"{count} isometry comparisons")
+        expansion_law_size(params, pairs_per_ball)
     return _first_rung(lambda pd, _: _julia_checks(
         pd, depth, seed, pairs_per_ball), _Ladder(params).rung)[1]
 
@@ -504,15 +503,25 @@ def _julia_checks(params: MapParams, depth: int, seed: int,
     return report
 
 
+def expansion_law_size(params: MapParams, pairs_per_ball: int) -> int:
+    """The 2*pairs_per_ball*kappa points ``expansion_law_report`` samples;
+    ValueError past WORK_BUDGET."""
+    points = 2 * pairs_per_ball * params.kappa
+    check_budget(points, f"{points} expansion-law points")
+    return points
+
+
 def expansion_law_report(params: MapParams, pairs_per_ball: int,
                          seed: int) -> dict:
     """Sample pairs inside each partition ball and compare the exact jump
     of norm exponents under the map with the predicted constant:
     v(k)+v(theta-1)-v(q) on the ball at 1, v(q)+v(theta-1)-v(k) elsewhere.
     At least one pair per ball is needed: a check of no pairs proves
-    nothing either way."""
+    nothing either way, and ``expansion_law_size`` admits the points
+    before any is drawn."""
     if pairs_per_ball < 1:
         raise ValueError(f"pairs_per_ball must be >= 1, got {pairs_per_ball}")
+    expansion_law_size(params, pairs_per_ball)
     detail = []
     for entry in build_partition(params).balls:
         points = sampling.ball_samples(params, entry.symbol,

@@ -446,8 +446,8 @@ _PARTITION_BALL = PartitionBall(1, _ONE, _ONE, _BALL, 2)
 
 
 @pytest.mark.parametrize("result", [
-    OrbitResult(OrbitStatus.STAYED_IN_X, 3, (2, True), (1, 2, 1)),
-    ClassifyResult(ClassifyKind.BASIN, step=0, depth=5),
+    OrbitResult(OrbitStatus.STAYED_IN_X, 3, (2, True), (1, 2, 1), None),
+    ClassifyResult(ClassifyKind.BASIN, 0, 5, None, None),
     sampling.Sample("zp", 7),
     _ONE,
     _BALL,
@@ -495,6 +495,14 @@ def test_record_takes_every_field():
         Ball(_ONE)
     with pytest.raises(TypeError, match="Regime takes 2 fields, got 1"):
         Regime(RegimeTag.A)
+    # these three once filled the fields left out with None
+    with pytest.raises(TypeError, match="OrbitResult takes 5 fields, got 2"):
+        OrbitResult(OrbitStatus.POLE_HIT, 0)
+    with pytest.raises(TypeError,
+                       match="ClassifyResult takes 5 fields, got 3"):
+        ClassifyResult(ClassifyKind.BASIN, 0, 5)
+    with pytest.raises(TypeError, match="Sample takes 2 fields, got 1"):
+        sampling.Sample("zp")
 
 
 class TestSymbolRange:
@@ -549,6 +557,22 @@ class TestIncidence:
         monkeypatch.setattr(hensel, "principal_kth_root", counted)
         assert incidence_matrix(regime_b4) == ((1,) * 4,) * 4
         assert len(calls) == regime_b4.kappa == 4
+
+    def test_entries_past_the_budget_are_refused_first(self, monkeypatch):
+        # kappa = 400: a direct call took all 160 000 branches (8.7 s),
+        # though julia_report refused these parameters up front
+        params = MapParams.make(401, 400, 401, "1+p^3")
+        branch, calls = dynamics.inverse_branch, []
+
+        def counted(*args):
+            calls.append(args)
+            return branch(*args)
+
+        monkeypatch.setattr(dynamics, "inverse_branch", counted)
+        with pytest.raises(ValueError, match="160000 incidence entries; "
+                                             "budget is 100000"):
+            incidence_matrix(params)
+        assert calls == []
 
     def test_center_sent_out_of_its_ball_is_refused(self, regime_b2,
                                                     monkeypatch):

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pottsbethe import padic
 from pottsbethe.mapping import MapParams
 from pottsbethe.padic import (
     INF,
@@ -157,6 +158,31 @@ class TestArithmetic:
     def test_mixed_int_operands(self):
         x = from_rational(1, 7, prime=5, digits=30)
         assert ((2 * x + 1) - (x + x + 1)).is_zero_like
+
+    @pytest.mark.parametrize("p", [3, 5, 101])
+    def test_fraction_operands_embed_as_from_rational(self, p, monkeypatch):
+        # a Fraction operand is the from_rational value at the Padic's cap,
+        # field for field, and its prime, checked when the Padic was made,
+        # is not checked again
+        def fields(z):
+            return z.prime, z.val, z.unit, z.prec, z.cap
+
+        xs = [from_rational(22, p, prime=p, digits=12),
+              from_rational(22, 7 * p, prime=p, digits=12)]
+        frs = [Fraction(3, 7), Fraction(-5, p**2), Fraction(4 * p**2, 11)]
+        ops = [operator.add, operator.sub, operator.mul, operator.truediv]
+        cases = [(op, x, fr) for op in ops for x in xs for fr in frs]
+        want = []
+        for op, x, fr in cases:
+            y = from_rational(fr, prime=p, digits=x.cap)
+            want += [fields(op(x, y)), fields(op(y, x))]
+        checks = []
+        monkeypatch.setattr(padic, "_check_prime", checks.append)
+        got = []
+        for op, x, fr in cases:
+            got += [fields(op(x, fr)), fields(op(fr, x))]
+        assert got == want
+        assert checks == []
 
 
 class TestNormExp:

@@ -170,11 +170,15 @@ def test_regime_is_decided_once_per_params(monkeypatch):
 def test_julia_budget_counts_the_loops_it_bounds(monkeypatch):
     # the counts julia_report holds against the budget are the lengths of
     # the loops it runs: one df_metric per isometry comparison, 1 + 3 + 9
-    # prefixes of 3 pairs each, and 2 * 4 sampled points per ball
+    # prefixes of 3 pairs each, and 2 * 4 sampled points per ball.  The
+    # incidence count is checked in dynamics, next to its loop, as the
+    # tree's is; the tree's message, "depth 3 has ...", is not recorded
     counts, points, ball_samples = {}, [], sampling.ball_samples
 
     def check_budget(count, loop):
-        counts[loop.split(" ", 1)[1]] = count
+        head, name = loop.split(" ", 1)
+        if head == str(count):
+            counts[name] = count
 
     def sampled(*args):
         drawn = ball_samples(*args)
@@ -182,6 +186,7 @@ def test_julia_budget_counts_the_loops_it_bounds(monkeypatch):
         return drawn
 
     monkeypatch.setattr(verify, "check_budget", check_budget)
+    monkeypatch.setattr(dynamics, "check_budget", check_budget)
     monkeypatch.setattr(sampling, "ball_samples", sampled)
     metric = _calls_to(monkeypatch, dynamics.df_metric)
     rep = verify.julia_report(MapParams.make(7, 3, 7, "1+p^3"), 3,
@@ -206,15 +211,15 @@ def test_julia_report_builds_each_cylinder_point_once(monkeypatch):
 
 
 def plant_in_word_tree(monkeypatch, word, move):
-    """Make the first branch tree built, julia_report's word tree, hold
-    ``move(params, z)`` in place of the point z of ``word``."""
-    branch_tree, built = dynamics.branch_tree, []
+    """Make the first tree level that holds ``word``, in julia_report's
+    word tree (the incidence matrix's one-level trees hold no longer
+    word), hold ``move(params, z)`` in place of the point z of ``word``."""
+    branch_tree, planted_in = dynamics.branch_tree, []
 
     def planted(params, root, depth):
-        first = not built
-        built.append(root)
         for level in branch_tree(params, root, depth):
-            if first and word in level:
+            if not planted_in and word in level:
+                planted_in.append(root)
                 level[word] = move(params, level[word])
             yield level
 
@@ -353,6 +358,18 @@ def test_expansion_laws_need_a_pair(monkeypatch):
     with pytest.raises(ValueError, match="pairs_per_ball must be >= 1, got 0"):
         verify.julia_report(params, 8, pairs_per_ball=0)
     assert trees == []
+
+
+def test_expansion_law_points_past_the_budget_are_refused_first(
+        monkeypatch):
+    # 2 * 25 001 points in each of two balls; only julia_report counted
+    # them, and a direct call drew them all
+    params = MapParams.make(5, 2, 5, "1+p^3")
+    drawn = _calls_to(monkeypatch, sampling.ball_samples)
+    with pytest.raises(ValueError, match="100004 expansion-law points; "
+                                         "budget is 100000"):
+        verify.expansion_law_report(params, 25_001, seed=0)
+    assert drawn == []
 
 
 @pytest.mark.parametrize("args", [(5, 3, 5, "1+p^3"), (5, 5, 5, "1+p^1")],
