@@ -1,8 +1,9 @@
 """Root-finding over the p-adic integers.
 
 The principal k-th root of elements close to 1 and the k-th roots of
-unity, by integer Newton lifts that double their digits at each step, and
-the second fixed point of the map in the single-symbol repelling regime.
+unity, by integer Newton lifts that double their digits at each step and
+carry the inverse of their derivative from step to step, and the second
+fixed point of the map in the single-symbol repelling regime.
 ``PolyZp`` evaluates a polynomial over Z_p and its derivative.
 """
 
@@ -18,8 +19,6 @@ from .padic import (
     VerificationError,
     _Frozen,
     _check_prime,
-    _inverse_mod,
-    _newton_precisions,
     _vp,
     from_rational,
 )
@@ -75,27 +74,35 @@ class PolyZp(_Frozen):
 
 def _unit_root(r: int, m: int, y: int, n: int, p: int) -> int:
     """The root of x**m = r mod p**n congruent to y mod p, for y**m = r mod
-    p and p not dividing m: the derivative m*x**(m-1) is a unit, so Newton's
-    step x <- x - (x**m - r)/(m*x**(m-1)) doubles the correct digits."""
-    for e in _newton_precisions(n):
-        mod = p**e
+    p and p not dividing m: the derivative d = m*x**(m-1) is a unit, so
+    Newton's step x <- x - (x**m - r)w, w = 1/d, doubles the correct digits
+    up to each count ((n - 1) >> s) + 1.  w is carried, one step w(2 - dw)
+    a round: exact to the digits x had a round before, where x**m - r
+    vanishes, so x is the integer an exact 1/d would give."""
+    w, top = pow(m * pow(y, m - 1, p), -1, p), max(n - 1, 0)
+    for s in range(top.bit_length() - 1, -1, -1):
+        mod = p ** ((top >> s) + 1)
         t = pow(y, m - 1, mod)
-        y = (y - (t * y - r) * _inverse_mod(m * t, p, e)) % mod
+        w = w * (2 - m * t * w) % mod
+        y = (y - (t * y - r) * w) % mod
     return y
 
 
 def _pth_root(r: int, n: int, p: int) -> int:
     """The y = 1 mod p with y**p = r mod p**n, known modulo p**(n-1), for
     r = 1 mod p**2.  With y = 1 + pz, (y**p - r)/p**2 has integer
-    coefficients in z and the unit derivative y**(p-1), and z = (r-1)/p**2
-    is its root mod p; so Newton doubles the correct digits of z, the step
-    to j digits running modulo p**(j+2)."""
-    y = 1 + (r - 1) // p
-    for j in _newton_precisions(n - 2):
-        out = p**(j + 1)
+    coefficients in z and the unit derivative t = y**(p-1), and
+    z = (r-1)/p**2 is its root mod p; so Newton doubles the correct digits
+    of z, the step to j digits running modulo p**(j+2).  w = 1/t is carried
+    from 1 as in ``_unit_root``, exact to the digits z had a round before,
+    where (y**p - r)/p**2 vanishes, so y is the one an exact 1/t gives."""
+    y, w, top = 1 + (r - 1) // p, 1, max(n - 3, 0)
+    for s in range(top.bit_length() - 1, -1, -1):
+        out = p ** ((top >> s) + 2)
         t = pow(y, p - 1, out * p)
+        w = w * (2 - t * w) % out
         g = (t * y - r) % (out * p) // p
-        y = (y - g * _inverse_mod(t, p, j + 1)) % out
+        y = (y - g * w) % out
     return y % p**(n - 1)
 
 

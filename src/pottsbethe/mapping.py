@@ -114,10 +114,11 @@ class MapParams(_Frozen):
             raise ValueError("k must be a positive integer")
         if not isinstance(q, int) or q == 0 or q % p != 0:
             raise ValueError(f"q must be a nonzero integer divisible by p={p}")
-        theta_frac = (parse_theta(theta, p) if isinstance(theta, str)
-                      else Fraction(theta))
         if digits < 1:
             raise ValueError("digits must be >= 1")
+        check_budget(digits, f"{digits} digits")  # before any power of p
+        theta_frac = (parse_theta(theta, p) if isinstance(theta, str)
+                      else Fraction(theta))
         theta_p = _from_fraction(theta_frac, p, digits)
         t1 = theta_p - 1
         if not t1.val_at_least(1):
@@ -443,7 +444,9 @@ def _residue(x: Padic, level: int) -> tuple[int, int] | int:
 
 
 PARTITION_CACHE_SIZE = 64  # configurations whose partition stays cached
-WORK_BUDGET = 10**5  # longest kappa**depth loop, largest m in theta 1+c*p^m
+# longest kappa**depth loop, largest m in theta 1+c*p^m, most digits of
+# MapParams (a command line's --precision times the last retry rung)
+WORK_BUDGET = 10**5
 
 
 def check_budget(count: int, loop: str) -> None:

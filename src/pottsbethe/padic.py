@@ -100,20 +100,12 @@ def _exact_bits(prime: int, cap: int) -> float:
     return (cap + 24) * math.log2(prime)
 
 
-def _newton_precisions(n: int) -> list[int]:
-    """The digit counts a Newton lift from one correct digit passes through
-    up to n, each at most twice the one before (none for n <= 1): the
-    ceilings ((n - 1) >> s) + 1 of n / 2**s, largest s first."""
-    m = max(n - 1, 0)
-    return [(m >> s) + 1 for s in range(m.bit_length() - 1, -1, -1)]
-
-
 def _inverse_mod(a: int, p: int, n: int) -> int:
     """The inverse of an integer a prime to p, modulo p**n for n >= 1, by
     Newton's iteration x <- x(2 - ax), which doubles the digits of x at
-    each step through ``_newton_precisions(n)``, walked here without
-    building the list.  Same result as ``pow(a, -1, p**n)``, several
-    times faster for large n."""
+    each step, through the digit counts ((n - 1) >> s) + 1, largest s
+    first.  Same result as ``pow(a, -1, p**n)``, several times faster for
+    large n."""
     x = pow(a % p, -1, p)
     m = n - 1
     for s in range(m.bit_length() - 1, -1, -1):

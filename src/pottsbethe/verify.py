@@ -131,7 +131,9 @@ def make_params(p: int, k: int, q: int, theta, digits: int) -> MapParams:
     """``MapParams.make`` at the first RETRY_LADDER multiple of ``digits``
     where q + theta - 1 does not cancel.  The command line builds every
     command's parameters here, so a report names the digits they built
-    at."""
+    at; ValueError when the last rung's digits pass WORK_BUDGET."""
+    top = digits * RETRY_LADDER[-1]
+    check_budget(top, f"{digits} digits, retried at up to {top}")
     return _first_rung(MapParams.make, lambda i: (
         p, k, q, theta, digits * RETRY_LADDER[i]))[1]
 

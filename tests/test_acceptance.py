@@ -268,6 +268,12 @@ JULIA_VERIFY_SHA256 = {
     "a1e715a8538c785a3a0ebe91dfd27b02db752857e7b0a79678c59875a2f09df3",
     (7, 5, 7, "1+p^4", 3):
     "5515b7239b77ca7a0d5672cf775c0ddd4f5c48240b3468449c4cdd5008897189",
+    # the deep backward map: over 4 000 principal roots
+    (5, 2, 5, "1+p^3", 12):
+    "d26993fa7b6528f54cc5b43730d28232c7185dd1d15f01273dd0334015387291",
+    # p | k at depth 5: every root also takes p-th roots
+    (5, 10, 25, "1+p^5", 5):
+    "b292de61327029935389f15ee6baa62b77a121b3d6b87aa5ed97799c0f81638d",
 }
 
 

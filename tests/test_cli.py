@@ -508,6 +508,20 @@ def test_theta_exponent_beyond_the_work_budget_is_a_usage_error(capsys):
     assert "theta exponent m=100001; budget is 100000" in err
 
 
+def test_precision_past_the_work_budget_is_a_usage_error(capsys):
+    # the last retry rung, 4 x 25 001 digits, passes the budget, so the
+    # command is refused before any parameters are built; 25 000 is not
+    start = time.perf_counter()
+    code, out, err = run_cli(["classify", "--p", "5", "--k", "3", "--q", "5",
+                              "--theta", "1+p^3", "--precision", "25001"],
+                             capsys)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err == ("pottsbethe: error: 25001 digits, retried at up to "
+                   f"100004; budget is {WORK_BUDGET}\n")
+    assert verify.make_params(5, 3, 5, "1+p^3", 25000).digits == 25000
+
+
 @pytest.mark.parametrize("precision", ["0", "-3"])
 def test_non_positive_precision_is_a_usage_error(capsys, precision):
     with pytest.raises(SystemExit) as exc:

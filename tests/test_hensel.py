@@ -9,7 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pottsbethe import hensel
+from test_verify import _calls_to
+
+from pottsbethe import hensel, padic
 from pottsbethe.hensel import (
     PolyZp,
     fixed_point_B1,
@@ -363,6 +365,68 @@ class TestNewtonKernels:
         x2 = principal_kth_root(a2, k)
         assert x2.abs_prec >= x.abs_prec
         assert agrees(x, x2)
+
+
+def newton_precisions(n: int) -> list[int]:
+    """The digit counts a lift from one correct digit passes through up to
+    n: the ceilings ((n - 1) >> s) + 1 of n / 2**s, largest s first."""
+    top = max(n - 1, 0)
+    return [(top >> s) + 1 for s in range(top.bit_length() - 1, -1, -1)]
+
+
+def nested_unit_root(r: int, m: int, y: int, n: int, p: int) -> int:
+    """``hensel._unit_root`` with the derivative inverted afresh, to the
+    full digits of the step, in every step."""
+    for e in newton_precisions(n):
+        mod = p**e
+        t = pow(y, m - 1, mod)
+        y = (y - (t * y - r) * pow(m * t, -1, mod)) % mod
+    return y
+
+
+def nested_pth_root(r: int, n: int, p: int) -> int:
+    """``hensel._pth_root`` with y**(p-1) inverted afresh in every step."""
+    y = 1 + (r - 1) // p
+    for j in newton_precisions(n - 2):
+        out = p**(j + 1)
+        t = pow(y, p - 1, out * p)
+        g = (t * y - r) % (out * p) // p
+        y = (y - g * pow(t, -1, out)) % out
+    return y % p**(n - 1)
+
+
+LIFT_PRIMES = [3, 5, 7, 11, 101]
+
+
+class TestCarriedInverse:
+    """The lifts carry the inverse of Newton's derivative from step to
+    step: the same integers as an exact inverse in every step, and no
+    Newton inversion of their own."""
+
+    @given(st.sampled_from(LIFT_PRIMES), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_unit_root_matches_nested_inverses(self, p, data):
+        m = data.draw(st.integers(1, 12).filter(lambda m: m % p))
+        n = data.draw(st.integers(1, 300))
+        y = data.draw(st.integers(1, p - 1))
+        r = (pow(y, m, p) + p * data.draw(st.integers(0, p**n))) % p**n
+        assert hensel._unit_root(r, m, y, n, p) == \
+            nested_unit_root(r, m, y, n, p)
+
+    @given(st.sampled_from(LIFT_PRIMES), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_pth_root_matches_nested_inverses(self, p, data):
+        n = data.draw(st.integers(2, 300))
+        r = (1 + p * p * data.draw(st.integers(0, p**n))) % p**n
+        assert hensel._pth_root(r, n, p) == nested_pth_root(r, n, p)
+
+    def test_no_inverse_mod_call(self, monkeypatch):
+        calls = _calls_to(monkeypatch, padic._inverse_mod)
+        for k, a in [(2, 1 + 3 * 5**2), (10, 1 + 3 * 5**3)]:
+            x = principal_kth_root(from_rational(a, 1, prime=5), k)
+            assert (x**k - a).is_zero_like
+        assert len(roots_of_unity(100, 101)) == 100
+        assert calls == []
 
 
 class TestFixedPointB1:

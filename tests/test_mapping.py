@@ -65,6 +65,13 @@ def regime_b4():
     return MapParams.make(5, 4, 5, "1+p^3")
 
 
+class NoPowers(int):
+    """A prime whose powers would fail the test."""
+
+    def __pow__(self, exp):
+        raise AssertionError(f"p**{exp} was computed")
+
+
 class TestThetaGrammar:
     def test_rational_forms(self):
         assert parse_theta("10", 3) == Fraction(10)
@@ -82,10 +89,6 @@ class TestThetaGrammar:
             parse_theta("1+p^", 5)
 
     def test_exponent_past_the_budget_is_refused_before_the_power(self):
-        class NoPowers(int):  # a prime whose powers would fail the test
-            def __pow__(self, exp):
-                raise AssertionError(f"p**{exp} was computed")
-
         m = WORK_BUDGET + 1
         with pytest.raises(ValueError, match=f"theta exponent m={m}; budget"):
             parse_theta(f"1+2*p^{m}", NoPowers(5))
@@ -112,6 +115,15 @@ class TestParamsValidation:
         # theta = 1 - q makes q + theta - 1 vanish
         with pytest.raises(ValueError):
             MapParams.make(5, 2, 5, -4)
+
+    def test_digits_past_the_budget_are_refused_before_any_power(self):
+        # classify at 10**6 digits took 12 s on a 2-CPU VM before the
+        # budget counted digits
+        with pytest.raises(ValueError, match=f"{WORK_BUDGET + 1} digits; "
+                           f"budget is {WORK_BUDGET}"):
+            MapParams.make(NoPowers(5), 3, 5, "1+p^3", WORK_BUDGET + 1)
+        assert MapParams.make(5, 3, 5, "1+p^3", WORK_BUDGET).digits == \
+            WORK_BUDGET
 
     def test_equal_by_configuration(self):
         a = MapParams.make(5, 2, 5, "1+p^3")
