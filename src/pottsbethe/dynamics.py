@@ -26,7 +26,6 @@ from .mapping import (
     derivative_at,
     eval_f,
     inverse_branch,
-    on_residue_kernel,
 )
 from .padic import INF, Ball, Padic, PrecisionError, VerificationError, _Frozen
 
@@ -133,8 +132,8 @@ def orbit(params: MapParams, x0, max_iter: int = DEFAULT_MAX_ITER,
     and, unless the distance vanished outright, one further verified
     strictly-contracting step; tol >= v(q+theta-1) keeps that ball inside
     the attracting ball, where the map contracts.  Precision exhaustion,
-    including a contraction step that cancels at the working precision,
-    is reported, never guessed over.
+    a NearPoleHit or a contraction step that cancels at the working
+    precision included, is reported, never guessed over.
 
     In regime B the walk reads the cover symbol of each iterate outside
     the attracting ball B_1, which misses the cover and holds every
@@ -171,8 +170,7 @@ def orbit(params: MapParams, x0, max_iter: int = DEFAULT_MAX_ITER,
                 if d.prec == INF or d.val >= tol + 1:
                     return result(OrbitStatus.CONVERGED_TO_1)
                 return result(OrbitStatus.UNDECIDED, reason="precision")
-            if (lemma and x.prec != INF and d.val > params.v_qtheta1
-                    and on_residue_kernel(params, x)):
+            if lemma and x.prec != INF and d.val > params.v_qtheta1:
                 verdict = _lemma_verdict(params, x, d.val, t, max_iter, tol)
                 if verdict is not None:
                     steps, w = verdict
@@ -202,10 +200,10 @@ def orbit(params: MapParams, x0, max_iter: int = DEFAULT_MAX_ITER,
                         f"basin point re-entered the cover at step {t}")
             else:
                 inside = False
-    except PoleHit:  # a NearPoleHit too, though also a PrecisionError
-        return result(OrbitStatus.POLE_HIT)
-    except PrecisionError:
+    except PrecisionError:  # a NearPoleHit among them: only a shortage
         return result(OrbitStatus.UNDECIDED, reason="precision")
+    except PoleHit:
+        return result(OrbitStatus.POLE_HIT)
     if inside:
         return result(OrbitStatus.STAYED_IN_X,
                       itinerary=tuple(symbols))
@@ -215,11 +213,12 @@ def orbit(params: MapParams, x0, max_iter: int = DEFAULT_MAX_ITER,
 def _lemma_verdict(params: MapParams, x: Padic, w: int, t: int,
                    max_iter: int, tol: int) -> tuple[int, int] | None:
     """(steps, v(f^steps(x0) - 1)) of the converging orbit through the
-    inexact x = f^t(x0) of B_1 on the residue kernel, w = v(x - 1) and
-    theta exact; None when only iterating can decide.
+    inexact x = f^t(x0) of B_1, w = v(x - 1) and theta exact; None when
+    only iterating can decide.
 
     With A = abs_prec(x) and v = v(q+theta-1), ``attracting_ball``'s lemma
-    gives v(f^j(x) - 1) = w + j*tau_one and abs_prec(f^j(x)) = A - j*v.
+    gives v(f^j(x) - 1) = w + j*tau_one and abs_prec(f^j(x)) = A - j*v,
+    on whichever path eval_f takes: both give the same value and digits.
     So the orbit enters the convergence ball n = ceil((tol+1-w)/tau_one)
     steps on, and its contraction step is decided when
     w + (n+1)tau_one < A - (n+1)v: iterating reads the same values.
@@ -256,10 +255,11 @@ def basin_classify(params: MapParams, x0, depth: int) -> ClassifyResult:
     """Exact trichotomy up to ``depth`` iterations of x0 (or a Trajectory).
 
     Leaving the invariant cover certifies membership in the basin of 1;
-    landing on the pole certifies membership in its backward orbit (with
-    the hitting time); staying inside the cover for every step yields a
-    Julia candidate together with its itinerary, certified to this depth
-    only.  In the contracting regime every point is basin outright.
+    landing on the pole, shown by eval_g's exact PoleHit one step later,
+    certifies membership in its backward orbit (with the hitting time),
+    and a NearPoleHit is a shortage; staying inside the cover for every
+    step yields a Julia candidate with its itinerary, certified to this
+    depth only.  In the contracting regime every point is basin outright.
     """
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
@@ -282,10 +282,11 @@ def basin_classify(params: MapParams, x0, depth: int) -> ClassifyResult:
             if sym is None:
                 return result(ClassifyKind.BASIN, t)
             symbols.append(sym)
-            if (traj[t + 1] - params.pole).is_zero_like:
-                return result(ClassifyKind.POLE_PREIMAGE, t + 1)
-    except PrecisionError:
+            traj[t + 2]  # an exact PoleHit when f^(t+1)(x0) is the pole
+    except PrecisionError:  # a NearPoleHit among them
         return result(ClassifyKind.UNDECIDED, len(symbols), reason="precision")
+    except PoleHit:
+        return result(ClassifyKind.POLE_PREIMAGE, len(symbols))
     return result(ClassifyKind.JULIA_CANDIDATE, depth, tuple(symbols))
 
 

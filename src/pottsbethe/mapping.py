@@ -40,8 +40,8 @@ class PoleHit(Exception):
 
 
 class NearPoleHit(PoleHit, PrecisionError):
-    """The map was evaluated at a point indistinguishable from its pole at
-    the working precision: a shortage of digits, retried as any other."""
+    """A point indistinguishable from the pole at the working precision: a
+    shortage of digits, retried as any other, and never a pole verdict."""
 
     exact = False
 
@@ -183,10 +183,13 @@ class MapParams(_Frozen):
 
 
 def eval_g(params: MapParams, x) -> Padic:
-    """The Moebius factor (theta*x + q - 1) / (x + theta + q - 2)."""
+    """g(x) = (theta*x + q - 1) / (x + theta + q - 2), the one judge of a
+    pole hit: PoleHit at an exact zero denominator or at ``params.pole``,
+    the exact pole however few digits theta gives it; else NearPoleHit,
+    a shortage, when the denominator cancels at the working precision."""
     x = params.embed(x)
     den = x + params.theta + (params.q - 2)
-    if den.is_exact_zero:
+    if den.is_exact_zero or x is params.pole:
         raise PoleHit("x is exactly the pole 2 - q - theta")
     if den.is_zero_like:
         raise NearPoleHit(
@@ -196,28 +199,20 @@ def eval_g(params: MapParams, x) -> Padic:
 
 
 def eval_f(params: MapParams, x) -> Padic:
-    """One application of the full map, g(x)**k.
-
-    A nonzero x that is inexact, or exact over an exact theta, is mapped
-    on residues by ``_eval_f_residues``, with the value and precision
-    ``eval_g(params, x).pow_int(k)`` gives; zeros, pole hits and the
-    kernel's fallback cases take that composed path, so every PoleHit is
-    raised by eval_g."""
+    """One application of the full map, g(x)**k, and the one judge of its
+    path.  A nonzero x, inexact or over an exact theta, is mapped on
+    residues by ``_eval_f_residues`` while q stays exact under the cap,
+    with the value and precision ``eval_g(params, x).pow_int(k)`` gives;
+    zeros, pole hits and the kernel's fallback cases take that composed
+    path, so every PoleHit is raised by eval_g."""
     x = params.embed(x)
-    if on_residue_kernel(params, x):
+    cap = min(x.cap, params.theta.cap)
+    if (x.unit != 0 and (x.prec != INF or params.theta.prec == INF)
+            and params.q_bits <= _exact_bits(params.p, cap)):
         fx = _eval_f_residues(params, x)
         if fx is not None:
             return fx
     return eval_g(params, x).pow_int(params.k)
-
-
-def on_residue_kernel(params: MapParams, x: Padic) -> bool:
-    """Whether eval_f maps x on residues: x is nonzero, inexact or over an
-    exact theta, and q is small enough to stay exact under the cap.  (The
-    kernel may still fall back to eval_g; see ``_eval_f_residues``.)"""
-    cap = min(x.cap, params.theta.cap)
-    return (x.unit != 0 and (x.prec != INF or params.theta.prec == INF) and
-            params.q_bits <= _exact_bits(params.p, cap))
 
 
 def _eval_f_residues(params: MapParams, x: Padic) -> Padic | None:
@@ -236,8 +231,9 @@ def _eval_f_residues(params: MapParams, x: Padic) -> Padic | None:
     unless u_D divides u_N (the quotient stays exact) or an intermediate
     unit would pass the truncation bound of ``Padic._build``; then, as
     when D cancels (a pole hit) or N is an exact zero, the result is None
-    and eval_f takes the composed path.  Only for an x
-    ``on_residue_kernel`` accepts.
+    and eval_f takes the composed path.  Only for the x that eval_f
+    sends here: nonzero, inexact or over an exact theta, with q exact
+    under the cap.
     """
     p, k, q, theta = params.p, params.k, params.q, params.theta
     cap = min(x.cap, theta.cap)
@@ -445,7 +441,7 @@ def _residue(x: Padic, level: int) -> tuple[int, int] | int:
 
 PARTITION_CACHE_SIZE = 64  # configurations whose partition stays cached
 # longest kappa**depth loop, largest m in theta 1+c*p^m, most digits of
-# MapParams (a command line's --precision times the last retry rung)
+# MapParams (a report's digits times the last retry rung: its _Ladder)
 WORK_BUDGET = 10**5
 
 
@@ -545,10 +541,11 @@ def attracting_ball(params: MapParams) -> Ball:
     v(f(x)-1) = v(x-1) + tau_one: B_1 maps into itself and each step
     brings a point closer to 1 by exactly p^-tau_one.  D = (q+theta-1)+h
     and N = (q+theta-1)+theta*h both have valuation v(q+theta-1), so on
-    an inexact x of B_1 over an exact theta the residue kernel loses
-    exactly that many digits per step.  In regime B, v(q+theta-1) = v(q)
-    and every cover center lies at distance |q|_p from 1, so B_1 misses
-    the cover, which ``build_partition`` asserts.
+    an inexact x of B_1 over an exact theta eval_f loses exactly that
+    many digits per step, on residues or on the composed path.  In
+    regime B, v(q+theta-1) = v(q) and every cover center lies at distance
+    |q|_p from 1, so B_1 misses the cover, which ``build_partition``
+    asserts.
     """
     return Ball(Padic.one(params.p, params.digits), params.v_qtheta1)
 

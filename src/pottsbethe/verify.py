@@ -69,9 +69,12 @@ class _Ladder:
     and shared by every record of the call, a tree record starting from
     its node's Trajectory.  A pole tree that runs out of precision is
     kept as its PrecisionError, which ``_tree`` raises again for every
-    record that reads it."""
+    record that reads it.  The top rung's digits are held against
+    WORK_BUDGET up front, so no report is refused part way up."""
 
     def __init__(self, params: MapParams, tree_depth: int = 0):
+        top = params.digits * RETRY_LADDER[-1]
+        check_budget(top, f"{params.digits} digits, retried at up to {top}")
         self.params, self.tree_depth = params, tree_depth
         self.rungs: list[tuple] = []
 
@@ -131,9 +134,7 @@ def make_params(p: int, k: int, q: int, theta, digits: int) -> MapParams:
     """``MapParams.make`` at the first RETRY_LADDER multiple of ``digits``
     where q + theta - 1 does not cancel.  The command line builds every
     command's parameters here, so a report names the digits they built
-    at; ValueError when the last rung's digits pass WORK_BUDGET."""
-    top = digits * RETRY_LADDER[-1]
-    check_budget(top, f"{digits} digits, retried at up to {top}")
+    at; the report's ``_Ladder`` holds its top rung against WORK_BUDGET."""
     return _first_rung(MapParams.make, lambda i: (
         p, k, q, theta, digits * RETRY_LADDER[i]))[1]
 

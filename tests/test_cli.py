@@ -12,6 +12,7 @@ from fractions import Fraction
 
 import pytest
 
+from test_dynamics import near_pole_seed
 from test_verify import _calls_to, plant_in_word_tree
 
 from pottsbethe import dynamics, hensel, mapping, sampling, verify
@@ -117,6 +118,25 @@ class TestOrbitAndSweep:
         # once an empty stderr, unlike every other exit 3
         assert err == ("pottsbethe: precision exhausted: orbit undecided "
                        "at 32 digits, the last retry\n")
+
+    @pytest.mark.parametrize("digits,code,status,steps,retries", [
+        (64, 3, "undecided", None, 3),
+        (128, 0, "converged_to_1", 12, 2),
+        (256, 0, "converged_to_1", 12, 1),
+    ])
+    def test_near_pole_seed_is_a_shortage(self, capsys, digits, code,
+                                          status, steps, retries):
+        # f(x0) agrees with the pole to 397 digits without being the pole:
+        # each rung short of that reads a NearPoleHit, which is retried,
+        # and the 512-digit rung sees the orbit converge
+        code_, out, _ = run_cli(
+            ["orbit", "--p", "5", "--k", "2", "--q", "5", "--theta", "1+p^3",
+             "--x0", str(near_pole_seed()), "--precision", str(digits)],
+            capsys)
+        rec = json.loads(out)["record"]
+        assert (code_, rec["status"], rec["steps"], rec["retries"]) == (
+            code, status, steps, retries)
+        assert rec["reason"] == ("precision" if code == 3 else None)
 
     def test_inexact_pole_tree_hit_is_precision(self, capsys):
         # at 3, 6 and 12 digits the pole tree's certificates need more
@@ -506,6 +526,30 @@ def test_theta_exponent_beyond_the_work_budget_is_a_usage_error(capsys):
                               "--theta", "1+p^100001"], capsys)
     assert (code, out) == (2, "")
     assert "theta exponent m=100001; budget is 100000" in err
+
+
+@pytest.mark.parametrize("tol,closed_form", [("1", 277), ("6", 300)])
+def test_eval_f_owns_the_residue_kernel(capsys, monkeypatch, tol,
+                                        closed_form):
+    # q = 5**50 has more bits than the kernel keeps exact at 20 digits, so
+    # eval_f maps these orbits on the composed path; that path loses the
+    # digits the kernel loses, so the attracting-ball closed form settles
+    # the records, and walking every orbit gives the same bytes
+    monkeypatch.setattr(verify, "_cpu_count", lambda: 1)
+    argv = ["sweep", "--p", "5", "--k", "5", "--q", str(5**50), "--theta",
+            "1+p^1", "--precision", "20", "--samples", "300", "--seed", "3",
+            "--tol", tol]
+    verdict, decided = dynamics._lemma_verdict, []
+
+    def counted(*args):
+        found = verdict(*args)
+        decided.append(found is not None)
+        return found
+    monkeypatch.setattr(dynamics, "_lemma_verdict", counted)
+    settled = run_cli(argv, capsys)
+    assert settled[0] == 0 and sum(decided) == closed_form
+    monkeypatch.setattr(dynamics, "_lemma_verdict", lambda *args: None)
+    assert run_cli(argv, capsys) == settled
 
 
 def test_precision_past_the_work_budget_is_a_usage_error(capsys):

@@ -275,9 +275,16 @@ class TestBasinClassify:
         assert res.kind is ClassifyKind.BASIN and res.step == 0
 
     def test_pole_preimage_level_one(self, regime_b2):
+        # the tree node reaches the exact pole through its chain; the raw
+        # h_1(pole) is only known to its digits, and f of it cancels
+        # against the pole there: a shortage, not a pole preimage
+        node = pole_preimage_tree(regime_b2, 1)[0][0]
+        res = basin_classify(regime_b2, node, 50)
+        assert res.kind is ClassifyKind.POLE_PREIMAGE and res.step == 1
         x = inverse_branch(regime_b2, 1, regime_b2.pole)
         res = basin_classify(regime_b2, x, 50)
-        assert res.kind is ClassifyKind.POLE_PREIMAGE and res.step == 1
+        assert (res.kind, res.step, res.reason) == (
+            ClassifyKind.UNDECIDED, 1, "precision")
 
     def test_julia_candidate_from_cylinder(self, regime_b2):
         depth = 6
@@ -290,6 +297,62 @@ class TestBasinClassify:
     def test_pole_itself_rejected(self, regime_b2):
         with pytest.raises(ValueError):
             basin_classify(regime_b2, regime_b2.pole, 5)
+
+
+def near_pole_seed() -> int:
+    """The 279-digit integer residue of h_1(pole) at 400 digits, (p, k, q,
+    theta) = (5, 2, 5, 1+p^3).  f of it agrees with the pole -129 to 397
+    digits, but the pole is not a square in Q, so f(x0) is not the pole:
+    at 800 digits its orbit converges to 1 at step 12."""
+    params = MapParams.make(5, 2, 5, "1+p^3", 400)
+    z = inverse_branch(params, 1, params.pole)
+    return z.unit * 5**z.val % 5**z.abs_prec
+
+
+class TestPoleVerdict:
+    """eval_g alone decides a pole hit: orbit and basin_classify report
+    one only when eval_g raises the exact PoleHit, and a NearPoleHit is a
+    shortage of digits, as any other PrecisionError."""
+
+    def test_near_pole_seed_gets_no_pole_verdict(self):
+        x0 = near_pole_seed()
+        assert len(str(x0)) == 279
+        params = MapParams.make(5, 2, 5, "1+p^3", 64)
+        res = orbit(params, x0)
+        assert (res.status, res.steps, res.reason) == (
+            OrbitStatus.UNDECIDED, 1, "precision")
+        res = basin_classify(params, x0, 20)
+        assert (res.kind, res.step, res.reason) == (
+            ClassifyKind.UNDECIDED, 1, "precision")
+
+    def test_raw_branch_of_the_pole_is_a_shortage(self, regime_b2):
+        x = inverse_branch(regime_b2, 1, regime_b2.pole)
+        res = orbit(regime_b2, x)
+        assert (res.status, res.steps, res.reason) == (
+            OrbitStatus.UNDECIDED, 1, "precision")
+        node = pole_preimage_tree(regime_b2, 1)[0][0]
+        res = orbit(regime_b2, node)
+        assert (res.status, res.steps) == (OrbitStatus.POLE_HIT, 1)
+
+    def test_an_inexact_theta_keeps_the_tree_verdicts(self):
+        # the pole 2 - q - theta is inexact with theta = 127/2, so x + theta
+        # + q - 2 only cancels at the pole; params.pole itself stands for
+        # the exact pole, and a copy of its digits does not
+        params = MapParams.make(5, 2, 5, "127/2", 64)
+        pole = params.pole
+        assert not pole.is_exact
+        assert orbit(params, pole).status is OrbitStatus.POLE_HIT
+        copy = Padic(pole.prime, pole.val, pole.unit, pole.prec, pole.cap)
+        res = orbit(params, copy)
+        assert (res.status, res.reason) == (OrbitStatus.UNDECIDED,
+                                            "precision")
+        for n, level in enumerate(pole_preimage_tree(params, 2), start=1):
+            for node in level:
+                res = orbit(params, node)
+                assert (res.status, res.steps) == (OrbitStatus.POLE_HIT, n)
+                res = basin_classify(params, node, 6)
+                assert (res.kind, res.step) == (ClassifyKind.POLE_PREIMAGE,
+                                                n)
 
 
 class TestItineraries:

@@ -1,8 +1,8 @@
 """Source hygiene: every imported name is used in the file importing it,
 every private module-level name of the package is read somewhere in it,
-every function the benchmark's tracer patches still exists, no module
-reads a pole hit's ``exact`` flag, and the command line imports no module
-it does not need.
+only ``mapping`` names the residue kernel, every function the benchmark's
+tracer patches still exists, no module reads a pole hit's ``exact`` flag,
+and the command line imports no module it does not need.
 
 No lint tool is assumed; the scan uses only the standard library.
 Package ``__init__.py`` files are exempt, since their imports are the
@@ -117,6 +117,19 @@ def test_private_names_are_read():
     # leaves dead code behind
     unread = unread_private_names(ROOT / "src")
     assert not unread, f"unread private names: {', '.join(unread)}"
+
+
+def test_only_mapping_names_the_residue_kernel():
+    # eval_f alone decides which x it maps on residues; a second module
+    # that reads the kernel's predicate or its inputs holds a second copy
+    # of that decision
+    kernel = {"on_residue_kernel", "_eval_f_residues", "q_bits"}
+    named = [f"{path.name}: {name}"
+             for path in sorted((ROOT / "src").rglob("*.py"))
+             if path.name != "mapping.py"
+             for name in read_names(ast.parse(path.read_text()))
+             if name in kernel]
+    assert not named, f"the residue kernel named outside mapping: {named}"
 
 
 def test_one_budget_constant():

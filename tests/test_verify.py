@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import os
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -329,6 +330,31 @@ def test_julia_word_checks_stay_within_their_call_budget(monkeypatch):
     assert rep["falsified"] is False
     assert len(metric) <= params.kappa**(6 + 1)
     assert len(forward) == 263
+
+
+def test_ladder_refuses_digits_past_the_budget_first(eval_f_calls):
+    # the top rung, 4 x 25 001 digits, passes the budget: a library report
+    # is refused before its first step, as --precision 25001 is
+    params = MapParams.make(5, 3, 5, "1+p^3", 25_001)
+    with pytest.raises(ValueError, match="^25001 digits, retried at up to "
+                       "100004; budget is 100000$"):
+        verify.orbit_report(params, Fraction(7, 3), 200, 20)
+    assert eval_f_calls == []
+
+
+def test_lowered_budget_refuses_the_report_at_once(monkeypatch,
+                                                   eval_f_calls):
+    # an 8-digit orbit that runs short on every rung: with the budget at
+    # 20 its 32-digit top rung is refused before any step, not when the
+    # ladder reaches it
+    x = dynamics.periodic_point(MapParams.make(5, 2, 5, "1+p^3"), (1, 2))
+    deep = Fraction(x.unit * 5**x.val % 5**40)
+    params = MapParams.make(5, 2, 5, "1+p^3", 8)
+    monkeypatch.setattr(mapping, "WORK_BUDGET", 20)
+    with pytest.raises(ValueError, match="^8 digits, retried at up to 32; "
+                       "budget is 20$"):
+        verify.orbit_report(params, deep, 200, 20)
+    assert eval_f_calls == []
 
 
 def test_retried_sweep_adds_one_partition_per_rung():
