@@ -260,18 +260,24 @@ def basin_classify(params: MapParams, x0, depth: int) -> ClassifyResult:
     and a NearPoleHit is a shortage; staying inside the cover for every
     step yields a Julia candidate with its itinerary, certified to this
     depth only.  In the contracting regime every point is basin outright.
+    x0 is judged first, by eval_g: the pole is refused (ValueError) and a
+    near hit is undecided at step 0.
     """
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
     traj = _trajectory(params, x0)
-    if (traj[0] - params.pole).is_zero_like:
-        raise ValueError("x0 is the pole; it lies outside the domain")
 
     def result(kind: ClassifyKind, step: int,
                itinerary: tuple[int, ...] | None = None,
                reason: str | None = None) -> ClassifyResult:
         return ClassifyResult(kind, step, depth, itinerary, reason)
 
+    try:  # eval_g judges x0 as it judges every later iterate
+        traj[1]
+    except PrecisionError:  # a NearPoleHit among them
+        return result(ClassifyKind.UNDECIDED, 0, reason="precision")
+    except PoleHit:
+        raise ValueError("x0 is the pole; it lies outside the domain")
     if params.regime.tag == RegimeTag.A:
         return result(ClassifyKind.BASIN, 0)
     check_classified(params)
@@ -405,24 +411,23 @@ def cylinder_point(params: MapParams, word) -> tuple[Padic, Ball]:
 
 
 def periodic_point(params: MapParams, word) -> Padic:
-    """The periodic point whose itinerary repeats the given word.
-
-    Iterates the contraction h_{w_0} o ... o h_{w_m-1} from the anchor to
-    its fixed point, then the forward map returns to it after m steps.
-    """
+    """The periodic point whose itinerary repeats the given word (in B1,
+    (1,) gives the fixed point x* != 1).  H = h_{w_0} o ... o h_{w_m-1}
+    contracts, and ``inverse_branch`` claims the digits it gains, so H is
+    iterated from the anchor, each iterate cut to the working digits,
+    until the gap H(z) - z cancels to the digits z carries: then H maps
+    the ball z claims into itself, and H(z) claims its fixed point."""
     word = _word(word)
+    p, digits = params.p, params.digits
     z = build_partition(params).balls[0].center
-    prev = None
-    for _ in range(params.digits + 8):
+    for _ in range(digits + 8):
         nxt = _fold(params, word, z)
         gap = nxt - z
-        z = nxt
-        if gap.is_zero_like:
-            return z
-        if prev is not None and gap.val <= prev:
-            raise PrecisionError("branch cycle stopped contracting at the "
-                                 "working precision")
-        prev = gap.val
+        if gap.is_exact_zero or (gap.is_inexact_zero
+                                 and gap.val >= z.abs_prec):
+            return nxt
+        z = nxt if nxt.abs_prec <= digits else Padic.from_residue(
+            nxt.unit * p**nxt.val, digits, p, nxt.cap)
     raise PrecisionError("branch cycle did not settle within its budget")
 
 

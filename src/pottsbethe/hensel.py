@@ -2,9 +2,9 @@
 
 The principal k-th root of elements close to 1 and the k-th roots of
 unity, by integer Newton lifts that double their digits at each step and
-carry the inverse of their derivative from step to step, and the second
-fixed point of the map in the single-symbol repelling regime.
-``PolyZp`` evaluates a polynomial over Z_p and its derivative.
+carry the inverse of their derivative from step to step, and the check
+of the map's second fixed point in regime B1, the periodic point of the
+word (1,).  ``PolyZp`` evaluates a polynomial over Z_p and its derivative.
 """
 
 from __future__ import annotations
@@ -180,34 +180,15 @@ def roots_of_unity(k: int, p: int, digits: int = DEFAULT_DIGITS) -> list[Padic]:
 
 
 def fixed_point_B1(params) -> Padic:
-    """The repelling fixed point x* != 1 in the single-symbol regime.
-
-    With r the principal k-th root of x, f(x) = x reads g(x) = r, that is
-    x = 1 - q + (theta-1)(x - r)/(r - 1).  In regime B the right-hand side
-    F contracts around x*, so it is iterated from 1 - q, each iterate cut
-    to the working precision.  Once the gap F(x) - x cancels to the digits
-    x carries, x* lies in the ball x claims, so F(x) claims x* to all of
-    its own digits.  The result is verified to satisfy f(x*) = x* at the
-    working precision and |x* - 1|_p = |q|_p.
-    """
-    from . import mapping  # runtime import: mapping depends on this module
+    """The repelling fixed point x* != 1 in regime B1, the periodic point
+    of the word (1,), verified to satisfy f(x*) = x* at the working
+    precision and |x* - 1|_p = |q|_p."""
+    from . import dynamics, mapping  # runtime import: both depend on this
 
     regime = params.regime
     if regime.tag != mapping.RegimeTag.B1:
         raise ValueError(f"parameters are in regime {regime.tag.value}, not B1")
-    p, digits, t1 = params.p, params.digits, params.theta - 1
-    x = params.embed(1 - params.q)
-    for _ in range(digits):
-        r = principal_kth_root(x, params.k)
-        x_star = 1 - params.q + t1 * (x - r) / (r - 1)
-        gap = x_star - x
-        if gap.is_exact_zero or (gap.is_inexact_zero
-                                 and gap.val >= x.abs_prec):
-            break
-        x = Padic.from_residue(x_star.unit, min(digits, x_star.abs_prec), p,
-                               digits)
-    else:
-        raise PrecisionError("fixed-point iteration did not settle")
+    x_star = dynamics.periodic_point(params, (1,))
     residual = mapping.eval_f(params, x_star) - x_star
     if not residual.is_zero_like:
         raise VerificationError(

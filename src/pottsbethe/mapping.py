@@ -97,12 +97,13 @@ class MapParams(_Frozen):
     is derived from.
     """
 
-    # tau_one = v(k)+v(theta-1)-v(q+theta-1) is B_1's rate, INF like
-    # v_theta1 at theta = 1; q_bits the bits of the larger of |q-1| and
-    # |q-2|; the cached properties below keep their values in __dict__
+    # D = (theta-1)(q+theta-1), so that pole*theta + q - 1 = -D; tau_one
+    # = v(k)+v(theta-1)-v(q+theta-1) is B_1's rate, INF like v_theta1 at
+    # theta = 1; q_bits the bits of the larger of |q-1| and |q-2|; the
+    # cached properties below keep their values in __dict__
     __slots__ = ("p", "k", "q", "theta", "digits", "theta_frac", "pole",
-                 "v_k", "v_q", "v_theta1", "v_qtheta1", "tau_one", "kappa",
-                 "q_bits", "__dict__")
+                 "D", "v_k", "v_q", "v_theta1", "v_qtheta1", "tau_one",
+                 "kappa", "q_bits", "__dict__")
 
     @classmethod
     def make(cls, p: int, k: int, q: int, theta,
@@ -131,8 +132,8 @@ class MapParams(_Frozen):
                              "point 1; the map is degenerate")
         v_k, v_qtheta1 = _vp(k, p), qt1.valuation
         pole = 2 - q - theta_p
-        return cls(p, k, q, theta_p, digits, theta_frac, pole, v_k,
-                   _vp(q, p), v_theta1, v_qtheta1,
+        return cls(p, k, q, theta_p, digits, theta_frac, pole, t1 * qt1,
+                   v_k, _vp(q, p), v_theta1, v_qtheta1,
                    v_k + v_theta1 - v_qtheta1, math.gcd(k, p - 1),
                    max(abs(q - 1), abs(q - 2)).bit_length())
 
@@ -276,11 +277,10 @@ def _eval_f_residues(params: MapParams, x: Padic) -> Padic | None:
 
 
 def derivative_at(params: MapParams, x: Padic) -> Padic:
-    """f'(x) = k * g(x)**(k-1) * (theta-1)(q+theta-1) / (x+q+theta-2)**2."""
+    """f'(x) = k * g(x)**(k-1) * D / (x+q+theta-2)**2."""
     den = x + params.theta + (params.q - 2)
-    t1 = params.theta - 1
-    return (params.k * eval_g(params, x).pow_int(params.k - 1) * t1
-            * (t1 + params.q) / (den * den))
+    return (params.k * eval_g(params, x).pow_int(params.k - 1) * params.D
+            / (den * den))
 
 
 def multiplier(params: MapParams, x_fix) -> Padic:
@@ -567,8 +567,9 @@ def branch_root(params: MapParams, y) -> Padic:
 def inverse_branch(params: MapParams, symbol: int, y,
                    root: Padic | None = None) -> Padic:
     """The inverse branch through the ball of the given symbol:
-    h_i(y) = (pole * xi_i * y**(1/k) + q - 1) / (xi_i * y**(1/k) - theta),
-    pole = 2 - q - theta, using the principal k-th root.
+    h_i(y) = pole - D / (xi_i * y**(1/k) - theta), pole = 2 - q - theta,
+    using the principal k-th root; as pole*theta + q - 1 = -D, that is
+    (pole * xi_i * y**(1/k) + q - 1) / (xi_i * y**(1/k) - theta).
 
     Defined wherever the principal root is, i.e. |y - 1|_p < |k|_p, which
     covers the invariant cover, its forward images, and the pole.  The
@@ -578,14 +579,20 @@ def inverse_branch(params: MapParams, symbol: int, y,
     1..kappa is refused by ``check_symbols``.  A caller that takes every
     branch at one y passes ``root``, its ``branch_root``, so the root is
     taken once.
+
+    Digits, over an exact theta: den = xi_i*r - theta, r the root, is
+    known to a = min(A_xi, A_r) digits at valuation e, so D/den keeps a - e
+    relative digits at valuation v(D) - e, and h_i(y), the exact pole less
+    it, claims a + v(D) - 2e.  r claims A_y - v(k) digits of an inexact y
+    (the cap at an exact one), and v(D) - v(k) - 2e = tau_i = v(h_i'), so
+    h_i gains the tau_i digits of its contraction while xi_i allows (Caruso,
+    Roe and Vaccon, arXiv:1402.0142).
     """
     check_symbols(params, (symbol,))
     if root is None:
         root = branch_root(params, y)
-    entry = build_partition(params).balls[symbol - 1]
-    xr = entry.xi * root
-    den = xr - params.theta
+    den = build_partition(params).balls[symbol - 1].xi * root - params.theta
     if den.is_zero_like:
         raise PrecisionError("xi * y**(1/k) - theta cancelled; retry at "
                              "higher precision")
-    return (params.pole * xr + (params.q - 1)) / den
+    return params.pole - params.D / den

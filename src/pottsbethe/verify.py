@@ -10,6 +10,7 @@ batch.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import marshal
@@ -19,7 +20,7 @@ from collections import Counter
 from fractions import Fraction
 
 from . import __version__
-from . import dynamics, hensel, sampling
+from . import dynamics, sampling
 from .dynamics import OrbitStatus
 from .mapping import (
     MapParams,
@@ -429,13 +430,18 @@ def _julia_checks(params: MapParams, depth: int, seed: int,
     _check(checks, "fixed_point_1_attractive",
            classify_fixed(lam1) == "attractive", int(lam1.valuation))
 
-    if regime.tag is RegimeTag.B1:
-        traj = dynamics.Trajectory(params, hensel.fixed_point_B1(params))
+    @functools.cache
+    def cycle(word):  # the orbit of word's periodic point, its multiplier
+        traj = dynamics.Trajectory(params,
+                                   dynamics.periodic_point(params, word))
+        return traj, dynamics.cycle_multiplier(params, traj, len(word))
+
+    if regime.tag is RegimeTag.B1:  # x* != 1 is the periodic point of (1,)
+        traj, lam = cycle((1,))
         resid = traj[1] - traj[0]
         bound, _ = dynamics.norm_exp_field(resid)
         _check(checks, "b1_fixed_point_residual",
                _residual_vanishes(resid, FIXED_POINT_DIGITS), bound)
-        lam = dynamics.cycle_multiplier(params, traj, 1)
         _check(checks, "b1_fixed_point_repelling",
                classify_fixed(lam) == "repelling", int(lam.valuation))
 
@@ -457,11 +463,9 @@ def _julia_checks(params: MapParams, depth: int, seed: int,
     periodic_ok, periodic_detail = True, []
     for m in range(1, min(MAX_PERIOD, depth) + 1):
         for word in itertools.product(symbols, repeat=m):
-            x = dynamics.periodic_point(params, word)
-            traj = dynamics.Trajectory(params, x)
-            drift = traj[m] - x
+            traj, lam = cycle(word)
+            drift = traj[m] - traj[0]
             good = _residual_vanishes(drift, PERIODIC_DIGITS)
-            lam = dynamics.cycle_multiplier(params, traj, m)
             periodic_ok &= good and lam.valuation == -part.tau_sum(word)
             periodic_detail.append({
                 "word": list(word),

@@ -69,11 +69,11 @@ DIGESTS = {
     "sweep":
         "2436074d03c627b6d0660d4d4f0bccdb6795fb959bc8f14867d4b03acd9d4220",
     "pole-tree":
-        "1f30161fdb50918cf25d1c40ef4dba6db46eb22d4ebbb718dd36c4f81e8215a3",
+        "4416056caeb4deec257e9aeb5b7a3e580f948f7be2a6b7f84bf46fb40ca15512",
     "orbit":
         "694b9c1b547180f4eb1f7f5a3fb4683c4201ca16a9945b9d8641f30580969f15",
     "julia-verify":
-        "fee36b0d48ba22332ea09d6e1d295867533c90191a81521feedcbfb2b43c3ad1",
+        "f2442ce0e9dda90dd2f78468e6a220c2ef70c79e881cb8713e8633928546d302",
     "large-kappa":
         "9a54cbe454a0ae9b0c8fd463777099d55d6dc82bf7a65d6f7b15f9aa337a6619",
 }
@@ -81,9 +81,9 @@ DIGESTS = {
 EXIT_COUNTS = {
     "classify": {0: 360},
     "sweep": {0: 207, 2: 153},
-    "pole-tree": {0: 179, 2: 153, 3: 28},
+    "pole-tree": {0: 190, 2: 153, 3: 17},
     "orbit": {0: 92, 2: 63, 3: 205},
-    "julia-verify": {0: 7, 1: 120, 2: 153, 3: 80},
+    "julia-verify": {0: 29, 1: 120, 2: 153, 3: 58},
     "large-kappa": {0: 4, 2: 2},
 }
 

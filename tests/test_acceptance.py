@@ -235,8 +235,8 @@ NAMES = {
 REPORT_SHA256 = {
     1: "be10d3221f19db0e66ae73adc9c73ed8fef9c2dff85963fc7d747f13adf142d6",
     2: "cac0260a59a649d33ce60d9ac66dd1c9ec06c15f3616638d865fdc90ed80a036",
-    3: "8e90d8ed241d0de7300caa1185b9d3a320371a43e8b225a71f9301647bbb110c",
-    4: "112d5fcf0c81e3768fd2f9b077947f8dd8b93ee909c106d4f472547cefad7e33",
+    3: "50ce2b051fb2b64782826707891f8706ca82e1cd55e5b451b0280e16497895a5",
+    4: "27b3a004dd02005ee8581939438954914627615716ad0489d2ad2c48b69c5324",
     5: "ca002e278bb3a4fb8b64d7ad73446b9f1c834fde27d1799e02e2eb7c265f7ba9",
     6: "2b1ffcf3c9cf991f12ce2dcaac241859c38dc76997ae2f768b91991443992387",
     7: "8a81e8779302b0f3a8bcec231aebe68f19b766e0c310bb15254e9ccbc6add4da",
@@ -250,30 +250,30 @@ REPORT_SHA256 = {
 # whose fixed-point checks the criteria do not pin.  None is falsified.
 JULIA_VERIFY_SHA256 = {
     (7, 3, 7, "1+p^3", 4):
-    "581d5e9943e85251d76aa5ceb3521688b9abec19f5031b94d261cf7360c78068",
+    "9fd14bf5793d6d4a9417fe88824a402ebae0280797f1fe516d4d42583e825eb4",
     (7, 6, 7, "1+p^3", 2):
-    "b8129499bb31fd8fb2457f4af239cde4a2ba47af6ee72bdb5109e1e035791004",
-    # v(q) = 2, decided on the 2x rung (128 digits)
+    "a2579673c745778b27fcfd157129cee9a863bed7f5aa1377f14c32417f1b9555",
+    # v(q) = 2
     (3, 2, 9, "1+p^5", 4):
-    "d6a3cbf011f3bc752481a5f5a38c680b612e04c3bc0cdfb8a8a393f5a7d17971",
-    # p | k, decided on the 2x rung
+    "873e1fef3e818a26cadd8d1667bdb0084a9cae55c29dd7fa1aca9310731c5d90",
+    # p | k
     (5, 10, 25, "1+p^5", 3):
-    "e79f9c08af4859f6331c8bf8e4b7f6ce2bdbbe69d38929252d77aa7804e63eea",
+    "435b6bfff22df772ef50d906c16cfbc20acab29c56ff662d07cf77455e0fc6bd",
     (13, 4, 13, "1+p^4", 2):
-    "3c861e5e6a408e5a6b492fc5c8ddcddb019b05ce374e9ce4de41b2dce8cdd06c",
+    "db5ca76a2ae94cbea045a7851e883bf39455cb0aba2d915ffc1fd3635facf145",
     (11, 10, 11, "1+p^3", 2):
-    "14bba3106bacb05ee93d489782cfd2064128ac9cd15191a6ea596e9177360d5a",
+    "b1a7cf176c1995f6ca12f21880e7287a66fcfe6c8b522f2efeb34661157ec41a",
     # regime B1
     (5, 3, 5, "1+p^3", 4):
-    "a1e715a8538c785a3a0ebe91dfd27b02db752857e7b0a79678c59875a2f09df3",
+    "85b056b852d6355118e9856190ade525fc7265c4758d2da4d43f774e46e2db0f",
     (7, 5, 7, "1+p^4", 3):
-    "5515b7239b77ca7a0d5672cf775c0ddd4f5c48240b3468449c4cdd5008897189",
+    "19ef801268e644f8fd3a4ed71be6b07cbd588c970ae840fd71436fc06a9cbd2c",
     # the deep backward map: over 4 000 principal roots
     (5, 2, 5, "1+p^3", 12):
-    "d26993fa7b6528f54cc5b43730d28232c7185dd1d15f01273dd0334015387291",
+    "9b2505bd291c8fbcafe13e59319491c09d77f92ca425b6ae8875043d0e75eb5e",
     # p | k at depth 5: every root also takes p-th roots
     (5, 10, 25, "1+p^5", 5):
-    "b292de61327029935389f15ee6baa62b77a121b3d6b87aa5ed97799c0f81638d",
+    "896bab5bdf1cccc31d8e117bc5ea702c4369bb6d4012452da04c7fb1fe34edde",
 }
 
 

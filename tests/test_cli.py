@@ -25,7 +25,7 @@ from pottsbethe.mapping import (
     PoleHit,
     build_partition,
 )
-from pottsbethe.padic import PrecisionError
+from pottsbethe.padic import Padic, PrecisionError, VerificationError
 
 
 def run_cli(args, capsys):
@@ -126,7 +126,7 @@ class TestOrbitAndSweep:
     ])
     def test_near_pole_seed_is_a_shortage(self, capsys, digits, code,
                                           status, steps, retries):
-        # f(x0) agrees with the pole to 397 digits without being the pole:
+        # f(x0) agrees with the pole to 400 digits without being the pole:
         # each rung short of that reads a NearPoleHit, which is retried,
         # and the 512-digit rung sees the orbit converge
         code_, out, _ = run_cli(
@@ -256,12 +256,12 @@ class TestJuliaVerify:
         assert checks["b1_fixed_point_residual"]["pass"]
         assert checks["b1_fixed_point_repelling"]["pass"]
 
-    @pytest.mark.parametrize("precision,code", [("16", 3), ("128", 0)])
+    @pytest.mark.parametrize("precision,code", [("8", 3), ("128", 0)])
     def test_cancelled_periodic_residual_is_precision(self, capsys,
                                                       precision, code):
-        # at 16, 32 and 64 digits a periodic or fixed-point residual
+        # at 8, 16 and 32 digits a periodic or fixed-point residual
         # cancels short of the digits checked: a precision shortage
-        # (exit 3), not a falsified cycle; 128 digits decide every check
+        # (exit 3), not a falsified cycle; 64 digits decide every check
         got, out, err = run_cli(
             ["julia-verify", "--p", "3", "--k", "3", "--q", "9", "--theta",
              "1+p^5", "--depth", "5", "--precision", precision], capsys)
@@ -272,13 +272,13 @@ class TestJuliaVerify:
             assert "precision exhausted" in err
 
     def test_cancelled_periodic_residual_is_retried(self, capsys):
-        # the 64-digit report runs short; its 128-digit rung is the report
-        # --precision 128 gives
+        # the 16-digit report runs short on its first two rungs; its
+        # 64-digit rung is the report --precision 64 gives
         argv = ["julia-verify", "--p", "3", "--k", "3", "--q", "9",
                 "--theta", "1+p^5", "--depth", "5", "--precision"]
-        code, out, _ = run_cli(argv + ["64"], capsys)
-        assert code == 0 and json.loads(out)["config"]["digits"] == 128
-        assert run_cli(argv + ["128"], capsys) == (0, out, "")
+        code, out, _ = run_cli(argv + ["16"], capsys)
+        assert code == 0 and json.loads(out)["config"]["digits"] == 64
+        assert run_cli(argv + ["64"], capsys) == (0, out, "")
 
     @pytest.mark.parametrize("depth", ["0", "-1"])
     def test_depth_below_one_is_a_usage_error(self, capsys, depth):
@@ -741,31 +741,56 @@ def test_failed_root_of_unity_lift_is_falsified(capsys, monkeypatch):
 
 
 def test_failed_b1_fixed_point_is_falsified(capsys, monkeypatch):
-    # f moved by p^30 at every inexact point: the fixed point B1 returns
-    # fails f(x) = x, and julia-verify reports a falsification
+    # f moved by p^30 at the fixed point x* != 1: fixed_point_B1 refuses
+    # it, and julia-verify, which reads f(x*) once for its fixed-point
+    # and period-1 checks, reports both failed
+    params = MapParams.make(5, 3, 5, "1+p^3")
+    x_star = periodic_point(params, (1,))
     f = mapping.eval_f
-    monkeypatch.setattr(mapping, "eval_f", lambda params, x: (
-        f(params, x) + (0 if x.is_exact else params.p**30)))
+
+    def moved(params, x):
+        shift = (x.val, x.unit, x.prec) == (x_star.val, x_star.unit,
+                                            x_star.prec)
+        return f(params, x) + (params.p**30 if shift else 0)
+
+    monkeypatch.setattr(mapping, "eval_f", moved)
+    monkeypatch.setattr(dynamics, "eval_f", moved)
+    with pytest.raises(VerificationError, match="candidate fixed point "
+                       "fails f\\(x\\) = x: residual valuation 30"):
+        hensel.fixed_point_B1(params)
     code, out, err = run_cli(["julia-verify", "--p", "5", "--k", "3",
                               "--q", "5", "--theta", "1+p^3", "--depth", "2",
                               "--samples", "3"], capsys)
-    assert (code, out, err) == (
-        1, "", "pottsbethe: falsified: candidate fixed point fails "
-        "f(x) = x: residual valuation 30\n")
+    assert (code, err) == (1, "")
+    failed = {c["name"]: c["detail"] for c in json.loads(out)["checks"]
+              if not c["pass"]}
+    assert failed["b1_fixed_point_residual"] == 30
+    assert failed["periodic_points"][0]["residual_exp"] == 30
+    assert set(failed) == {"b1_fixed_point_residual", "periodic_points"}
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
-def test_near_pole_hit_climbs_the_ladder(capsys, p):
-    # at 3 digits the B1 fixed point is indistinguishable from the pole;
-    # that shortage is retried, and the 12-digit rung ends short of the
+def test_near_pole_hit_climbs_the_ladder(capsys, monkeypatch, p):
+    # a B1 fixed point indistinguishable from the pole on the 3-digit rung
+    # is a shortage: it is retried, and the 12-digit rung ends short of the
     # fixed-point check's digits instead
+    periodic, rungs = dynamics.periodic_point, []
+
+    def near_pole(params, word):
+        if word == (1,):
+            rungs.append(params.digits)
+        if params.digits == 3:
+            return params.pole + Padic.inexact_zero(p, 3, 3)
+        return periodic(params, word)
+
+    monkeypatch.setattr(dynamics, "periodic_point", near_pole)
     code, out, err = run_cli([
         "julia-verify", "--p", str(p), "--k", str(p), "--q", str(p * p),
         "--theta", "1+p^5", "--depth", "2", "--samples", "3",
         "--precision", "3"], capsys)
-    assert (code, out) == (3, "")
+    assert (code, out, rungs) == (3, "", [3, 6, 12])
     assert err.startswith("pottsbethe: precision exhausted: residual "
-                          "cancelled at O(p^9), short of the 40 digits")
+                          "cancelled at O(p^10), short of the 40 digits")
 
 
 def _run_module(args):

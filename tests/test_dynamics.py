@@ -300,8 +300,8 @@ class TestBasinClassify:
 
 
 def near_pole_seed() -> int:
-    """The 279-digit integer residue of h_1(pole) at 400 digits, (p, k, q,
-    theta) = (5, 2, 5, 1+p^3).  f of it agrees with the pole -129 to 397
+    """The 280-digit integer residue of h_1(pole) at 400 digits, (p, k, q,
+    theta) = (5, 2, 5, 1+p^3).  f of it agrees with the pole -129 to 400
     digits, but the pole is not a square in Q, so f(x0) is not the pole:
     at 800 digits its orbit converges to 1 at step 12."""
     params = MapParams.make(5, 2, 5, "1+p^3", 400)
@@ -316,7 +316,7 @@ class TestPoleVerdict:
 
     def test_near_pole_seed_gets_no_pole_verdict(self):
         x0 = near_pole_seed()
-        assert len(str(x0)) == 279
+        assert len(str(x0)) == 280
         params = MapParams.make(5, 2, 5, "1+p^3", 64)
         res = orbit(params, x0)
         assert (res.status, res.steps, res.reason) == (
@@ -324,6 +324,18 @@ class TestPoleVerdict:
         res = basin_classify(params, x0, 20)
         assert (res.kind, res.step, res.reason) == (
             ClassifyKind.UNDECIDED, 1, "precision")
+
+    @pytest.mark.parametrize("regime", ["regime_a", "regime_b2"])
+    def test_x0_near_the_pole_is_a_shortage(self, request, regime):
+        # eval_g judges x0 too: the exact pole is refused in every regime,
+        # and a point known only to agree with it is undecided at step 0
+        params = request.getfixturevalue(regime)
+        near = params.pole + Padic.inexact_zero(params.p, 30, params.digits)
+        res = basin_classify(params, near, 5)
+        assert (res.kind, res.step, res.reason) == (
+            ClassifyKind.UNDECIDED, 0, "precision")
+        with pytest.raises(ValueError, match="x0 is the pole"):
+            basin_classify(params, params.pole, 5)
 
     def test_raw_branch_of_the_pole_is_a_shortage(self, regime_b2):
         x = inverse_branch(regime_b2, 1, regime_b2.pole)
@@ -539,8 +551,9 @@ def test_record_reprs_are_the_dataclass_reprs():
     params = MapParams.make(5, 3, 5, "1+p^3", digits=8)
     assert repr(params) == (
         "MapParams(p=5, k=3, q=5, theta=Padic(5, '0:126:inf'), digits=8, "
-        "theta_frac=Fraction(126, 1), pole=Padic(5, '0:-129:inf'), v_k=0, "
-        "v_q=1, v_theta1=3, v_qtheta1=1, tau_one=2, kappa=1, q_bits=3)")
+        "theta_frac=Fraction(126, 1), pole=Padic(5, '0:-129:inf'), "
+        "D=Padic(5, '4:26:inf'), v_k=0, v_q=1, v_theta1=3, v_qtheta1=1, "
+        "tau_one=2, kappa=1, q_bits=3)")
     part = build_partition(MapParams.make(5, 2, 5, "1+p^3", digits=8))
     assert repr(part) == (
         "Partition(radius_exp=4, balls=(PartitionBall(symbol=1, "

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import census
 from test_verify import _calls_to
 
 from pottsbethe import hensel, padic
@@ -18,7 +19,7 @@ from pottsbethe.hensel import (
     principal_kth_root,
     roots_of_unity,
 )
-from pottsbethe.mapping import MapParams, eval_f
+from pottsbethe.mapping import MapParams, RegimeTag, eval_f
 from pottsbethe.padic import Padic, PrecisionError, _vp, from_rational
 
 
@@ -429,7 +430,43 @@ class TestCarriedInverse:
         assert calls == []
 
 
+def reference_fixed_point_B1(params) -> Padic:
+    """The B1 fixed point by the contraction F(x) = 1 - q + (theta-1)(x -
+    r)/(r - 1), r = x**(1/k), iterated from 1 - q, each iterate cut to the
+    working digits, until the gap F(x) - x cancels to the digits x
+    carries; then F(x) claims x* to all of its digits."""
+    p, digits, t1 = params.p, params.digits, params.theta - 1
+    x = params.embed(1 - params.q)
+    for _ in range(digits):
+        r = principal_kth_root(x, params.k)
+        x_star = 1 - params.q + t1 * (x - r) / (r - 1)
+        gap = x_star - x
+        if gap.is_exact_zero or (gap.is_inexact_zero
+                                 and gap.val >= x.abs_prec):
+            return x_star
+        x = Padic.from_residue(x_star.unit, min(digits, x_star.abs_prec), p,
+                               digits)
+    raise PrecisionError("fixed-point iteration did not settle")
+
+
+# the census grid's B1 sets
+B1_SETS = [c for c in census.GRID
+           if MapParams.make(*c).regime.tag is RegimeTag.B1]
+
+
 class TestFixedPointB1:
+    @pytest.mark.parametrize("digits", [8, 16, 32, 64, 128, 256])
+    @pytest.mark.parametrize("config", B1_SETS,
+                             ids=lambda c: "p{}-k{}-q{}-{}".format(*c))
+    def test_at_least_as_tight_as_the_reference_loop(self, config, digits):
+        # the periodic point of (1,) agrees with the contraction of its
+        # own on every digit both claim, and claims at least as many
+        params = MapParams.make(*config, digits)
+        x_star = fixed_point_B1(params)
+        ref = reference_fixed_point_B1(params)
+        assert (x_star - ref).is_zero_like
+        assert x_star.abs_prec >= ref.abs_prec
+
     def test_acceptance_parameters(self):
         params = MapParams.make(5, 3, 5, "1+p^3")
         x_star = fixed_point_B1(params)

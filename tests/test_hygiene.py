@@ -132,6 +132,17 @@ def test_only_mapping_names_the_residue_kernel():
     assert not named, f"the residue kernel named outside mapping: {named}"
 
 
+def test_one_contraction_for_periodic_points():
+    # the B1 fixed point is the periodic point of (1,), which
+    # dynamics.periodic_point alone iterates to: fixed_point_B1 only checks
+    tree = ast.parse((ROOT / "src/pottsbethe/hensel.py").read_text())
+    fixed = next(node for node in ast.walk(tree)
+                 if isinstance(node, ast.FunctionDef)
+                 and node.name == "fixed_point_B1")
+    assert not [node.lineno for node in ast.walk(fixed)
+                if isinstance(node, (ast.For, ast.While))]
+
+
 def test_one_budget_constant():
     # one knob, mapping.WORK_BUDGET, bounds every loop that grows with kappa
     # or kappa**depth; a second one would let a loop escape the first

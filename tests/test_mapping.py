@@ -679,10 +679,10 @@ def fields(z: Padic) -> tuple:
     return z.prime, z.val, z.unit, z.prec, z.cap
 
 
-def outcome(fn, *args):
-    """fn's result as its fields, or the type of what it raised."""
+def attempt(fn, *args):
+    """fn's result, or the type of what it raised."""
     try:
-        return fields(fn(*args))
+        return fn(*args)
     except (ArithmeticError, ValueError) as exc:
         return type(exc)
 
@@ -713,9 +713,11 @@ FORM_SETS = census.GRID + [(5, 2, 5, 1 + Fraction(5**4, 3)),
 
 class TestOneFormPerFact:
     def test_forms_match_the_replaced_ones_on_the_census_covers(self):
-        # symbol 1 is the root 1, each center off it is pole + q(theta-1)
-        # /(1-xi), and each branch reads the pole: field for field the
-        # forms they replaced, at the centers, the pole and ball samples
+        # symbol 1 is the root 1 and each center off it is pole + q(theta-1)
+        # /(1-xi), field for field the forms they replaced; each branch
+        # reads the pole and D, so at the centers, the pole and ball
+        # samples it agrees with the form it replaced on every digit both
+        # claim, claims at least as many, and fails where that one fails
         covers = 0
         for (p, k, q, theta), digits in itertools.product(FORM_SETS,
                                                           (6, 12, 64)):
@@ -735,9 +737,40 @@ class TestOneFormPerFact:
             ys = [b.center for b in part.balls] + [params.pole]
             ys += sampling.ball_samples(params, part.balls[-1].symbol, 3, 1)
             for y, b in itertools.product(ys, part.balls):
-                assert outcome(inverse_branch, params, b.symbol, y) == \
-                    outcome(branch_by_theta, params, b.symbol, y)
+                z, old = (attempt(fn, params, b.symbol, y)
+                          for fn in (inverse_branch, branch_by_theta))
+                if isinstance(old, type):
+                    assert z is old
+                    continue
+                assert (z - old).is_zero_like  # on every digit both claim
+                assert z.abs_prec >= old.abs_prec
         assert covers == 95
+
+    def test_branch_digits_are_the_docstring_bound(self):
+        # at every center of the census covers and at the pole, h_i(y)
+        # claims min(A_xi, A_r) + v(D) - 2e digits, e = v(xi*r - theta),
+        # where the root claims the cap at an exact y and A_y - v(k) at
+        # an inexact one; v(D) - v(k) - 2e is the ball's tau
+        covers = 0
+        for (p, k, q, theta), digits in itertools.product(census.GRID,
+                                                          (6, 12, 64)):
+            params = MapParams.make(p, k, q, theta, digits)
+            if not params.regime.expanding:
+                continue
+            part = build_partition(params)
+            covers += 1
+            v_d = params.D.valuation
+            for y in [b.center for b in part.balls] + [params.pole]:
+                root = branch_root(params, y)
+                assert root.abs_prec == (y.cap if y.is_exact
+                                         else y.abs_prec - params.v_k)
+                for b in part.balls:
+                    e = (b.xi * root - params.theta).valuation
+                    assert v_d - params.v_k - 2 * e == b.tau
+                    z = inverse_branch(params, b.symbol, y, root)
+                    assert z.abs_prec == \
+                        min(b.xi.abs_prec, root.abs_prec) + v_d - 2 * e
+        assert covers == 87
 
     def test_one_subtraction_per_branch_root(self, monkeypatch, regime_b2):
         # the domain |y - 1| < |k| is decided once, by principal_kth_root

@@ -141,9 +141,9 @@ BENCH_SHA256 = {
     ("sweep-b1", 11):
     "1de5ee7945c209bfd0d3bc6a224812ee21e50244c35e4eab71df3a1fb1dac040",
     ("julia-b2", 1):
-    "127204f91495c6cd18a4cb80ab4cf046d29d74fdc923b41bdbb23e814387a8b2",
+    "8b3121f4dafa1e98a811e25e19599c45edca2ccc762961e51ffbd663eedcf045",
     ("julia-b2", 11):
-    "2be9480fb7f931454b212c84001d1bd54fa71e3a01180e08c267232de9556bed",
+    "8be8cc04e67a7b917b34a59b0fa6d11d9197ac1bfd118412b0f09e288b5fecf8",
     ("poletree-b2", 1):
     "86838a6bff0cf29ac3dfc57a887d75a43e43c0e21fab3a51ee06c234936dbc26",
     ("poletree-b2", 11):

@@ -19,13 +19,13 @@ from pottsbethe.mapping import (
 )
 
 
-def _calls_to(monkeypatch, original) -> list:
-    """The first argument of every call to ``original`` through every name
-    the package binds it to."""
+def _calls_to(monkeypatch, original, arg: int = 0) -> list:
+    """Argument ``arg`` (the first by default) of every call to
+    ``original`` through every name the package binds it to."""
     calls = []
 
     def counted(*args, **kwargs):
-        calls.append(args[0])
+        calls.append(args[arg])
         return original(*args, **kwargs)
 
     for name, module in list(sys.modules.items()):
@@ -205,10 +205,22 @@ def test_julia_report_builds_each_cylinder_point_once(monkeypatch):
     assert rep["falsified"] is False
     # 14 for the 2 + 4 + 8 words, one branch per tree node; the rest for
     # the incidence matrix, one per entry, the periodic points and the
-    # pole tree.  357 when each word was folded from the anchor on its
-    # own; 337 when the incidence matrix also took 3 sampled points of
-    # each ball through every branch
-    assert len(calls) == 325
+    # pole tree
+    assert len(calls) == 380
+
+
+def test_b1_report_maps_its_fixed_point_once(monkeypatch):
+    # x* != 1 is the periodic point of (1,): the fixed-point checks and
+    # the period-1 entry share its point, its orbit and its multiplier
+    params = MapParams.make(5, 3, 5, "1+p^3")
+    x_star = dynamics.periodic_point(params, (1,))
+    words = _calls_to(monkeypatch, dynamics.periodic_point, 1)
+    images = _calls_to(monkeypatch, mapping.eval_f, 1)
+    rep = verify.julia_report(params, 2, pairs_per_ball=3)
+    assert rep["falsified"] is False
+    assert words == [(1,), (1, 1)]
+    fields = [(x.val, x.unit, x.prec) for x in images]
+    assert fields.count((x_star.val, x_star.unit, x_star.prec)) == 1
 
 
 def plant_in_word_tree(monkeypatch, word, move):
